@@ -11,7 +11,8 @@ clone-count and mutation-rate formulas receive a bounded positive quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,20 +31,27 @@ class Antibody:
     affinity_score: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryPool:
     """Bounded per-class antibody set, kept sorted by descending score.
 
-    Member feature arrays are treated as immutable once inside a pool; the
-    affinity helpers cache a stacked matrix keyed on the members list.
+    Immutable: ``members`` is stored as a tuple, and member feature arrays
+    are treated as read-only once inside a pool, so the stacked member
+    matrix can be computed once per pool.
     """
 
     class_label: int
     capacity: int
-    members: list[Antibody] = field(default_factory=list)
+    members: tuple[Antibody, ...] = ()
 
-    def best(self) -> Antibody | None:
-        return self.members[0] if self.members else None
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+
+    @cached_property
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked member features (m, d) and their squared norms (m,)."""
+        stacked = np.stack([ab.feature for ab in self.members])
+        return stacked, np.einsum("ij,ij->i", stacked, stacked)
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,11 @@ def affinity(v1: np.ndarray, v2: np.ndarray) -> float:
         raise UndefinedAffinityError("affinity of two zero vectors is undefined")
     if a_zero or b_zero:
         return 0.5
-    aa = float(np.dot(a, a))
-    bb = float(np.dot(b, b))
+    # np.vdot computes what np.dot does for real vectors but sets no numpy
+    # floating-point warning; an overflow here is repaired by the branch
+    # below (np.errstate would cost as much as the dot products themselves)
+    aa = float(np.vdot(a, a))
+    bb = float(np.vdot(b, b))
     denom_sq = aa * bb
     if denom_sq < _TINY_NORMAL or not math.isfinite(denom_sq):
         # squared norms of extreme-magnitude vectors leave the normal float
@@ -158,18 +169,6 @@ def crossover(v1: np.ndarray, v2: np.ndarray,
 # memory pools
 # ---------------------------------------------------------------------------
 
-def _pool_matrix(pool: MemoryPool) -> tuple[np.ndarray, np.ndarray]:
-    # stacked member features + norms, cached per members list
-    cache = getattr(pool, "_matrix_cache", None)
-    if cache is None or cache[2] is not pool.members \
-            or cache[0].shape[0] != len(pool.members):
-        matrix = np.stack([ab.feature for ab in pool.members])
-        sq_norms = np.einsum("ij,ij->i", matrix, matrix)
-        cache = (matrix, sq_norms, pool.members)
-        pool._matrix_cache = cache
-    return cache[0], cache[1]
-
-
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
     """Affinity of each row of ``features`` against every pool member.
 
@@ -181,7 +180,7 @@ def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
             f"memory pool for class {pool.class_label} is empty"
         )
     feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    matrix, sq_norms = _pool_matrix(pool)
+    matrix, sq_norms = pool.matrix
     if feats.shape[1] != matrix.shape[1]:
         raise DimensionError(
             f"feature width {feats.shape[1]} does not match pool width "
@@ -214,14 +213,13 @@ def best_match_affinity(feature: np.ndarray, pool: MemoryPool) -> float:
     return float(pool_affinities(np.asarray(feature)[None, :], pool).max())
 
 
-def update_memory(pool: MemoryPool, candidates: list[Antibody],
-                  m: int | None = None) -> MemoryPool:
-    """Top-m merge of existing members and candidates by affinity score.
+def update_memory(pool: MemoryPool, candidates: list[Antibody]) -> MemoryPool:
+    """Top-capacity merge of existing members and candidates by affinity
+    score.
 
     Elitist: on score ties an existing member outranks any candidate, so a
     member is only ever evicted by a strictly better candidate.
     """
-    capacity = pool.capacity if m is None else m
     for cand in candidates:
         if cand.class_label != pool.class_label:
             raise ConfigurationError(
@@ -233,8 +231,8 @@ def update_memory(pool: MemoryPool, candidates: list[Antibody],
         + [(ab, 1, i) for i, ab in enumerate(candidates)],
         key=lambda t: (-t[0].affinity_score, t[1], t[2]),
     )
-    members = [ab for ab, _, _ in ranked[:capacity]]
-    return MemoryPool(class_label=pool.class_label, capacity=capacity,
+    members = [ab for ab, _, _ in ranked[:pool.capacity]]
+    return MemoryPool(class_label=pool.class_label, capacity=pool.capacity,
                       members=members)
 
 
@@ -348,25 +346,61 @@ def save_pools(pools: dict[int, MemoryPool], path) -> None:
 
 
 def load_pools(path) -> dict[int, MemoryPool]:
+    """Read pools written by :func:`save_pools`. Malformed content raises
+    ConfigurationError naming its 1-based line number."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != POOL_FORMAT_HEADER:
         raise ConfigurationError(
             f"unrecognized pool file header: {lines[0] if lines else '<empty>'}"
         )
     pools: dict[int, MemoryPool] = {}
+    width = None
     i = 1
     while i < len(lines):
         parts = lines[i].split()
-        if len(parts) != 4 or parts[0] != "class":
-            raise ConfigurationError(f"malformed pool class line: {lines[i]!r}")
-        label, count, capacity = int(parts[1]), int(parts[2]), int(parts[3])
+        try:
+            if len(parts) != 4 or parts[0] != "class":
+                raise ValueError
+            label, count, capacity = (int(x) for x in parts[1:])
+        except ValueError:
+            raise ConfigurationError(
+                f"line {i + 1}: malformed pool class line: {lines[i]!r}"
+            ) from None
+        if not 0 <= count <= capacity:
+            raise ConfigurationError(
+                f"line {i + 1}: member count {count} is not within "
+                f"capacity {capacity}"
+            )
+        if i + count >= len(lines):
+            raise ConfigurationError(
+                f"line {len(lines) + 1}: file ends after "
+                f"{len(lines) - i - 1} of {count} members of class {label}"
+            )
         members = []
         for j in range(i + 1, i + 1 + count):
-            fields = lines[j].split()
+            try:
+                values = [float(x) for x in lines[j].split()]
+            except ValueError:
+                raise ConfigurationError(
+                    f"line {j + 1}: unparseable number in {lines[j]!r}"
+                ) from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigurationError(f"line {j + 1}: non-finite value")
+            if len(values) < 2:
+                raise ConfigurationError(
+                    f"line {j + 1}: member needs a score and coordinates"
+                )
+            if width is None:
+                width = len(values) - 1
+            if len(values) - 1 != width:
+                raise ConfigurationError(
+                    f"line {j + 1}: {len(values) - 1} coordinates, "
+                    f"expected {width}"
+                )
             members.append(Antibody(
-                feature=np.array([float(x) for x in fields[1:]]),
+                feature=np.array(values[1:]),
                 class_label=label,
-                affinity_score=float(fields[0]),
+                affinity_score=values[0],
             ))
         pools[label] = MemoryPool(class_label=label, capacity=capacity,
                                   members=members)

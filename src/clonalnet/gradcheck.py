@@ -1,10 +1,11 @@
 """Finite-difference verification of the analytic gradients.
 
 Central differences with step 1e-5 at 64-bit precision, compared against
-:func:`clonalnet.nn.backward` and :func:`clonalnet.nn.backward_from_feature`
-on randomly seeded parameter/input instances. Coordinates are sampled per
-parameter array; relative error uses a small denominator floor so exact-zero
-gradients compare cleanly against finite-difference noise.
+:func:`clonalnet.nn.batch_gradients`, the function training uses, on
+randomly seeded parameter/input instances: a one-sample batch, and the same
+sample plus one clone. Coordinates are sampled per parameter array; relative
+error uses a small denominator floor so exact-zero gradients compare cleanly
+against finite-difference noise.
 
 The loss is smooth everywhere except where a pooling winner changes. A
 coordinate whose probe interval straddles such a change has no defined
@@ -26,48 +27,24 @@ DEFAULT_STEP = 1e-5
 REL_FLOOR = 1e-6
 
 
-def numerical_gradient(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central finite differences of scalar ``f`` at every coordinate of x."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += step
-        xm[idx] -= step
-        grad[idx] = (f(xp) - f(xm)) / (2.0 * step)
-    return grad
-
-
 def relative_error(analytic: float, numeric: float) -> float:
     denom = max(REL_FLOOR, abs(analytic), abs(numeric))
     return abs(analytic - numeric) / denom
 
 
-def _sample_probe(params: nn.LayerStack, image: np.ndarray,
-                  label: int) -> tuple[float, np.ndarray]:
+def _probe(params: nn.LayerStack, image: np.ndarray, label: int,
+           offset: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Sample loss, plus the loss of its clone when ``offset`` is given.
+
+    The clone follows the additive-offset model: the offset between clone
+    and parent feature is held constant while parameters vary.
+    """
     feature, trace = nn.forward_features(params, image)
     loss = nn.cross_entropy(nn.forward_output(params, feature), label)
+    if offset is not None:
+        loss += nn.cross_entropy(nn.forward_output(params, feature + offset),
+                                 label)
     return loss, trace.argmax
-
-
-def _clone_probe(params: nn.LayerStack, image: np.ndarray, label: int,
-                 offset: np.ndarray) -> tuple[float, np.ndarray]:
-    feature, trace = nn.forward_features(params, image)
-    loss = nn.cross_entropy(nn.forward_output(params, feature + offset), label)
-    return loss, trace.argmax
-
-
-def sample_loss(params: nn.LayerStack, image: np.ndarray, label: int) -> float:
-    return _sample_probe(params, image, label)[0]
-
-
-def clone_loss(params: nn.LayerStack, image: np.ndarray, label: int,
-               offset: np.ndarray) -> float:
-    """Loss of a clone under the additive-offset model: the offset between
-    clone and parent feature is held constant while parameters vary."""
-    return _clone_probe(params, image, label, offset)[0]
 
 
 @dataclass
@@ -116,9 +93,10 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
                    step: float = DEFAULT_STEP) -> CheckResult:
     """Full-stack gradient check on one seeded random instance.
 
-    Checks both the plain sample path and the clone path (additive-offset
-    model) against central finite differences on sampled coordinates of
-    every parameter array.
+    Checks ``batch_gradients`` on a one-sample batch against the sample
+    loss, and on that sample plus one clone against the sum of both losses,
+    by central finite differences on sampled coordinates of every parameter
+    array.
     """
     arch = arch or nn.ArchConfig()
     rng = np.random.default_rng(seed)
@@ -129,15 +107,16 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
 
     feature, trace = nn.forward_features(params, image)
     probs = nn.forward_output(params, feature)
-    plain = nn.backward(params, trace, probs, label)
-    clone = nn.backward_from_feature(params, trace, feature + offset, label)
+    plain = nn.batch_gradients(params, [trace], [probs], [label])
+    clone = nn.batch_gradients(params, [trace], [probs], [label],
+                               [(feature + offset, label, 0)])
 
     err_plain = _max_error_over_coords(
-        params, plain, lambda p: _sample_probe(p, image, label),
+        params, plain, lambda p: _probe(p, image, label),
         rng, coords_per_array, step,
     )
     err_clone = _max_error_over_coords(
-        params, clone, lambda p: _clone_probe(p, image, label, offset),
+        params, clone, lambda p: _probe(p, image, label, offset),
         rng, coords_per_array, step,
     )
     return CheckResult(seed, err_plain, err_clone)

@@ -25,8 +25,8 @@ from .clonal import (Antibody, CloneConfig, ClonalExpander, ClonalgResult,
                      MemoryPool, clonalg_run, save_pools)
 from .errors import ConfigurationError
 from .mnist import Dataset, batches, load_dataset, stratified_subset
-from .nn import (ArchConfig, TrainConfig, evaluate, forward_features,
-                 init_params, train_epoch)
+from .nn import (ArchConfig, evaluate, forward_features, init_params,
+                 train_epoch)
 
 CSV_HEADER = "variant,per_class_size,seed,epoch,train_error,test_error"
 VARIANTS = ("cnn", "cnn-ais")
@@ -70,6 +70,11 @@ class ExperimentConfig:
             raise ConfigurationError("at least one seed is required")
         if self.epochs < 1 or self.curve_epochs < 1:
             raise ConfigurationError("epoch counts must be >= 1")
+        if self.learning_rate < 0:
+            # zero is a legal no-op rate (useful for pure-evaluation passes)
+            raise ConfigurationError(
+                f"learning_rate must be >= 0, got {self.learning_rate}"
+            )
         if self.memory_factor < 1:
             raise ConfigurationError("memory_factor must be >= 1")
         if len(self.two_class_labels) != 2 or \
@@ -97,6 +102,8 @@ class ExperimentConfig:
 
 _TUPLE_FIELDS = {"sizes", "seeds", "two_class_labels"}
 _BOOL_FIELDS = {"raw_count"}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -119,19 +126,25 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     for key, value in mapping.items():
         if key not in known:
             raise ConfigurationError(f"unknown configuration key {key!r}")
-        if key in _TUPLE_FIELDS:
-            kwargs[key] = tuple(int(x) for x in str(value).split(","))
-        elif key in _BOOL_FIELDS:
-            kwargs[key] = str(value).strip().lower() in ("1", "true", "yes")
-        elif key == "tau_match":
-            text = str(value).strip().lower()
-            kwargs[key] = None if text in ("", "none") else float(value)
-        elif known[key].type in ("int", int):
-            kwargs[key] = int(value)
-        elif known[key].type in ("float", float):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = str(value)
+        text = str(value).strip()
+        try:
+            if key in _TUPLE_FIELDS:
+                kwargs[key] = tuple(int(x) for x in text.split(","))
+            elif key in _BOOL_FIELDS:
+                kwargs[key] = _BOOL_WORDS[text.lower()]
+            elif key == "tau_match":
+                kwargs[key] = (None if text.lower() in ("", "none")
+                               else float(text))
+            elif known[key].type in ("int", int):
+                kwargs[key] = int(text)
+            elif known[key].type in ("float", float):
+                kwargs[key] = float(text)
+            else:
+                kwargs[key] = str(value)
+        except (KeyError, ValueError):
+            raise ConfigurationError(
+                f"bad value {value!r} for configuration key {key!r}"
+            ) from None
     return ExperimentConfig(**kwargs)
 
 
@@ -204,14 +217,12 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
         expander = ClonalExpander(
             cfg.clone_config(per_class, derived_seed(seed, per_class, 37))
         )
-    tcfg = TrainConfig(learning_rate=cfg.learning_rate,
-                       batch_size=cfg.batch_size, epochs=epochs,
-                       rng_seed=seed)
     rows = []
     for epoch in range(1, epochs + 1):
         batch_list = batches(train_ds, cfg.batch_size,
                              seed=derived_seed(seed, per_class, 23, epoch))
-        params, train_error = train_epoch(params, batch_list, tcfg, expander)
+        params, train_error = train_epoch(params, batch_list, cfg.learning_rate,
+                                          expander)
         if record_epochs or epoch == epochs:
             test_error = evaluate(params, test_ds.images, test_ds.labels)
             rows.append(SweepResult(variant, per_class, seed, epoch,

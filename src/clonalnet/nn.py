@@ -5,14 +5,15 @@ descent on cross-entropy loss.
 
 The clonal layer itself lives in :mod:`clonalnet.clonal`; ``train_epoch``
 accepts it as an optional hook that expands each batch's feature vectors.
-Clone error is routed back through the parent sample's cached trace, with
-the mutation offset treated as an additive constant (identity Jacobian), so
-clone gradients reach the convolution kernels.
+``batch_gradients`` is the one backward pass: clone error is routed back
+through the parent sample's cached trace, with the mutation offset treated
+as an additive constant (identity Jacobian), so clone gradients reach the
+convolution kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,14 +79,6 @@ class LayerStack:
     fc1_bias: np.ndarray       # (d,)
     out_weights: np.ndarray    # (c, d)
     out_bias: np.ndarray       # (c,)
-    # input/output map wiring; one input image, so shape (f, 1), all True
-    connection_table: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.connection_table is None:
-            self.connection_table = np.ones(
-                (self.conv_kernels.shape[0], 1), dtype=bool
-            )
 
     @property
     def num_maps(self) -> int:
@@ -116,11 +109,6 @@ class Gradients:
     def zeros_like(cls, params: LayerStack) -> "Gradients":
         return cls(*(np.zeros_like(getattr(params, name)) for name in cls.ARRAYS))
 
-    def add_(self, other: "Gradients") -> "Gradients":
-        for name in self.ARRAYS:
-            getattr(self, name).__iadd__(getattr(other, name))
-        return self
-
     def scale_(self, factor: float) -> "Gradients":
         for name in self.ARRAYS:
             getattr(self, name).__imul__(factor)
@@ -137,23 +125,6 @@ class ForwardTrace:
     pooled_flat: np.ndarray  # (p,)
     fc1_pre: np.ndarray      # (d,)
     feature: np.ndarray      # (d,)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float
-    batch_size: int
-    epochs: int
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            # zero is a legal no-op rate (useful for pure-evaluation passes)
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def init_params(seed: int, dims: ArchConfig) -> LayerStack:
@@ -184,15 +155,8 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     if img.ndim != 2:
         raise DimensionError(f"image must be 2-D, got shape {img.shape}")
     f = params.num_maps
-    conv_pre = []
-    for m in range(f):
-        acc = np.full((img.shape[0] - params.conv_kernels.shape[1] + 1,
-                       img.shape[1] - params.conv_kernels.shape[2] + 1),
-                      params.conv_bias[m])
-        if params.connection_table[m, 0]:
-            acc = acc + conv2d_valid(img, params.conv_kernels[m])
-        conv_pre.append(acc)
-    conv_pre = np.stack(conv_pre)
+    conv_pre = np.stack([conv2d_valid(img, params.conv_kernels[m])
+                         + params.conv_bias[m] for m in range(f)])
     conv_act = scaled_tanh(conv_pre)
     pooled, argmax = zip(*(maxpool2(conv_act[m]) for m in range(f)))
     pooled_flat = np.stack(pooled).ravel()
@@ -261,57 +225,48 @@ def _lower_grads(params: LayerStack, trace: ForwardTrace, dfeature: np.ndarray):
         dconv_act = maxpool2_backward(trace.argmax[m], dpool[m])
         dconv_pre = dconv_act * scaled_tanh_prime(trace.conv_pre[m])
         grad_conv_b[m] = dconv_pre.sum()
-        if params.connection_table[m, 0]:
-            grad_conv_k[m] = conv2d_valid(trace.image, dconv_pre)
+        grad_conv_k[m] = conv2d_valid(trace.image, dconv_pre)
     return grad_conv_k, grad_conv_b, grad_fc1_w, grad_fc1_b
 
 
-def backward(params: LayerStack, trace: ForwardTrace,
-             probabilities: np.ndarray, true_label: int) -> Gradients:
-    """Cross-entropy gradients for one sample from its own forward pass."""
-    if probabilities.shape != (params.num_classes,):
-        raise CorruptionError(
-            f"probabilities shape {probabilities.shape} does not match "
-            f"{params.num_classes} classes"
-        )
-    if trace.feature.shape != (params.feature_width,):
-        raise CorruptionError(
-            f"trace feature width {trace.feature.shape} does not match params"
-        )
-    grad_out_w, grad_out_b, dfeature = _feature_error(
-        params, trace.feature, probabilities, true_label
-    )
-    grad_conv_k, grad_conv_b, grad_fc1_w, grad_fc1_b = _lower_grads(
-        params, trace, dfeature
-    )
-    return Gradients(grad_conv_k, grad_conv_b, grad_fc1_w, grad_fc1_b,
-                     grad_out_w, grad_out_b)
+def batch_gradients(params: LayerStack, traces, probabilities, labels,
+                    clones=()) -> Gradients:
+    """Cross-entropy gradients summed over a batch and its clones.
 
-
-def backward_from_feature(params: LayerStack, trace: ForwardTrace,
-                          clone_feature: np.ndarray, true_label: int) -> Gradients:
-    """Gradients for a clone of ``trace``'s sample.
-
-    The clone feature is fed to the output layer; the resulting error signal
-    at the feature layer flows through the parent's trace (the offset between
-    clone and parent feature is treated as an additive constant), so all
-    layers including the convolution kernels receive gradient.
+    ``traces`` and ``probabilities`` are the originals' forward passes;
+    ``clones`` holds (clone_feature, label, parent_index) tuples. Each
+    clone's feature-layer error is added to its parent's, and every parent
+    then makes one pass through its own trace (the offset between clone and
+    parent feature is held constant), so clone gradients reach every layer.
     """
-    clone = np.asarray(clone_feature, dtype=np.float64)
-    if clone.shape != (params.feature_width,):
-        raise DimensionError(
-            f"clone feature shape {clone.shape} does not match width "
-            f"{params.feature_width}"
+    grads = Gradients.zeros_like(params)
+    feat_err = [np.zeros(params.feature_width) for _ in traces]
+    for i, (trace, probs, label) in enumerate(zip(traces, probabilities, labels)):
+        if probs.shape != (params.num_classes,):
+            raise CorruptionError(
+                f"probabilities shape {probs.shape} does not match "
+                f"{params.num_classes} classes"
+            )
+        gw, gb, df = _feature_error(params, trace.feature, probs, int(label))
+        grads.out_weights += gw
+        grads.out_bias += gb
+        feat_err[i] += df
+
+    for clone_feat, label, parent in clones:
+        gw, gb, df = _feature_error(
+            params, clone_feat, forward_output(params, clone_feat), int(label),
         )
-    probabilities = forward_output(params, clone)
-    grad_out_w, grad_out_b, dfeature = _feature_error(
-        params, clone, probabilities, true_label
-    )
-    grad_conv_k, grad_conv_b, grad_fc1_w, grad_fc1_b = _lower_grads(
-        params, trace, dfeature
-    )
-    return Gradients(grad_conv_k, grad_conv_b, grad_fc1_w, grad_fc1_b,
-                     grad_out_w, grad_out_b)
+        grads.out_weights += gw
+        grads.out_bias += gb
+        feat_err[parent] += df
+
+    for trace, err in zip(traces, feat_err):
+        gck, gcb, gfw, gfb = _lower_grads(params, trace, err)
+        grads.conv_kernels += gck
+        grads.conv_bias += gcb
+        grads.fc1_weights += gfw
+        grads.fc1_bias += gfb
+    return grads
 
 
 def sgd_step(params: LayerStack, gradients: Gradients, learning_rate: float) -> LayerStack:
@@ -320,7 +275,7 @@ def sgd_step(params: LayerStack, gradients: Gradients, learning_rate: float) -> 
         name: getattr(params, name) - learning_rate * getattr(gradients, name)
         for name in Gradients.ARRAYS
     }
-    return LayerStack(connection_table=params.connection_table.copy(), **updated)
+    return LayerStack(**updated)
 
 
 def predict(params: LayerStack, image: np.ndarray) -> int:
@@ -334,7 +289,7 @@ def evaluate(params: LayerStack, images: np.ndarray, labels: np.ndarray) -> floa
     return wrong / len(labels)
 
 
-def train_epoch(params: LayerStack, batches, config: TrainConfig,
+def train_epoch(params: LayerStack, batches, learning_rate: float,
                 clonal_hook=None) -> tuple[LayerStack, float]:
     """One pass over ``batches``: list of (images, labels) pairs.
 
@@ -359,38 +314,12 @@ def train_epoch(params: LayerStack, batches, config: TrainConfig,
             features.append(feat)
             traces.append(trace)
             probs.append(forward_output(params, feat))
+        mistakes += sum(int(np.argmax(p)) != int(label)
+                        for p, label in zip(probs, labels))
 
-        grads = Gradients.zeros_like(params)
-        feat_err = [np.zeros(params.feature_width) for _ in range(n)]
-        contributors = n
-        for i in range(n):
-            label = int(labels[i])
-            if np.argmax(probs[i]) != label:
-                mistakes += 1
-            gw, gb, df = _feature_error(params, features[i], probs[i], label)
-            grads.out_weights += gw
-            grads.out_bias += gb
-            feat_err[i] += df
-
-        if clonal_hook is not None:
-            for clone_feat, label, parent in clonal_hook(features, labels):
-                gw, gb, df = _feature_error(
-                    params, clone_feat, forward_output(params, clone_feat),
-                    int(label),
-                )
-                grads.out_weights += gw
-                grads.out_bias += gb
-                feat_err[parent] += df
-                contributors += 1
-
-        for i in range(n):
-            gck, gcb, gfw, gfb = _lower_grads(params, traces[i], feat_err[i])
-            grads.conv_kernels += gck
-            grads.conv_bias += gcb
-            grads.fc1_weights += gfw
-            grads.fc1_bias += gfb
-
-        grads.scale_(1.0 / contributors)
-        params = sgd_step(params, grads, config.learning_rate)
+        clones = [] if clonal_hook is None else clonal_hook(features, labels)
+        grads = batch_gradients(params, traces, probs, labels, clones)
+        grads.scale_(1.0 / (n + len(clones)))
+        params = sgd_step(params, grads, learning_rate)
         total += n
     return params, mistakes / total

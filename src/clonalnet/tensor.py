@@ -74,31 +74,6 @@ def conv2d_valid_naive(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_backward(
-    input: np.ndarray, kernel: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``sum(conv2d_valid(input, kernel) * grad_out)``.
-
-    Returns ``(grad_input, grad_kernel)``. grad_kernel is the valid
-    cross-correlation of the input with grad_out; grad_input is the full
-    cross-correlation of grad_out with the 180-degree-rotated kernel.
-    """
-    inp = _as_matrix(input, "input")
-    ker = _as_matrix(kernel, "kernel")
-    g = _as_matrix(grad_out, "grad_out")
-    h, w = inp.shape
-    kh, kw = ker.shape
-    expected = (h - kh + 1, w - kw + 1)
-    if g.shape != expected:
-        raise DimensionError(
-            f"grad_out shape {g.shape} does not match conv output {expected}"
-        )
-    grad_kernel = conv2d_valid(inp, g)
-    padded = np.pad(g, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
-    grad_input = conv2d_valid(padded, ker[::-1, ::-1])
-    return grad_input, grad_kernel
-
-
 # ---------------------------------------------------------------------------
 # 2x2 max-pooling
 # ---------------------------------------------------------------------------

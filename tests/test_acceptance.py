@@ -153,6 +153,7 @@ def test_two_class_application(corpus):
     )
 
 
+@pytest.mark.slow
 def test_small_data_advantage(corpus):
     budget = 900.0
     cfg = ExperimentConfig(sizes=(10, 25, 50, 100), seeds=(1, 2, 3), epochs=15)
@@ -177,6 +178,7 @@ def test_small_data_advantage(corpus):
     )
 
 
+@pytest.mark.slow
 def test_error_curve_plateau(corpus):
     cfg = ExperimentConfig(curve_epochs=20)
     rows, _ = harness.run_epoch_curve(cfg, data=corpus)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,17 @@ class TestAffinity:
         assert affinity(huge, huge) == 1.0
         assert affinity(huge, tiny) == 1.0
         assert affinity(np.array([1e-270, 0.0]), np.array([0.0, 1e-270])) == 0.5
+
+    def test_extreme_magnitudes_emit_no_warnings(self):
+        huge, tiny = np.full(4, 1e200), np.full(4, 1e-200)
+        pairs = [(np.array([1e200, 1.0]), np.array([1.0, 1e200]), 0.5),
+                 (np.array([1e200, 1.0]), np.array([1e200, 1.0]), 1.0),
+                 (huge, huge, 1.0), (huge, -huge, 0.0), (huge, tiny, 1.0),
+                 (tiny, -tiny, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b, expected in pairs:
+                assert affinity(a, b) == expected
 
     @given(finite_vectors(4), finite_vectors(4))
     def test_symmetric_and_bounded(self, a, b):
@@ -318,7 +331,7 @@ class TestUpdateMemory:
         pool = MemoryPool(class_label=0, capacity=3)
         candidates = [Antibody(np.array([float(i)]), 0, score)
                       for i, score in enumerate([0.2, 0.9, 0.5, 0.7, 0.1])]
-        updated = update_memory(pool, candidates, m=3)
+        updated = update_memory(pool, candidates)
         assert [ab.affinity_score for ab in updated.members] == [0.9, 0.7, 0.5]
 
     def test_tie_keeps_existing_member(self):
@@ -334,6 +347,15 @@ class TestUpdateMemory:
         challenger = Antibody(np.array([2.0]), 0, 0.81)
         updated = update_memory(pool, [challenger])
         assert updated.members[0].feature[0] == 2.0
+
+    def test_members_cannot_be_replaced_in_place(self):
+        # pools are immutable, so the cached member matrix cannot go stale
+        pool = pool_of([[1.0, 0.0], [0.0, 1.0]])
+        before = pool_affinities(np.array([[0.0, 1.0]]), pool)
+        with pytest.raises(TypeError):
+            pool.members[1] = Antibody(np.array([1.0, 0.0]), 0, 0.5)
+        assert np.array_equal(pool_affinities(np.array([[0.0, 1.0]]), pool),
+                              before)
 
     def test_class_mismatch_rejected(self):
         pool = MemoryPool(class_label=0, capacity=2)
@@ -431,6 +453,24 @@ class TestPoolSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
         with pytest.raises(ConfigurationError):
+            load_pools(path)
+
+    @pytest.mark.parametrize("body, line", [
+        ("class 0 3 4\n0.9 1.0 2.0\n0.8 1.0 2.0\n", 5),
+        ("class 0 2 4\n0.9 1.0 2.0\n0.8 1.0\n", 4),
+        ("class 0 1 2\n0.9 1.0 2.0\nclass 1 1 2\n0.9 1.0\n", 5),
+        ("class 0 1 4\n0.9\n", 3),
+        ("class 0 1 4\n0.9 1.0 two\n", 3),
+        ("class 0 1 4\n0.9 1.0 nan\n", 3),
+        ("class 0 1 4\ninf 1.0 2.0\n", 3),
+        ("class 0 3 2\n0.9 1\n0.8 1\n0.7 1\n", 2),
+        ("class 0 x 2\n", 2),
+    ], ids=["truncated", "ragged", "width-across-classes", "no-coordinates",
+            "unparseable", "nan", "inf-score", "over-capacity", "bad-count"])
+    def test_malformed_body_names_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("clonalnet-pools v1\n" + body)
+        with pytest.raises(ConfigurationError, match=f"line {line}:"):
             load_pools(path)
 
 

@@ -77,6 +77,28 @@ def test_mapping_rejects_unknown_key():
         config_from_mapping({"learninq_rate": "0.1"})
 
 
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("YES", True), ("1", True),
+    ("False", False), ("no", False), ("0", False),
+])
+def test_mapping_bool_words(text, value):
+    assert config_from_mapping({"raw_count": text}).raw_count is value
+
+
+@pytest.mark.parametrize("key, text", [
+    ("raw_count", "ture"),
+    ("raw_count", ""),
+    ("sizes", ""),
+    ("seeds", "1,,2"),
+    ("epochs", "five"),
+    ("learning_rate", "fast"),
+    ("tau_match", "high"),
+])
+def test_mapping_bad_value_names_key(key, text):
+    with pytest.raises(ConfigurationError, match=key):
+        config_from_mapping({key: text})
+
+
 def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("epochs=5\nlearning_rate=0.5\n")
@@ -96,6 +118,7 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"memory_factor": 0},
     {"two_class_labels": (3, 3)},
     {"third_class": 1},
+    {"learning_rate": -0.1},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):

@@ -105,8 +105,9 @@ class TestForward:
         assert np.allclose(feature, expected, atol=1e-12, rtol=0)
 
     def test_disconnected_map_is_bias_only(self):
+        # a zero kernel disconnects its map from the image
         p = nn.init_params(4, SMALL)
-        p.connection_table[1, 0] = False
+        p.conv_kernels[1] = 0.0
         p.conv_bias[1] = 0.25
         rng = np.random.default_rng(0)
         _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
@@ -157,7 +158,7 @@ class TestBackward:
         _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
         onehot = np.zeros(3)
         onehot[2] = 1.0
-        grads = nn.backward(p, trace, onehot, 2)
+        grads = nn.batch_gradients(p, [trace], [onehot], [2])
         for name in nn.Gradients.ARRAYS:
             assert not getattr(grads, name).any()
 
@@ -166,7 +167,7 @@ class TestBackward:
         rng = np.random.default_rng(6)
         feature, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
         probs = nn.forward_output(p, feature)
-        grads = nn.backward(p, trace, probs, 0)
+        grads = nn.batch_gradients(p, [trace], [probs], [0])
         expected = probs.copy()
         expected[0] -= 1.0
         assert np.allclose(grads.out_bias, expected, atol=1e-15)
@@ -176,7 +177,7 @@ class TestBackward:
         rng = np.random.default_rng(1)
         _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
         with pytest.raises(CorruptionError):
-            nn.backward(p, trace, np.ones(4) / 4, 1)
+            nn.batch_gradients(p, [trace], [np.ones(4) / 4], [1])
 
     def test_gradcheck_small_instances(self):
         for seed in range(3):
@@ -193,21 +194,26 @@ class TestBackward:
 
 class TestBackwardFromFeature:
     def test_clone_equal_to_parent_matches_backward(self):
+        # a clone identical to its parent contributes exactly the parent's
+        # own gradient, so the batch gradient doubles (bit for bit)
         p = nn.init_params(8, SMALL)
         rng = np.random.default_rng(8)
         feature, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
         probs = nn.forward_output(p, feature)
-        plain = nn.backward(p, trace, probs, 1)
-        clone = nn.backward_from_feature(p, trace, feature.copy(), 1)
+        plain = nn.batch_gradients(p, [trace], [probs], [1])
+        doubled = nn.batch_gradients(p, [trace], [probs], [1],
+                                     [(feature.copy(), 1, 0)])
         for name in nn.Gradients.ARRAYS:
-            assert np.array_equal(getattr(plain, name), getattr(clone, name))
+            assert np.array_equal(2.0 * getattr(plain, name),
+                                  getattr(doubled, name))
 
     def test_width_mismatch(self):
         p = nn.init_params(8, SMALL)
         rng = np.random.default_rng(8)
-        _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
+        feature, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
+        probs = nn.forward_output(p, feature)
         with pytest.raises(DimensionError):
-            nn.backward_from_feature(p, trace, np.zeros(5), 0)
+            nn.batch_gradients(p, [trace], [probs], [0], [(np.zeros(5), 0, 0)])
 
     def test_confident_clone_nearly_zero_gradient(self):
         p = nn.init_params(2, SMALL)
@@ -218,7 +224,8 @@ class TestBackwardFromFeature:
         feature = trace.feature
         probs = nn.forward_output(p, feature)
         label = int(np.argmax(probs))
-        grads = nn.backward_from_feature(p, trace, feature, label)
+        grads = nn.batch_gradients(p, [trace], [probs], [label],
+                                   [(feature, label, 0)])
         assert np.abs(grads.out_bias).max() < 1e-6
 
 
@@ -268,31 +275,24 @@ class TestTrainEpoch:
     def test_zero_learning_rate_never_changes_parameters(self):
         p = nn.init_params(10, SMALL)
         images, labels = tiny_batch(SMALL, 8, 0)
-        cfg = nn.TrainConfig(learning_rate=0.0, batch_size=4, epochs=1)
         batches = [(images[:4], labels[:4]), (images[4:], labels[4:])]
-        q, err1 = nn.train_epoch(p, batches, cfg)
-        _, err2 = nn.train_epoch(q, batches, cfg)
+        q, err1 = nn.train_epoch(p, batches, 0.0)
+        _, err2 = nn.train_epoch(q, batches, 0.0)
         for name in nn.Gradients.ARRAYS:
             assert np.array_equal(getattr(p, name), getattr(q, name))
         assert err1 == err2
 
-    def test_negative_learning_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nn.TrainConfig(learning_rate=-0.1, batch_size=4, epochs=1)
-
     def test_empty_batches_rejected(self):
         p = nn.init_params(10, SMALL)
-        cfg = nn.TrainConfig(learning_rate=0.1, batch_size=4, epochs=1)
         with pytest.raises(ConfigurationError):
-            nn.train_epoch(p, [], cfg)
+            nn.train_epoch(p, [], 0.1)
 
     def test_deterministic(self):
         images, labels = tiny_batch(SMALL, 8, 3)
-        cfg = nn.TrainConfig(learning_rate=0.05, batch_size=8, epochs=1)
         out = []
         for _ in range(2):
             p = nn.init_params(11, SMALL)
-            q, err = nn.train_epoch(p, [(images, labels)], cfg)
+            q, err = nn.train_epoch(p, [(images, labels)], 0.05)
             out.append((q, err))
         assert out[0][1] == out[1][1]
         for name in nn.Gradients.ARRAYS:
@@ -301,18 +301,18 @@ class TestTrainEpoch:
 
     def test_disabled_cloning_hook_equals_no_hook(self):
         images, labels = tiny_batch(SMALL, 8, 5)
-        cfg = nn.TrainConfig(learning_rate=0.05, batch_size=8, epochs=1)
         p1 = nn.init_params(12, SMALL)
         p2 = nn.init_params(12, SMALL)
         hook = ClonalExpander(CloneConfig(eta=0.0, memory_capacity=4, rng_seed=0))
-        q1, e1 = nn.train_epoch(p1, [(images, labels)], cfg)
-        q2, e2 = nn.train_epoch(p2, [(images, labels)], cfg, hook)
+        q1, e1 = nn.train_epoch(p1, [(images, labels)], 0.05)
+        q2, e2 = nn.train_epoch(p2, [(images, labels)], 0.05, hook)
         assert e1 == e2
         for name in nn.Gradients.ARRAYS:
             assert np.array_equal(getattr(q1, name), getattr(q2, name))
 
     def test_fused_clone_pass_matches_per_clone_backward(self):
-        # the batched update must equal averaging each contribution separately
+        # summing clone errors per parent before one lower pass must equal
+        # averaging a separate backward pass for every contribution
         arch = SMALL
         images, labels = tiny_batch(arch, 4, 7)
         rng = np.random.default_rng(7)
@@ -329,27 +329,25 @@ class TestTrainEpoch:
             return out
 
         p = nn.init_params(13, arch)
-        cfg = nn.TrainConfig(learning_rate=0.2, batch_size=4, epochs=1)
-        fused, _ = nn.train_epoch(p, [(images, labels)], cfg, hook)
+        fused, _ = nn.train_epoch(p, [(images, labels)], 0.2, hook)
+
+        contributions = []   # (trace, feature fed to the output layer, label)
+        for img, lab in zip(images, labels):
+            feat, trace = nn.forward_features(p, img)
+            contributions.append((trace, feat, int(lab)))
+        for parent, offs in offsets.items():
+            trace, feat, lab = contributions[parent]
+            contributions += [(trace, feat + off, lab) for off in offs]
 
         total = nn.Gradients.zeros_like(p)
-        contributors = 0
-        feats, traces = [], []
-        for img in images:
-            feat, trace = nn.forward_features(p, img)
-            feats.append(feat)
-            traces.append(trace)
-        for i in range(4):
-            probs = nn.forward_output(p, feats[i])
-            total.add_(nn.backward(p, traces[i], probs, int(labels[i])))
-            contributors += 1
-        for parent, offs in offsets.items():
-            for off in offs:
-                total.add_(nn.backward_from_feature(
-                    p, traces[parent], feats[parent] + off, int(labels[parent])
-                ))
-                contributors += 1
-        total.scale_(1.0 / contributors)
+        for trace, feat, lab in contributions:
+            gw, gb, df = nn._feature_error(p, feat, nn.forward_output(p, feat),
+                                           lab)
+            gck, gcb, gfw, gfb = nn._lower_grads(p, trace, df)
+            for name, g in zip(nn.Gradients.ARRAYS,
+                               (gck, gcb, gfw, gfb, gw, gb)):
+                getattr(total, name)[...] += g
+        total.scale_(1.0 / len(contributions))
         manual = nn.sgd_step(p, total, 0.2)
 
         for name in nn.Gradients.ARRAYS:
@@ -361,18 +359,16 @@ class TestTrainEpoch:
         images, labels = tiny_batch(SMALL, 6, 9)
         expected = np.mean([nn.predict(p, img) != int(lab)
                             for img, lab in zip(images, labels)])
-        cfg = nn.TrainConfig(learning_rate=0.05, batch_size=6, epochs=1)
-        _, err = nn.train_epoch(p, [(images, labels)], cfg)
+        _, err = nn.train_epoch(p, [(images, labels)], 0.05)
         assert err == expected
 
     def test_loss_decreases_on_tiny_problem(self):
         arch = SMALL
         images, labels = tiny_batch(arch, 12, 21)
-        cfg = nn.TrainConfig(learning_rate=0.1, batch_size=12, epochs=1)
         p = nn.init_params(15, arch)
         first = None
         for _ in range(25):
-            p, err = nn.train_epoch(p, [(images, labels)], cfg)
+            p, err = nn.train_epoch(p, [(images, labels)], 0.1)
             if first is None:
                 first = err
         assert err <= first
