@@ -2,11 +2,12 @@
 
 Phase 1 counts, per class, the pool antibodies whose affinity to the test
 feature clears a match threshold. Phase 2 scores each class that produced
-enough matches by avidity, the mean affinity of its matching antibodies.
-The combined score is count (normalized by pool size by default) plus
-avidity; the class with the highest score wins, ties going to the lowest
-class id. A test feature that matches nothing is flagged instead of being
-forced into a class, and a fresh pool can be initialized from it.
+enough matches by avidity, the mean affinity of its matching antibodies;
+both phases read the same affinity row, one per pool. The combined score
+is count (normalized by pool size by default) plus avidity; the class with
+the highest score wins, ties going to the lowest class id. A test feature
+that matches nothing is flagged instead of being forced into a class, and a
+fresh pool can be initialized from it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clonal import Antibody, CloneConfig, MemoryPool, affinity, mutate
-from .errors import ConfigurationError, UndefinedAvidityError
+from . import clonal
+from .clonal import Antibody, CloneConfig, MemoryPool, mutate
+from .errors import ConfigurationError
 
 NOMATCH = "NOMATCH"
 
@@ -30,47 +32,34 @@ class Decision:
     scores: dict[int, float] = field(default_factory=dict)
 
 
-def matching_antibodies(test_feature: np.ndarray, pool: MemoryPool,
-                        tau_match: float) -> list[Antibody]:
-    return [ab for ab in pool.members
-            if affinity(test_feature, ab.feature) >= tau_match]
-
-
-def phase1_count(test_feature: np.ndarray, pool: MemoryPool,
-                 tau_match: float) -> int:
-    """Number of pool antibodies with affinity >= tau_match. Empty pool: 0."""
-    return len(matching_antibodies(test_feature, pool, tau_match))
-
-
-def phase2_avidity(test_feature: np.ndarray,
-                   matched: list[Antibody]) -> float:
-    """Mean affinity over the antibodies that already matched."""
-    if not matched:
-        raise UndefinedAvidityError("avidity over an empty match set")
-    return float(np.mean([affinity(test_feature, ab.feature)
-                          for ab in matched]))
-
-
 def classify(test_feature: np.ndarray, pools: dict[int, MemoryPool],
              tau_match: float, c_min: int = 1,
              raw_count: bool = False) -> Decision:
     """Score every class pool against the test feature.
 
-    Classes with fewer than ``c_min`` matches are excluded from phase 2.
+    One affinity row per non-empty pool gives both phases: the count is the
+    number of entries >= ``tau_match`` (0 for an empty pool), and a class
+    with at least ``c_min`` matches gets their mean affinity as avidity.
     Score = count / pool_size + avidity (or raw count + avidity when
     ``raw_count``). If no class qualifies the decision is a no-match.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
+    if c_min < 1:
+        raise ConfigurationError(f"c_min must be >= 1, got {c_min}")
     decision = Decision(predicted_class=None, no_match=True)
     for label in sorted(pools):
         pool = pools[label]
-        matched = matching_antibodies(test_feature, pool, tau_match)
+        if not pool.members:
+            decision.counts[label] = 0
+            continue
+        row = clonal.pool_affinities([test_feature], pool)[0]
+        matched = row[row >= tau_match]
         count = len(matched)
         decision.counts[label] = count
-        if count < c_min or not pool.members:
+        if count < c_min:
             continue
-        avidity_value = phase2_avidity(test_feature, matched)
+        avidity_value = float(matched.mean())
         count_term = float(count) if raw_count else count / len(pool.members)
         decision.avidities[label] = avidity_value
         decision.scores[label] = count_term + avidity_value
@@ -91,12 +80,14 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
     if existing is not None and label in existing:
         raise ConfigurationError(f"class {label} already has a pool")
     seed = np.asarray(test_feature, dtype=np.float64)
+    variants = np.array([mutate(seed, 1.0, config.sigma, rng)
+                         for _ in range(config.memory_capacity - 1)]
+                        ).reshape(-1, seed.size)
+    scores = clonal.affinity_matrix(variants, seed)[:, 0]
     members = [Antibody(feature=seed.copy(), class_label=label,
                         affinity_score=1.0)]
-    for _ in range(config.memory_capacity - 1):
-        variant = mutate(seed, 1.0, config.sigma, rng)
-        members.append(Antibody(feature=variant, class_label=label,
-                                affinity_score=affinity(variant, seed)))
+    members += [Antibody(feature=v, class_label=label, affinity_score=float(a))
+                for v, a in zip(variants, scores)]
     members.sort(key=lambda ab: -ab.affinity_score)
     return MemoryPool(class_label=label, capacity=config.memory_capacity,
                       members=members)

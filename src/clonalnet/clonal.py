@@ -48,10 +48,9 @@ class MemoryPool:
         object.__setattr__(self, "members", tuple(self.members))
 
     @cached_property
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked member features (m, d) and their squared norms (m,)."""
-        stacked = np.stack([ab.feature for ab in self.members])
-        return stacked, np.einsum("ij,ij->i", stacked, stacked)
+    def matrix(self) -> np.ndarray:
+        """Stacked member features, shape (m, d)."""
+        return np.stack([ab.feature for ab in self.members])
 
 
 @dataclass(frozen=True)
@@ -66,15 +65,16 @@ class CloneConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.eta < 0:
+        # every range check is written so that NaN fails it
+        if not self.eta >= 0:
             raise ConfigurationError(f"eta must be >= 0, got {self.eta}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
-        if self.rate_cap <= 0:
+        if not self.rate_cap > 0:
             raise ConfigurationError(f"rate_cap must be > 0, got {self.rate_cap}")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ConfigurationError(
@@ -169,43 +169,48 @@ def crossover(v1: np.ndarray, v2: np.ndarray,
 # memory pools
 # ---------------------------------------------------------------------------
 
-def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
-    """Affinity of each row of ``features`` against every pool member.
+def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """Affinity of every query row against every reference row.
 
-    Shape (n, len(members)); agrees with the scalar ``affinity`` entry by
-    entry, including the zero-vector conventions.
+    Shape (n, m); agrees with the scalar ``affinity`` entry by entry,
+    including the zero-vector conventions.
     """
-    if not pool.members:
-        raise ConfigurationError(
-            f"memory pool for class {pool.class_label} is empty"
-        )
-    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    matrix, sq_norms = pool.matrix
-    if feats.shape[1] != matrix.shape[1]:
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    r = np.atleast_2d(np.asarray(references, dtype=np.float64))
+    if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
         raise DimensionError(
-            f"feature width {feats.shape[1]} does not match pool width "
-            f"{matrix.shape[1]}"
+            f"affinity needs equal-width rows, got {q.shape} and {r.shape}"
         )
-    query_sq = np.einsum("ij,ij->i", feats, feats)
-    q_zero = ~feats.any(axis=1)
-    m_zero = ~matrix.any(axis=1)
-    if q_zero.any() and m_zero.any():
+    query_sq = np.einsum("ij,ij->i", q, q)
+    ref_sq = np.einsum("ij,ij->i", r, r)
+    q_zero = ~q.any(axis=1)
+    r_zero = ~r.any(axis=1)
+    if q_zero.any() and r_zero.any():
         raise UndefinedAffinityError("affinity of two zero vectors is undefined")
     # inf/nan intermediates are expected for extreme magnitudes and are
     # repaired below, so keep numpy quiet about them here
     with np.errstate(invalid="ignore", over="ignore"):
-        denom_sq = np.outer(query_sq, sq_norms)
+        denom_sq = np.outer(query_sq, ref_sq)
         safe = np.sqrt(np.where(denom_sq > 0.0, denom_sq, 1.0))
-        cos = np.where(denom_sq > 0.0, (feats @ matrix.T) / safe, 0.0)
+        cos = np.where(denom_sq > 0.0, (q @ r.T) / safe, 0.0)
     out = (1.0 + np.clip(cos, -1.0, 1.0)) / 2.0
     # pairs of nonzero vectors whose norm product left the normal float
     # range go through the scalar path, which renormalizes
     degenerate = (denom_sq < _TINY_NORMAL) | ~np.isfinite(denom_sq)
-    degenerate &= ~(q_zero[:, None] | m_zero[None, :])
-    if degenerate.any():
-        for i, j in zip(*np.nonzero(degenerate)):
-            out[i, j] = affinity(feats[i], matrix[j])
+    degenerate &= ~(q_zero[:, None] | r_zero[None, :])
+    for i, j in zip(*np.nonzero(degenerate)):
+        out[i, j] = affinity(q[i], r[j])
     return out
+
+
+def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
+    """Affinity of each row of ``features`` against every pool member,
+    shape (n, len(members))."""
+    if not pool.members:
+        raise ConfigurationError(
+            f"memory pool for class {pool.class_label} is empty"
+        )
+    return affinity_matrix(features, pool.matrix)
 
 
 def best_match_affinity(feature: np.ndarray, pool: MemoryPool) -> float:
@@ -294,13 +299,13 @@ class ClonalExpander:
         for label in sorted(set(int(l) for l in labels)):
             if label in self.pools and self.pools[label].members:
                 continue
-            seeds = [features[i] for i in range(len(labels))
-                     if int(labels[i]) == label]
-            centroid = np.mean(seeds, axis=0)
+            seeds = np.stack([features[i] for i in range(len(labels))
+                              if int(labels[i]) == label])
+            centroid = seeds.mean(axis=0)
+            scores = affinity_matrix(seeds, centroid)[:, 0]
             candidates = [
-                Antibody(feature=np.array(s), class_label=label,
-                         affinity_score=affinity(s, centroid))
-                for s in seeds
+                Antibody(feature=s, class_label=label, affinity_score=float(a))
+                for s, a in zip(seeds, scores)
             ]
             empty = MemoryPool(class_label=label,
                                capacity=self.config.memory_capacity)
@@ -376,6 +381,8 @@ def load_pools(path) -> dict[int, MemoryPool]:
                 f"line {len(lines) + 1}: file ends after "
                 f"{len(lines) - i - 1} of {count} members of class {label}"
             )
+        if label in pools:
+            raise ConfigurationError(f"line {i + 1}: repeated class {label}")
         members = []
         for j in range(i + 1, i + 1 + count):
             try:
@@ -457,21 +464,19 @@ def clonalg_run(patterns, population_size: int, generations: int,
 
     for _ in range(generations):
         for pattern in patterns:
-            scores = np.array([affinity(ind, pattern) for ind in population])
+            scores = affinity_matrix(population, pattern)[:, 0]
             best_idx = np.argsort(-scores)[:select_n]
-            offspring = []
-            offspring_scores = []
+            children = []
             for idx in best_idx:
                 a = float(scores[idx])
                 rate = mutation_rate(a, config.alpha, config.rate_cap)
                 for _ in range(clone_count(a, config.eta, 0.0)):
-                    child = mutate(population[idx], rate, config.sigma, rng)
-                    offspring.append(child)
-                    offspring_scores.append(affinity(child, pattern))
-            merged = np.vstack([population] + [np.array(offspring)]) \
-                if offspring else population
-            merged_scores = np.concatenate([scores, np.array(offspring_scores)]) \
-                if offspring else scores
+                    children.append(mutate(population[idx], rate,
+                                           config.sigma, rng))
+            offspring = np.array(children).reshape(-1, dim)
+            merged = np.vstack([population, offspring])
+            merged_scores = np.concatenate(
+                [scores, affinity_matrix(offspring, pattern)[:, 0]])
             keep = np.argsort(-merged_scores)[:population_size]
             population = merged[keep]
             top = keep[0]

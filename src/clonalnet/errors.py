@@ -30,7 +30,3 @@ class IdxTruncationError(ValueError):
 
 class UndefinedAffinityError(ValueError):
     """Affinity requested between two all-zero vectors."""
-
-
-class UndefinedAvidityError(ValueError):
-    """Avidity requested over an empty set of qualified antibodies."""

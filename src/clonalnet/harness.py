@@ -70,11 +70,17 @@ class ExperimentConfig:
             raise ConfigurationError("at least one seed is required")
         if self.epochs < 1 or self.curve_epochs < 1:
             raise ConfigurationError("epoch counts must be >= 1")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:   # written so that NaN fails it
             # zero is a legal no-op rate (useful for pure-evaluation passes)
             raise ConfigurationError(
                 f"learning_rate must be >= 0, got {self.learning_rate}"
             )
+        if self.tau_match is not None and not 0.0 <= self.tau_match <= 1.0:
+            raise ConfigurationError(
+                f"tau_match must be None or in [0, 1], got {self.tau_match}"
+            )
+        if self.c_min < 1:
+            raise ConfigurationError(f"c_min must be >= 1, got {self.c_min}")
         if self.memory_factor < 1:
             raise ConfigurationError("memory_factor must be >= 1")
         if len(self.two_class_labels) != 2 or \

@@ -4,11 +4,10 @@ import pytest
 from clonalnet import classifier
 from clonalnet.classifier import (
     NOMATCH, Decision, classify, decision_record_header,
-    format_decision_record, init_new_class, matching_antibodies,
-    phase1_count, phase2_avidity, write_decision_records,
+    format_decision_record, init_new_class, write_decision_records,
 )
 from clonalnet.clonal import Antibody, CloneConfig, MemoryPool, affinity
-from clonalnet.errors import ConfigurationError, UndefinedAvidityError
+from clonalnet.errors import ConfigurationError
 
 
 def pool_from(features, label=0, capacity=None):
@@ -27,64 +26,86 @@ def unit(i, d=4):
 
 
 class TestPhase1Count:
+    """Phase 1 as ``classify`` reports it in ``decision.counts``."""
+
     def test_pool_containing_test_feature_counts(self):
         test = np.array([0.3, -0.7, 1.0])
-        pool = pool_from([test, [1.0, 0.0, 0.0]])
-        assert phase1_count(test, pool, tau_match=0.99) >= 1
+        pools = {0: pool_from([test, [1.0, 0.0, 0.0]])}
+        assert classify(test, pools, tau_match=0.99).counts[0] >= 1
 
     def test_zero_threshold_counts_everything(self):
         rng = np.random.default_rng(0)
-        pool = pool_from(rng.normal(size=(7, 4)))
-        assert phase1_count(rng.normal(size=4), pool, tau_match=0.0) == 7
+        pools = {0: pool_from(rng.normal(size=(7, 4)))}
+        assert classify(rng.normal(size=4), pools, tau_match=0.0).counts[0] == 7
 
     def test_empty_pool_is_zero_not_error(self):
-        empty = MemoryPool(class_label=0, capacity=3)
-        assert phase1_count(np.ones(4), empty, tau_match=0.5) == 0
+        pools = {0: MemoryPool(class_label=0, capacity=3),
+                 1: pool_from([np.ones(4)], label=1)}
+        decision = classify(np.ones(4), pools, tau_match=0.5)
+        assert decision.counts == {0: 0, 1: 1}
+        assert 0 not in decision.avidities and 0 not in decision.scores
+        assert decision.predicted_class == 1
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(1)
-        pool = pool_from(rng.normal(size=(10, 5)))
-        test = rng.normal(size=5)
+        pools = {c: pool_from(rng.normal(size=(10, 5)), label=c)
+                 for c in range(3)}
         tau = 0.55
-        expected = sum(affinity(test, ab.feature) >= tau
-                       for ab in pool.members)
-        assert phase1_count(test, pool, tau) == expected
+        for _ in range(20):
+            test = rng.normal(size=5)
+            expected = {c: sum(affinity(test, ab.feature) >= tau
+                               for ab in pool.members)
+                        for c, pool in pools.items()}
+            assert classify(test, pools, tau).counts == expected
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(2)
-        pool = pool_from(rng.normal(size=(8, 4)))
+        pools = {0: pool_from(rng.normal(size=(8, 4)))}
         test = rng.normal(size=4)
-        counts = [phase1_count(test, pool, t)
+        counts = [classify(test, pools, t).counts[0]
                   for t in np.linspace(0.0, 1.0, 21)]
         assert all(c2 <= c1 for c1, c2 in zip(counts, counts[1:]))
 
 
 class TestPhase2Avidity:
+    """Phase 2 as ``classify`` reports it in ``decision.avidities``."""
+
     def test_single_identical_antibody(self):
         test = np.array([1.0, 2.0])
-        matched = [Antibody(test.copy(), 0, 1.0)]
-        assert phase2_avidity(test, matched) == 1.0
+        pools = {0: pool_from([test.copy()])}
+        assert classify(test, pools, tau_match=0.5).avidities[0] == 1.0
 
     def test_mean_of_two(self):
         # affinities 1.0 (same direction) and 0.5 (orthogonal) average to 0.75
         test = np.array([1.0, 0.0])
-        matched = [Antibody(np.array([2.0, 0.0]), 0, 1.0),
-                   Antibody(np.array([0.0, 1.0]), 0, 1.0)]
-        assert abs(phase2_avidity(test, matched) - 0.75) < 1e-15
+        pools = {0: pool_from([[2.0, 0.0], [0.0, 1.0]])}
+        decision = classify(test, pools, tau_match=0.5)
+        assert abs(decision.avidities[0] - 0.75) < 1e-15
 
     def test_empty_set_rejected(self):
-        with pytest.raises(UndefinedAvidityError):
-            phase2_avidity(np.ones(3), [])
+        # c_min >= 1 is what keeps phase 2 off an empty match set
+        pools = {0: pool_from([np.ones(3)])}
+        with pytest.raises(ConfigurationError, match="c_min"):
+            classify(np.ones(3), pools, tau_match=0.5, c_min=0)
 
     def test_matches_average_oracle(self):
         rng = np.random.default_rng(3)
-        pool = pool_from(rng.normal(size=(10, 6)))
-        test = rng.normal(size=6)
-        matched = matching_antibodies(test, pool, 0.4)
-        if matched:
-            expected = np.mean([affinity(test, ab.feature)
-                                for ab in matched])
-            assert abs(phase2_avidity(test, matched) - expected) < 1e-12
+        pools = {c: pool_from(rng.normal(size=(10, 6)), label=c)
+                 for c in range(3)}
+        tau = 0.4
+        checked = 0
+        for _ in range(20):
+            test = rng.normal(size=6)
+            decision = classify(test, pools, tau)
+            for c, pool in pools.items():
+                matched = [a for a in (affinity(test, ab.feature)
+                                       for ab in pool.members) if a >= tau]
+                if matched:
+                    checked += 1
+                    assert abs(decision.avidities[c] - np.mean(matched)) < 1e-12
+                else:
+                    assert c not in decision.avidities
+        assert checked > 0
 
 
 class TestClassify:
@@ -205,6 +226,14 @@ class TestInitNewClass:
         with pytest.raises(ConfigurationError):
             init_new_class(np.ones(2), 4, config,
                            np.random.default_rng(0), existing=existing)
+
+    def test_member_scores_match_scalar_affinity(self):
+        config = CloneConfig(sigma=0.3, memory_capacity=9)
+        seed_feature = np.random.default_rng(4).normal(size=16)
+        pool = init_new_class(seed_feature, 0, config, np.random.default_rng(5))
+        for ab in pool.members:
+            expected = affinity(ab.feature, seed_feature)
+            assert abs(ab.affinity_score - expected) < 1e-12
 
     def test_members_sorted_by_score(self):
         config = CloneConfig(memory_capacity=6)

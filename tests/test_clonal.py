@@ -465,8 +465,10 @@ class TestPoolSerialization:
         ("class 0 1 4\ninf 1.0 2.0\n", 3),
         ("class 0 3 2\n0.9 1\n0.8 1\n0.7 1\n", 2),
         ("class 0 x 2\n", 2),
+        ("class 0 1 2\n0.9 1.0\nclass 0 1 2\n0.8 2.0\n", 4),
     ], ids=["truncated", "ragged", "width-across-classes", "no-coordinates",
-            "unparseable", "nan", "inf-score", "over-capacity", "bad-count"])
+            "unparseable", "nan", "inf-score", "over-capacity", "bad-count",
+            "repeated-class"])
     def test_malformed_body_names_line(self, tmp_path, body, line):
         path = tmp_path / "bad.txt"
         path.write_text("clonalnet-pools v1\n" + body)
@@ -534,6 +536,8 @@ class TestCloneConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"eta": -1.0}, {"alpha": 0.0}, {"tau": 1.5}, {"sigma": -0.1},
         {"rate_cap": 0.0}, {"crossover_prob": 2.0}, {"memory_capacity": 0},
+        {"eta": float("nan")}, {"alpha": float("nan")},
+        {"sigma": float("nan")}, {"rate_cap": float("nan")},
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

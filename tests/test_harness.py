@@ -93,6 +93,7 @@ def test_mapping_bool_words(text, value):
     ("epochs", "five"),
     ("learning_rate", "fast"),
     ("tau_match", "high"),
+    ("learning_rate", "nan"),
 ])
 def test_mapping_bad_value_names_key(key, text):
     with pytest.raises(ConfigurationError, match=key):
@@ -119,6 +120,11 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"two_class_labels": (3, 3)},
     {"third_class": 1},
     {"learning_rate": -0.1},
+    {"learning_rate": float("nan")},
+    {"c_min": 0},
+    {"tau_match": 1.5},
+    {"tau_match": -0.1},
+    {"tau_match": float("nan")},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
