@@ -88,9 +88,8 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
                         affinity_score=1.0)]
     members += [Antibody(feature=v, class_label=label, affinity_score=float(a))
                 for v, a in zip(variants, scores)]
-    members.sort(key=lambda ab: -ab.affinity_score)
-    return MemoryPool(class_label=label, capacity=config.memory_capacity,
-                      members=members)
+    empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
+    return clonal.update_memory(empty, members)
 
 
 # ---------------------------------------------------------------------------

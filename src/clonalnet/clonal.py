@@ -213,17 +213,14 @@ def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
     return affinity_matrix(features, pool.matrix)
 
 
-def best_match_affinity(feature: np.ndarray, pool: MemoryPool) -> float:
-    """Affinity against the pool member that matches ``feature`` best."""
-    return float(pool_affinities(np.asarray(feature)[None, :], pool).max())
-
-
 def update_memory(pool: MemoryPool, candidates: list[Antibody]) -> MemoryPool:
     """Top-capacity merge of existing members and candidates by affinity
     score.
 
     Elitist: on score ties an existing member outranks any candidate, so a
-    member is only ever evicted by a strictly better candidate.
+    member is only ever evicted by a strictly better candidate. The training
+    pools, new-class seeding and ``clonalg_run``'s elite memory all rank
+    through this one policy.
     """
     for cand in candidates:
         if cand.class_label != pool.class_label:
@@ -245,44 +242,31 @@ def update_memory(pool: MemoryPool, candidates: list[Antibody]) -> MemoryPool:
 # clone generation over a training batch
 # ---------------------------------------------------------------------------
 
-def generate_clones(batch, pools: dict[int, MemoryPool], config: CloneConfig,
-                    rng: np.random.Generator):
-    """Expand a batch of (feature, label, parent_ref) tuples into clones.
+def generate_clones(feature: np.ndarray, a: float, pool: MemoryPool,
+                    peers: list[np.ndarray], config: CloneConfig,
+                    rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
+    """Clone one parent whose best match in its class pool has affinity ``a``.
 
-    Per feature: affinity against its best-matching same-class pool member
-    sets the clone count and mutation rate; each clone is optionally crossed
-    with a random same-class batch feature before mutation; clones whose
-    affinity back to the pool falls below the acceptance threshold are
-    discarded. Returns (clone_feature, label, parent_ref) tuples.
+    ``a`` sets the clone count and the mutation rate; each clone is
+    optionally crossed with a random same-class batch feature from
+    ``peers`` before mutation. Returns (clone_feature, affinity) pairs for
+    the clones whose best match back in the pool clears the acceptance
+    threshold; that affinity is the clone's memory score.
     """
-    batch = list(batch)
-    by_class: dict[int, list[np.ndarray]] = {}
-    for feature, label, _ in batch:
-        by_class.setdefault(int(label), []).append(feature)
-
-    clones = []
-    for feature, label, parent_ref in batch:
-        label = int(label)
-        if label not in pools:
-            raise ConfigurationError(f"no memory pool for class {label}")
-        pool = pools[label]
-        a = best_match_affinity(feature, pool)
-        n_clones = clone_count(a, config.eta, config.tau)
-        if n_clones == 0:
-            continue
-        rate = mutation_rate(a, config.alpha, config.rate_cap)
-        peers = by_class[label]
-        proposals = []
-        for _ in range(n_clones):
-            base = feature
-            if config.crossover_prob > 0 and rng.random() < config.crossover_prob:
-                partner = peers[int(rng.integers(len(peers)))]
-                base = crossover(base, partner, rng)
-            proposals.append(mutate(base, rate, config.sigma, rng))
-        kept = pool_affinities(np.stack(proposals), pool).max(axis=1) >= config.tau
-        clones.extend((clone, label, parent_ref)
-                      for clone, ok in zip(proposals, kept) if ok)
-    return clones
+    n_clones = clone_count(a, config.eta, config.tau)
+    if n_clones == 0:
+        return []
+    rate = mutation_rate(a, config.alpha, config.rate_cap)
+    proposals = []
+    for _ in range(n_clones):
+        base = feature
+        if config.crossover_prob > 0 and rng.random() < config.crossover_prob:
+            partner = peers[int(rng.integers(len(peers)))]
+            base = crossover(base, partner, rng)
+        proposals.append(mutate(base, rate, config.sigma, rng))
+    scores = pool_affinities(np.stack(proposals), pool).max(axis=1)
+    return [(clone, float(s)) for clone, s in zip(proposals, scores)
+            if s >= config.tau]
 
 
 class ClonalExpander:
@@ -295,12 +279,11 @@ class ClonalExpander:
         self.pools: dict[int, MemoryPool] = {}
         self.rng = np.random.default_rng(config.rng_seed)
 
-    def _bootstrap(self, features, labels) -> None:
-        for label in sorted(set(int(l) for l in labels)):
+    def _bootstrap(self, peers: dict[int, list[np.ndarray]]) -> None:
+        for label in sorted(peers):
             if label in self.pools and self.pools[label].members:
                 continue
-            seeds = np.stack([features[i] for i in range(len(labels))
-                              if int(labels[i]) == label])
+            seeds = np.stack(peers[label])
             centroid = seeds.mean(axis=0)
             scores = affinity_matrix(seeds, centroid)[:, 0]
             candidates = [
@@ -312,23 +295,33 @@ class ClonalExpander:
             self.pools[label] = update_memory(empty, candidates)
 
     def __call__(self, features, labels):
-        self._bootstrap(features, labels)
-        batch = [(features[i], int(labels[i]), i) for i in range(len(labels))]
-        clones = generate_clones(batch, self.pools, self.config, self.rng)
+        """Return (clone_feature, label, batch_index) tuples in batch order.
 
-        by_class: dict[int, list[np.ndarray]] = {}
-        for clone_feature, label, _ in clones:
-            by_class.setdefault(label, []).append(clone_feature)
-        for feature, label, _ in batch:
-            by_class.setdefault(label, []).append(np.array(feature))
-        for label, candidate_features in sorted(by_class.items()):
+        Each original is scored once against its class pool as it stood
+        before the call; that score sets its clone count and is its memory
+        score. A pool takes its accepted clones, then its originals.
+        """
+        labels = [int(l) for l in labels]
+        peers: dict[int, list[np.ndarray]] = {}
+        for feature, label in zip(features, labels):
+            peers.setdefault(label, []).append(feature)
+        self._bootstrap(peers)
+        accepted = {label: [] for label in peers}
+        originals = {label: [] for label in peers}
+        clones = []
+        for i, (feature, label) in enumerate(zip(features, labels)):
             pool = self.pools[label]
-            scores = pool_affinities(np.stack(candidate_features), pool).max(axis=1)
-            candidates = [
-                Antibody(feature=f, class_label=label, affinity_score=float(s))
-                for f, s in zip(candidate_features, scores)
-            ]
-            self.pools[label] = update_memory(pool, candidates)
+            # one row per call, so that a feature's score (and with it the
+            # clone draws) does not depend on the rest of its batch
+            a = float(pool_affinities(np.asarray(feature)[None, :], pool).max())
+            for clone, score in generate_clones(feature, a, pool, peers[label],
+                                                self.config, self.rng):
+                clones.append((clone, label, i))
+                accepted[label].append(Antibody(clone, label, score))
+            originals[label].append(Antibody(np.array(feature), label, a))
+        for label in sorted(peers):
+            self.pools[label] = update_memory(
+                self.pools[label], accepted[label] + originals[label])
         return clones
 
 
@@ -450,17 +443,8 @@ def clonalg_run(patterns, population_size: int, generations: int,
     dim = patterns[0].shape[0]
     population = rng.uniform(0.0, 1.0, size=(population_size, dim))
 
-    mem_vectors: list[np.ndarray] = []
-    mem_scores: list[float] = []
+    memory = MemoryPool(class_label=0, capacity=config.memory_capacity)
     history: list[float] = []
-
-    def remember(vec: np.ndarray, score: float) -> None:
-        mem_vectors.append(vec.copy())
-        mem_scores.append(score)
-        order = sorted(range(len(mem_scores)), key=lambda k: -mem_scores[k])
-        keep = order[:config.memory_capacity]
-        mem_vectors[:] = [mem_vectors[k] for k in keep]
-        mem_scores[:] = [mem_scores[k] for k in keep]
 
     for _ in range(generations):
         for pattern in patterns:
@@ -480,12 +464,13 @@ def clonalg_run(patterns, population_size: int, generations: int,
             keep = np.argsort(-merged_scores)[:population_size]
             population = merged[keep]
             top = keep[0]
-            remember(merged[top], float(merged_scores[top]))
-        history.append(mem_scores[0])
+            memory = update_memory(memory, [Antibody(
+                merged[top].copy(), 0, float(merged_scores[top]))])
+        history.append(memory.members[0].affinity_score)
 
     return ClonalgResult(
         population=population,
-        memory_vectors=np.array(mem_vectors),
-        memory_scores=np.array(mem_scores),
+        memory_vectors=memory.matrix,
+        memory_scores=np.array([ab.affinity_score for ab in memory.members]),
         history=history,
     )

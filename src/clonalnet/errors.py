@@ -9,6 +9,10 @@ class CorruptionError(RuntimeError):
     """Cached state (trace, argmax map) is inconsistent with its source."""
 
 
+class DivergenceError(ArithmeticError):
+    """Training drove a parameter to inf or NaN."""
+
+
 class ConfigurationError(ValueError):
     """A configuration value or call argument is outside its valid domain."""
 

@@ -23,7 +23,7 @@ from .classifier import (Decision, classify, init_new_class,
                          write_decision_records)
 from .clonal import (Antibody, CloneConfig, ClonalExpander, ClonalgResult,
                      MemoryPool, clonalg_run, save_pools)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .mnist import Dataset, batches, load_dataset, stratified_subset
 from .nn import (ArchConfig, evaluate, forward_features, init_params,
                  train_epoch)
@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "third_class must differ from two_class_labels"
             )
+        # building a CloneConfig runs its range checks on the clone settings
+        self.clone_config(1, 0)
 
     @property
     def matching_tau(self) -> float:
@@ -227,8 +229,11 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
     for epoch in range(1, epochs + 1):
         batch_list = batches(train_ds, cfg.batch_size,
                              seed=derived_seed(seed, per_class, 23, epoch))
-        params, train_error = train_epoch(params, batch_list, cfg.learning_rate,
-                                          expander)
+        try:
+            params, train_error = train_epoch(params, batch_list,
+                                              cfg.learning_rate, expander)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}, {exc}") from exc
         if record_epochs or epoch == epochs:
             test_error = evaluate(params, test_ds.images, test_ds.labels)
             rows.append(SweepResult(variant, per_class, seed, epoch,

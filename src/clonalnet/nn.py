@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, CorruptionError, DimensionError
+from .errors import (ConfigurationError, CorruptionError, DimensionError,
+                     DivergenceError)
 from .tensor import conv2d_valid, dense, dense_backward, maxpool2, maxpool2_backward
 
 TANH_SCALE = 1.7159
@@ -297,14 +298,15 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
     (features, labels) to a list of (clone_feature, label, parent_index)
     tuples. Original and clone gradients are averaged together before a
     single SGD step. Returns the updated parameters and the misclassification
-    rate over the originals.
+    rate over the originals; a step that leaves any parameter non-finite
+    raises DivergenceError naming the 1-based batch.
     """
     batches = list(batches)
     if not batches:
         raise ConfigurationError("train_epoch requires at least one batch")
     mistakes = 0
     total = 0
-    for images, labels in batches:
+    for number, (images, labels) in enumerate(batches, start=1):
         n = len(labels)
         if n == 0:
             raise ConfigurationError("empty batch")
@@ -321,5 +323,10 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
         grads = batch_gradients(params, traces, probs, labels, clones)
         grads.scale_(1.0 / (n + len(clones)))
         params = sgd_step(params, grads, learning_rate)
+        if not all(np.isfinite(getattr(params, name)).all()
+                   for name in Gradients.ARRAYS):
+            raise DivergenceError(
+                f"batch {number}: SGD step left a parameter non-finite"
+            )
         total += n
     return params, mistakes / total

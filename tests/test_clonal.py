@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from clonalnet import clonal
 from clonalnet.clonal import (
-    Antibody, CloneConfig, ClonalExpander, MemoryPool, affinity,
-    best_match_affinity, clonalg_run, clone_count, crossover, generate_clones,
-    load_pools, mutate, mutation_rate, pool_affinities, save_pools,
-    update_memory,
+    Antibody, CloneConfig, ClonalExpander, MemoryPool, affinity, clonalg_run,
+    clone_count, crossover, generate_clones, load_pools, mutate,
+    mutation_rate, pool_affinities, save_pools, update_memory,
 )
 from clonalnet.errors import (ConfigurationError, DimensionError,
                               UndefinedAffinityError)
@@ -241,83 +240,84 @@ class TestPoolAffinities:
         with pytest.raises(ConfigurationError):
             pool_affinities(np.ones((1, 2)), empty)
 
-    def test_best_match_is_max(self):
-        rng = np.random.default_rng(7)
-        pool = pool_of(rng.normal(size=(6, 5)))
-        q = rng.normal(size=5)
-        expected = max(affinity(q, m.feature) for m in pool.members)
-        assert abs(best_match_affinity(q, pool) - expected) < 1e-12
+
+def best_match(feature, pool):
+    """Scalar oracle for a feature's best affinity against a pool."""
+    return max(affinity(feature, m.feature) for m in pool.members)
 
 
 class TestGenerateClones:
     def test_all_below_threshold_empty(self):
         pool = pool_of([[1.0, 0.0, 0.0, 0.0]])
-        batch = [(np.array([-1.0, 0.0, 0.0, 0.0]), 0, 0)]   # affinity 0.0
+        feature = np.array([-1.0, 0.0, 0.0, 0.0])   # affinity 0.0
         config = CloneConfig(tau=0.6, memory_capacity=5)
-        clones = generate_clones(batch, {0: pool}, config,
+        clones = generate_clones(feature, 0.0, pool, [feature], config,
                                  np.random.default_rng(0))
         assert clones == []
 
     def test_degenerate_operators_copy_parent(self):
         feature = np.array([0.5, -0.25, 1.0])
         pool = pool_of([feature])
-        batch = [(feature.copy(), 0, 42)]
         config = CloneConfig(eta=5.0, sigma=0.0, crossover_prob=0.0,
                              tau=0.6, memory_capacity=5)
-        clones = generate_clones(batch, {0: pool}, config,
+        clones = generate_clones(feature.copy(), 1.0, pool, [feature], config,
                                  np.random.default_rng(0))
         assert len(clones) == 5
-        for clone_feature, label, parent in clones:
+        for clone_feature, score in clones:
             assert np.array_equal(clone_feature, feature)
-            assert label == 0
-            assert parent == 42
+            assert score == 1.0
 
     def test_emitted_count_matches_recount_at_tau_zero(self):
         rng = np.random.default_rng(8)
         pool_feats = rng.normal(size=(3, 6))
         pool = pool_of(pool_feats)
-        batch = [(rng.normal(size=6), 0, i) for i in range(4)]
+        peers = [rng.normal(size=6) for _ in range(4)]
         config = CloneConfig(eta=5.0, tau=0.0, memory_capacity=5)
-        clones = generate_clones(batch, {0: pool}, config,
-                                 np.random.default_rng(9))
-        expected = 0
-        for feature, _, _ in batch:
+        clone_rng = np.random.default_rng(9)
+        emitted = expected = 0
+        for feature in peers:
             a = max(affinity(feature, f) for f in pool_feats)
+            emitted += len(generate_clones(feature, a, pool, peers, config,
+                                           clone_rng))
             expected += clone_count(a, config.eta, config.tau)
-        assert len(clones) == expected
-
-    def test_unknown_label_rejected(self):
-        pool = pool_of([[1.0, 0.0]])
-        batch = [(np.array([1.0, 0.0]), 3, 0)]
-        with pytest.raises(ConfigurationError):
-            generate_clones(batch, {0: pool}, CloneConfig(memory_capacity=5),
-                            np.random.default_rng(0))
+        assert emitted == expected
 
     def test_output_bounded_and_accepted(self):
         rng = np.random.default_rng(10)
         pool = pool_of(rng.normal(size=(4, 5)))
-        batch = [(rng.normal(size=5), 0, i) for i in range(6)]
+        peers = [rng.normal(size=5) for _ in range(6)]
         config = CloneConfig(eta=4.0, tau=0.55, memory_capacity=5)
-        clones = generate_clones(batch, {0: pool}, config,
-                                 np.random.default_rng(11))
-        bound = sum(clone_count(best_match_affinity(f, pool),
-                                config.eta, config.tau)
-                    for f, _, _ in batch)
-        assert len(clones) <= bound
-        for clone_feature, _, _ in clones:
-            assert clone_feature.shape == (5,)
-            assert best_match_affinity(clone_feature, pool) >= config.tau
+        clone_rng = np.random.default_rng(11)
+        total = 0
+        for feature in peers:
+            a = best_match(feature, pool)
+            clones = generate_clones(feature, a, pool, peers, config, clone_rng)
+            assert len(clones) <= clone_count(a, config.eta, config.tau)
+            for clone_feature, score in clones:
+                assert clone_feature.shape == (5,)
+                assert score >= config.tau
+                assert abs(score - best_match(clone_feature, pool)) < 1e-12
+            total += len(clones)
+        assert total > 0
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(12)
         pool = pool_of(rng.normal(size=(3, 4)))
-        batch = [(rng.normal(size=4), 0, i) for i in range(3)]
+        peers = [rng.normal(size=4) for _ in range(3)]
         config = CloneConfig(memory_capacity=5)
-        a = generate_clones(batch, {0: pool}, config, np.random.default_rng(7))
-        b = generate_clones(batch, {0: pool}, config, np.random.default_rng(7))
-        assert len(a) == len(b)
-        for (fa, la, pa), (fb, lb, pb) in zip(a, b):
-            assert np.array_equal(fa, fb) and la == lb and pa == pb
+        a = best_match(peers[0], pool)
+        first = generate_clones(peers[0], a, pool, peers, config,
+                                np.random.default_rng(7))
+        second = generate_clones(peers[0], a, pool, peers, config,
+                                 np.random.default_rng(7))
+        assert len(first) == len(second) > 0
+        for (fa, sa), (fb, sb) in zip(first, second):
+            assert np.array_equal(fa, fb) and sa == sb
+
+
+# few distinct values, so that ties between scores are common
+memory_scores = st.one_of(st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+                          st.floats(0.0, 1.0))
 
 
 class TestUpdateMemory:
@@ -377,6 +377,29 @@ class TestUpdateMemory:
                 scores = [ab.affinity_score for ab in pool.members]
                 assert scores == sorted(scores, reverse=True)
 
+    @given(st.lists(memory_scores), st.lists(memory_scores),
+           st.integers(1, 8))
+    def test_policy_properties(self, incumbent_scores, candidate_scores,
+                               capacity):
+        incumbents = [Antibody(np.array([float(i)]), 0, s)
+                      for i, s in enumerate(incumbent_scores)]
+        candidates = [Antibody(np.array([-1.0 - i]), 0, s)
+                      for i, s in enumerate(candidate_scores)]
+        pool = MemoryPool(class_label=0, capacity=capacity, members=incumbents)
+        kept = update_memory(pool, candidates).members
+        assert len(kept) == min(capacity, len(incumbents) + len(candidates))
+        scores = [ab.affinity_score for ab in kept]
+        assert scores == sorted(scores, reverse=True)
+        kept_ids = {id(ab) for ab in kept}
+        dropped = [ab for ab in incumbents + candidates if id(ab) not in kept_ids]
+        for ab in dropped:
+            assert ab.affinity_score <= min(scores)
+        kept_candidate_scores = {ab.affinity_score for ab in candidates
+                                 if id(ab) in kept_ids}
+        for ab in incumbents:
+            if id(ab) not in kept_ids:
+                assert ab.affinity_score not in kept_candidate_scores
+
 
 class TestClonalExpander:
     def test_bootstrap_builds_sorted_pools(self):
@@ -408,6 +431,37 @@ class TestClonalExpander:
                               runs[1][1][label].members):
                 assert np.array_equal(ma.feature, mb.feature)
 
+    def test_new_members_scored_against_the_pool_before_the_call(self):
+        rng = np.random.default_rng(19)
+        expander = ClonalExpander(CloneConfig(eta=3.0, tau=0.55, sigma=0.3,
+                                              memory_capacity=20, rng_seed=4))
+        labels = [0, 1, 0, 1, 0, 1]
+        centres = 2.0 * rng.normal(size=(2, 5))
+        # zero-scored starting pools, so that later candidates enter them
+        expander.pools = {
+            l: MemoryPool(l, 20, [Antibody(c + rng.normal(size=5), l, 0.0)
+                                  for _ in range(4)])
+            for l, c in enumerate(centres)}
+        originals = clones_checked = 0
+        for _ in range(6):
+            features = [centres[l] + rng.normal(size=5) for l in labels]
+            before = dict(expander.pools)
+            clones = expander(features, labels)
+            for label, pool in expander.pools.items():
+                old = before[label].members
+                for ab in pool.members:
+                    if any(ab is m for m in old):
+                        continue
+                    expected = max(affinity(ab.feature, m.feature) for m in old)
+                    assert abs(ab.affinity_score - expected) < 1e-12
+                    if any(np.array_equal(ab.feature, f) for f in features):
+                        originals += 1
+                    else:
+                        assert any(np.array_equal(ab.feature, c)
+                                   for c, _, _ in clones)
+                        clones_checked += 1
+        assert originals > 0 and clones_checked > 0
+
     def test_eta_zero_builds_pools_but_no_clones(self):
         rng = np.random.default_rng(16)
         feats = [rng.normal(size=4) for _ in range(4)]
@@ -416,6 +470,25 @@ class TestClonalExpander:
         clones = expander(feats, [0, 0, 1, 1])
         assert clones == []
         assert set(expander.pools) == {0, 1}
+
+
+@st.composite
+def finite_pools(draw):
+    width = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pools = {}
+    for label in draw(st.lists(st.integers(-3, 20), unique=True, max_size=4)):
+        count = draw(st.integers(0, 4))
+        members = [
+            Antibody(np.array(draw(st.lists(finite, min_size=width,
+                                            max_size=width))),
+                     label, draw(finite))
+            for _ in range(count)
+        ]
+        pools[label] = MemoryPool(class_label=label,
+                                  capacity=draw(st.integers(max(count, 1), 6)),
+                                  members=members)
+    return pools
 
 
 class TestPoolSerialization:
@@ -443,6 +516,21 @@ class TestPoolSerialization:
         save_pools(pools, first)
         save_pools(load_pools(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @given(finite_pools())
+    def test_round_trip_any_finite_pools(self, tmp_path_factory, pools):
+        d = tmp_path_factory.mktemp("pools")
+        save_pools(pools, d / "a.txt")
+        loaded = load_pools(d / "a.txt")
+        assert set(loaded) == set(pools)
+        for label, pool in pools.items():
+            assert loaded[label].capacity == pool.capacity
+            assert len(loaded[label].members) == len(pool.members)
+            for a, b in zip(pool.members, loaded[label].members):
+                assert np.array_equal(a.feature, b.feature)
+                assert a.affinity_score == b.affinity_score
+        save_pools(loaded, d / "b.txt")
+        assert (d / "a.txt").read_bytes() == (d / "b.txt").read_bytes()
 
     def test_versioned_header(self, tmp_path):
         path = tmp_path / "pools.txt"

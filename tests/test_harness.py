@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clonalnet import cli
-from clonalnet.errors import ConfigurationError
+from clonalnet.errors import ConfigurationError, DivergenceError
 from clonalnet.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -27,7 +27,10 @@ from clonalnet.harness import (
     run_size_sweep,
     run_two_class_application,
     sweep_summary_series,
+    train_variant,
 )
+from clonalnet.mnist import stratified_subset
+from clonalnet.nn import ArchConfig
 
 # settings small enough that a full training cell takes well under a second
 TINY = dict(sizes=(2,), seeds=(1,), epochs=1, test_subset=20,
@@ -94,6 +97,7 @@ def test_mapping_bool_words(text, value):
     ("learning_rate", "fast"),
     ("tau_match", "high"),
     ("learning_rate", "nan"),
+    ("eta", "-1"),
 ])
 def test_mapping_bad_value_names_key(key, text):
     with pytest.raises(ConfigurationError, match=key):
@@ -125,6 +129,12 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"tau_match": 1.5},
     {"tau_match": -0.1},
     {"tau_match": float("nan")},
+    {"eta": -1.0},
+    {"alpha": 0.0},
+    {"tau": 1.5},
+    {"sigma": float("nan")},
+    {"crossover_prob": 2.0},
+    {"rate_cap": 0.0},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
@@ -264,6 +274,17 @@ def test_curve_series_one_per_seed_sorted_by_epoch():
 # ---------------------------------------------------------------------------
 # small end-to-end runs
 # ---------------------------------------------------------------------------
+
+def test_train_variant_names_the_diverging_epoch(corpus):
+    train, test = corpus
+    cfg = ExperimentConfig(**{**TINY, "learning_rate": 1e308})
+    arch = ArchConfig(num_classes=len(train.class_ids))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match=r"^epoch 1, batch \d+:"):
+        train_variant(stratified_subset(train, 2, seed=0),
+                      fixed_test_subset(test, 20), "cnn", 2, 1, cfg, arch,
+                      epochs=2, record_epochs=False)
+
 
 def test_size_sweep_covers_the_grid(corpus):
     cfg = ExperimentConfig(**TINY)

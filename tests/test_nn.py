@@ -3,7 +3,8 @@ import pytest
 
 from clonalnet import nn
 from clonalnet.clonal import CloneConfig, ClonalExpander
-from clonalnet.errors import ConfigurationError, CorruptionError, DimensionError
+from clonalnet.errors import (ConfigurationError, CorruptionError,
+                              DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
 from clonalnet.tensor import conv2d_valid_naive, dense_naive, maxpool2_naive
 
@@ -353,6 +354,14 @@ class TestTrainEpoch:
         for name in nn.Gradients.ARRAYS:
             assert np.allclose(getattr(fused, name), getattr(manual, name),
                                atol=1e-12, rtol=0), name
+
+    def test_divergence_names_the_batch(self):
+        p = nn.init_params(17, SMALL)
+        images, labels = tiny_batch(SMALL, 24, 10)
+        batches = [(images[i:i + 8], labels[i:i + 8]) for i in (0, 8, 16)]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=r"^batch [123]:"):
+            nn.train_epoch(p, batches, 1e308)
 
     def test_error_rate_counts_pre_update_mistakes(self):
         p = nn.init_params(14, SMALL)
