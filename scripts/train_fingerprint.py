@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of fixed training runs, to compare two source trees.
+
+Trains fixed ``cnn`` and ``cnn-ais`` cells on a small synthetic corpus and
+prints one digest per cell for the final parameters (raw float64 bytes),
+the per-epoch error rows and the ``save_pools`` file. It also digests the
+two-class application's decisions and the clonal-selection demo for seeds
+1-3. Two trees that print the same lines train bit-identically on these
+cells. BLAS is limited to one thread before numpy loads, so summation order
+does not depend on the machine's core count.
+
+    PYTHONPATH=src python scripts/train_fingerprint.py
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from clonalnet import harness, synthdigits  # noqa: E402
+from clonalnet.clonal import save_pools  # noqa: E402
+from clonalnet.mnist import stratified_subset  # noqa: E402
+from clonalnet.nn import ArchConfig  # noqa: E402
+
+# (variant, per-class size, seed, epochs)
+CELLS = [(variant, per_class, seed, epochs)
+         for variant in harness.VARIANTS
+         for per_class, seed, epochs in ((10, 1, 3), (25, 2, 2))]
+# spelled out rather than read from the program, so that trees whose
+# parameter type lists its arrays differently print comparable digests
+PARAM_ARRAYS = ("conv_kernels", "conv_bias", "fc1_weights", "fc1_bias",
+                "out_weights", "out_bias")
+
+
+def digest(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else repr(chunk).encode())
+    return h.hexdigest()[:16]
+
+
+def pools_bytes(pools) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pools.txt"
+        save_pools(pools, path)
+        return path.read_bytes()
+
+
+def main() -> int:
+    cfg = harness.ExperimentConfig()
+    train = synthdigits.make_dataset(30, seed=2024)
+    test = synthdigits.make_dataset(10, seed=2025)
+    arch = ArchConfig(num_classes=len(train.class_ids))
+    for variant, per_class, seed, epochs in CELLS:
+        subset = stratified_subset(
+            train, per_class, seed=harness.derived_seed(seed, per_class, 5))
+        rows, params, expander = harness.train_variant(
+            subset, test, variant, per_class, seed, cfg, arch,
+            epochs=epochs, record_epochs=True)
+        name = f"{variant} per_class={per_class} seed={seed} epochs={epochs}"
+        arrays = (getattr(params, a).tobytes() for a in PARAM_ARRAYS)
+        print(f"{name} params {digest(*arrays)}")
+        print(f"{name} rows   {digest(rows)}")
+        if expander is not None:
+            print(f"{name} pools  {digest(pools_bytes(expander.pools))}")
+
+    two = harness.run_two_class_application(
+        harness.ExperimentConfig(two_class_test=20), data=(train, test))
+    decisions = digest(two.decisions, two.third_nomatch,
+                       two.third_recognized_after)
+    print(f"two-class decisions {decisions}")
+    print(f"two-class pools     {digest(pools_bytes(two.pools))}")
+
+    for seed in (1, 2, 3):
+        demo = harness.run_clonalg_demo(generations=60, seed=seed)
+        state = digest(demo.population.tobytes(), demo.memory_vectors.tobytes(),
+                       demo.memory_scores.tobytes(), demo.history)
+        print(f"clonalg-demo seed={seed} {state}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

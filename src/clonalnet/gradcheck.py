@@ -58,10 +58,10 @@ class CheckResult:
         return max(self.max_rel_error_plain, self.max_rel_error_clone)
 
 
-def _max_error_over_coords(params, analytic: nn.Gradients, probe_fn, rng,
+def _max_error_over_coords(params, analytic: nn.LayerStack, probe_fn, rng,
                            coords_per_array: int, step: float) -> float:
     worst = 0.0
-    for name in nn.Gradients.ARRAYS:
+    for name in nn.LayerStack.ARRAYS:
         array = getattr(params, name)
         grad = getattr(analytic, name)
         flat = array.ravel()

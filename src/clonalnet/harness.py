@@ -219,6 +219,19 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
+    side = (arch.image_size, arch.image_size)
+    for name, ds in (("train", train_ds), ("test", test_ds)):
+        if ds.images.shape[1:] != side:
+            raise ConfigurationError(
+                f"{name} images are {ds.images.shape[1:]}, the network "
+                f"takes {side}"
+            )
+    if len(train_ds) and not (0 <= train_ds.labels.min()
+                              and train_ds.labels.max() < arch.num_classes):
+        raise ConfigurationError(
+            f"train labels span [{train_ds.labels.min()}, "
+            f"{train_ds.labels.max()}], outside [0, {arch.num_classes})"
+        )
     params = init_params(derived_seed(seed, per_class, 11), arch)
     expander = None
     if variant == "cnn-ais":

@@ -74,12 +74,27 @@ class ArchConfig:
 
 @dataclass
 class LayerStack:
+    """The network's parameters; a gradient is a LayerStack of the same
+    shapes."""
+
     conv_kernels: np.ndarray   # (f, k, k)
     conv_bias: np.ndarray      # (f,)
     fc1_weights: np.ndarray    # (d, p)
     fc1_bias: np.ndarray       # (d,)
     out_weights: np.ndarray    # (c, d)
     out_bias: np.ndarray       # (c,)
+
+    ARRAYS = ("conv_kernels", "conv_bias", "fc1_weights", "fc1_bias",
+              "out_weights", "out_bias")
+
+    @classmethod
+    def zeros_like(cls, params: "LayerStack") -> "LayerStack":
+        return cls(*(np.zeros_like(getattr(params, name)) for name in cls.ARRAYS))
+
+    def scale_(self, factor: float) -> "LayerStack":
+        for name in self.ARRAYS:
+            getattr(self, name).__imul__(factor)
+        return self
 
     @property
     def num_maps(self) -> int:
@@ -92,28 +107,6 @@ class LayerStack:
     @property
     def num_classes(self) -> int:
         return self.out_weights.shape[0]
-
-
-@dataclass
-class Gradients:
-    conv_kernels: np.ndarray
-    conv_bias: np.ndarray
-    fc1_weights: np.ndarray
-    fc1_bias: np.ndarray
-    out_weights: np.ndarray
-    out_bias: np.ndarray
-
-    ARRAYS = ("conv_kernels", "conv_bias", "fc1_weights", "fc1_bias",
-              "out_weights", "out_bias")
-
-    @classmethod
-    def zeros_like(cls, params: LayerStack) -> "Gradients":
-        return cls(*(np.zeros_like(getattr(params, name)) for name in cls.ARRAYS))
-
-    def scale_(self, factor: float) -> "Gradients":
-        for name in self.ARRAYS:
-            getattr(self, name).__imul__(factor)
-        return self
 
 
 @dataclass
@@ -155,12 +148,10 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise DimensionError(f"image must be 2-D, got shape {img.shape}")
-    f = params.num_maps
-    conv_pre = np.stack([conv2d_valid(img, params.conv_kernels[m])
-                         + params.conv_bias[m] for m in range(f)])
-    conv_act = scaled_tanh(conv_pre)
-    pooled, argmax = zip(*(maxpool2(conv_act[m]) for m in range(f)))
-    pooled_flat = np.stack(pooled).ravel()
+    conv_pre = (np.stack([conv2d_valid(img, k) for k in params.conv_kernels])
+                + params.conv_bias[:, None, None])
+    pooled, argmax = maxpool2(scaled_tanh(conv_pre))
+    pooled_flat = pooled.ravel()
     if pooled_flat.shape[0] != params.fc1_weights.shape[1]:
         raise DimensionError(
             f"flattened pool size {pooled_flat.shape[0]} does not match "
@@ -171,7 +162,7 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     trace = ForwardTrace(
         image=img,
         conv_pre=conv_pre,
-        argmax=np.stack(argmax),
+        argmax=argmax,
         pooled_flat=pooled_flat,
         fc1_pre=fc1_pre,
         feature=feature,
@@ -193,7 +184,13 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
-    return float(-np.log(probabilities[true_label]))
+    """-log p[true_label]; ``inf`` when that probability is 0."""
+    if not 0 <= true_label < len(probabilities):
+        raise ConfigurationError(
+            f"label {true_label} outside [0, {len(probabilities)})"
+        )
+    p = probabilities[true_label]
+    return float("inf") if p == 0 else float(-np.log(p))
 
 
 def _feature_error(params: LayerStack, feature: np.ndarray,
@@ -217,21 +214,15 @@ def _lower_grads(params: LayerStack, trace: ForwardTrace, dfeature: np.ndarray):
     grad_fc1_w, grad_fc1_b, dpool_flat = dense_backward(
         params.fc1_weights, trace.pooled_flat, dz1
     )
-    f = params.num_maps
-    ph, pw = trace.argmax.shape[1:]
-    dpool = dpool_flat.reshape(f, ph, pw)
-    grad_conv_k = np.zeros_like(params.conv_kernels)
-    grad_conv_b = np.zeros_like(params.conv_bias)
-    for m in range(f):
-        dconv_act = maxpool2_backward(trace.argmax[m], dpool[m])
-        dconv_pre = dconv_act * scaled_tanh_prime(trace.conv_pre[m])
-        grad_conv_b[m] = dconv_pre.sum()
-        grad_conv_k[m] = conv2d_valid(trace.image, dconv_pre)
-    return grad_conv_k, grad_conv_b, grad_fc1_w, grad_fc1_b
+    dpool = dpool_flat.reshape(trace.argmax.shape)
+    dconv_pre = (maxpool2_backward(trace.argmax, dpool)
+                 * scaled_tanh_prime(trace.conv_pre))
+    grad_conv_k = np.stack([conv2d_valid(trace.image, d) for d in dconv_pre])
+    return grad_conv_k, dconv_pre.sum(axis=(1, 2)), grad_fc1_w, grad_fc1_b
 
 
 def batch_gradients(params: LayerStack, traces, probabilities, labels,
-                    clones=()) -> Gradients:
+                    clones=()) -> LayerStack:
     """Cross-entropy gradients summed over a batch and its clones.
 
     ``traces`` and ``probabilities`` are the originals' forward passes;
@@ -240,7 +231,7 @@ def batch_gradients(params: LayerStack, traces, probabilities, labels,
     then makes one pass through its own trace (the offset between clone and
     parent feature is held constant), so clone gradients reach every layer.
     """
-    grads = Gradients.zeros_like(params)
+    grads = LayerStack.zeros_like(params)
     feat_err = [np.zeros(params.feature_width) for _ in traces]
     for i, (trace, probs, label) in enumerate(zip(traces, probabilities, labels)):
         if probs.shape != (params.num_classes,):
@@ -270,11 +261,11 @@ def batch_gradients(params: LayerStack, traces, probabilities, labels,
     return grads
 
 
-def sgd_step(params: LayerStack, gradients: Gradients, learning_rate: float) -> LayerStack:
+def sgd_step(params: LayerStack, gradients: LayerStack, learning_rate: float) -> LayerStack:
     """theta <- theta - lr * g, returning a fresh parameter set."""
     updated = {
         name: getattr(params, name) - learning_rate * getattr(gradients, name)
-        for name in Gradients.ARRAYS
+        for name in LayerStack.ARRAYS
     }
     return LayerStack(**updated)
 
@@ -324,7 +315,7 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
         grads.scale_(1.0 / (n + len(clones)))
         params = sgd_step(params, grads, learning_rate)
         if not all(np.isfinite(getattr(params, name)).all()
-                   for name in Gradients.ARRAYS):
+                   for name in LayerStack.ARRAYS):
             raise DivergenceError(
                 f"batch {number}: SGD step left a parameter non-finite"
             )

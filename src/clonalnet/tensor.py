@@ -1,5 +1,6 @@
 """Dense numeric kernels for the network: valid 2-D convolution, 2x2
-max-pooling with argmax capture, and dense (affine) products.
+max-pooling over a stack of maps with argmax capture, and dense (affine)
+products.
 
 Tensors are plain ``numpy.ndarray`` values in C (row-major) order, float64
 throughout. Convolution is cross-correlation: no kernel flip on the forward
@@ -22,6 +23,13 @@ def _as_matrix(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
+    return a
+
+
+def _as_stack(x, name: str) -> np.ndarray:
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim < 2:
+        raise DimensionError(f"{name} must be (..., H, W), got shape {a.shape}")
     return a
 
 
@@ -79,28 +87,26 @@ def conv2d_valid_naive(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over disjoint 2x2 blocks.
+    """Max over disjoint 2x2 blocks of each map in a ``(..., H, W)`` stack.
 
-    Returns ``(output, argmax)`` where argmax holds, per block, the flat
-    row-major index into ``input`` of the winning element. Ties go to the
-    first element in row-major order within the block.
+    Returns ``(output, argmax)`` of shape ``(..., H/2, W/2)``, where argmax
+    holds, per block, the flat row-major index into the winning element's
+    own ``(H, W)`` map. Ties go to the first element in row-major order
+    within the block.
     """
-    inp = _as_matrix(input, "input")
-    h, w = inp.shape
+    inp = _as_stack(input, "input")
+    *lead, h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
-    # blocks[by, bx, k] lists each 2x2 block in row-major order, so argmax's
-    # first-max rule implements the tie-break directly
-    blocks = inp.reshape(h // 2, 2, w // 2, 2).transpose(0, 2, 1, 3).reshape(
-        h // 2, w // 2, 4
+    # blocks[..., by, bx, k] lists each 2x2 block in row-major order, so
+    # argmax's first-max rule implements the tie-break directly
+    blocks = inp.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2).reshape(
+        *lead, h // 2, w // 2, 4
     )
-    local = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, local[:, :, None], axis=2)[:, :, 0]
-    by, bx = np.meshgrid(
-        np.arange(h // 2), np.arange(w // 2), indexing="ij"
-    )
-    rows = 2 * by + local // 2
-    cols = 2 * bx + local % 2
+    local = blocks.argmax(axis=-1)
+    out = np.take_along_axis(blocks, local[..., None], axis=-1)[..., 0]
+    rows = 2 * np.arange(h // 2)[:, None] + local // 2
+    cols = 2 * np.arange(w // 2) + local % 2
     argmax = rows * w + cols
     return out, argmax.astype(np.int64)
 
@@ -129,22 +135,28 @@ def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Route grad_out entries to the argmax positions; zeros elsewhere."""
+    """Route grad_out entries to the argmax positions; zeros elsewhere.
+
+    Takes the ``(..., H/2, W/2)`` stacks of :func:`maxpool2` and returns the
+    ``(..., H, W)`` gradient of its input.
+    """
     am = np.asarray(argmax)
-    g = _as_matrix(grad_out, "grad_out")
+    g = _as_stack(grad_out, "grad_out")
     if am.shape != g.shape:
         raise DimensionError(
             f"argmax shape {am.shape} does not match grad_out shape {g.shape}"
         )
-    h, w = 2 * am.shape[0], 2 * am.shape[1]
-    flat_idx = am.ravel()
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= h * w):
+    *lead, ph, pw = am.shape
+    h, w = 2 * ph, 2 * pw
+    if am.size and (not np.issubdtype(am.dtype, np.integer)
+                    or am.min() < 0 or am.max() >= h * w):
         raise CorruptionError(
-            f"argmax indices out of range for input of shape {(h, w)}"
+            f"argmax must hold integer indices into maps of shape {(h, w)}"
         )
-    grad_input = np.zeros(h * w)
-    grad_input[flat_idx] = g.ravel()
-    return grad_input.reshape(h, w)
+    grad_input = np.zeros((*lead, h * w))
+    np.put_along_axis(grad_input, am.reshape(*lead, ph * pw),
+                      g.reshape(*lead, ph * pw), axis=-1)
+    return grad_input.reshape(*lead, h, w)
 
 
 # ---------------------------------------------------------------------------

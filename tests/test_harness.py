@@ -29,7 +29,7 @@ from clonalnet.harness import (
     sweep_summary_series,
     train_variant,
 )
-from clonalnet.mnist import stratified_subset
+from clonalnet.mnist import Dataset, stratified_subset
 from clonalnet.nn import ArchConfig
 
 # settings small enough that a full training cell takes well under a second
@@ -284,6 +284,39 @@ def test_train_variant_names_the_diverging_epoch(corpus):
         train_variant(stratified_subset(train, 2, seed=0),
                       fixed_test_subset(test, 20), "cnn", 2, 1, cfg, arch,
                       epochs=2, record_epochs=False)
+
+
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_train_variant_rejects_images_of_another_size(corpus, which):
+    # a 32x32 corpus against the 28x28 network
+    data = {"train": stratified_subset(corpus[0], 2, seed=0),
+            "test": fixed_test_subset(corpus[1], 20)}
+    ds = data[which]
+    data[which] = Dataset(np.pad(ds.images, ((0, 0), (2, 2), (2, 2))), ds.labels)
+    with pytest.raises(ConfigurationError, match=which):
+        train_variant(data["train"], data["test"], "cnn", 2, 1,
+                      ExperimentConfig(**TINY), ArchConfig(), epochs=1,
+                      record_epochs=False)
+
+
+def test_size_sweep_rejects_labels_outside_the_classes(corpus):
+    # a corpus of digits 3 and 7 builds a two-class network
+    keep = np.isin(corpus[0].labels, [3, 7])
+    train = Dataset(corpus[0].images[keep], corpus[0].labels[keep])
+    with pytest.raises(ConfigurationError, match="labels"):
+        run_size_sweep(ExperimentConfig(**TINY), data=(train, corpus[1]))
+
+
+def test_train_variant_rejects_negative_labels(corpus):
+    train, test = corpus
+    train = stratified_subset(train, 2, seed=0)
+    labels = train.labels.copy()
+    labels[0] = -1
+    with pytest.raises(ConfigurationError, match="labels"):
+        train_variant(Dataset(train.images, labels), fixed_test_subset(test, 20),
+                      "cnn", 2, 1, ExperimentConfig(**TINY),
+                      ArchConfig(num_classes=10), epochs=1,
+                      record_epochs=False)
 
 
 def test_size_sweep_covers_the_grid(corpus):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ class TestInitParams:
     def test_deterministic(self):
         a = nn.init_params(7, SMALL)
         b = nn.init_params(7, SMALL)
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_changes_weights(self):
@@ -105,6 +107,16 @@ class TestForward:
         expected = nn.scaled_tanh(dense_naive(p.fc1_weights, p.fc1_bias, flat))
         assert np.allclose(feature, expected, atol=1e-12, rtol=0)
 
+    def test_trace_argmax_matches_naive_pool_per_map(self):
+        rng = np.random.default_rng(12)
+        p = nn.init_params(6, SMALL)
+        # a constant image makes every window equal, so each block is a tie
+        for image in (rng.normal(size=(10, 10)), np.full((10, 10), 0.5)):
+            _, trace = nn.forward_features(p, image)
+            for m in range(SMALL.num_maps):
+                act = nn.scaled_tanh(trace.conv_pre[m])
+                assert np.array_equal(trace.argmax[m], maxpool2_naive(act)[1])
+
     def test_disconnected_map_is_bias_only(self):
         # a zero kernel disconnects its map from the image
         p = nn.init_params(4, SMALL)
@@ -151,6 +163,16 @@ class TestCrossEntropy:
         probs = np.full(4, 0.25)
         assert abs(nn.cross_entropy(probs, 2) - np.log(4)) < 1e-12
 
+    @pytest.mark.parametrize("label", [-1, 3, 7])
+    def test_label_outside_classes_rejected(self, label):
+        with pytest.raises(ConfigurationError):
+            nn.cross_entropy(np.array([0.2, 0.3, 0.5]), label)
+
+    def test_zero_probability_is_infinite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nn.cross_entropy(np.array([0.0, 1.0]), 0) == np.inf
+
 
 class TestBackward:
     def test_one_hot_probabilities_give_zero_gradients(self):
@@ -160,7 +182,7 @@ class TestBackward:
         onehot = np.zeros(3)
         onehot[2] = 1.0
         grads = nn.batch_gradients(p, [trace], [onehot], [2])
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert not getattr(grads, name).any()
 
     def test_out_bias_gradient_is_probability_residual(self):
@@ -204,7 +226,7 @@ class TestBackwardFromFeature:
         plain = nn.batch_gradients(p, [trace], [probs], [1])
         doubled = nn.batch_gradients(p, [trace], [probs], [1],
                                      [(feature.copy(), 1, 0)])
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(2.0 * getattr(plain, name),
                                   getattr(doubled, name))
 
@@ -233,16 +255,16 @@ class TestBackwardFromFeature:
 class TestSgdStep:
     def test_zero_rate_is_identity(self):
         p = nn.init_params(4, SMALL)
-        g = nn.Gradients.zeros_like(p)
+        g = nn.LayerStack.zeros_like(p)
         g.fc1_weights += 1.0
         q = nn.sgd_step(p, g, 0.0)
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(getattr(p, name), getattr(q, name))
 
     def test_scalar_arithmetic(self):
         p = nn.init_params(4, SMALL)
         p.out_bias[:] = 1.0
-        g = nn.Gradients.zeros_like(p)
+        g = nn.LayerStack.zeros_like(p)
         g.out_bias[:] = 2.0
         q = nn.sgd_step(p, g, 0.1)
         assert np.allclose(q.out_bias, 0.8, atol=1e-15)
@@ -250,7 +272,7 @@ class TestSgdStep:
     def test_does_not_mutate_input(self):
         p = nn.init_params(4, SMALL)
         before = p.fc1_weights.copy()
-        g = nn.Gradients.zeros_like(p)
+        g = nn.LayerStack.zeros_like(p)
         g.fc1_weights += 3.0
         nn.sgd_step(p, g, 0.5)
         assert np.array_equal(p.fc1_weights, before)
@@ -259,8 +281,8 @@ class TestSgdStep:
         # repeated steps on loss 0.5*||w||^2 must shrink the parameters
         p = nn.init_params(4, SMALL)
         for _ in range(50):
-            g = nn.Gradients(*[np.array(getattr(p, n), copy=True)
-                               for n in nn.Gradients.ARRAYS])
+            g = nn.LayerStack(*[np.array(getattr(p, n), copy=True)
+                                for n in nn.LayerStack.ARRAYS])
             p = nn.sgd_step(p, g, 0.1)
         assert np.abs(p.fc1_weights).max() < 1e-2
 
@@ -279,7 +301,7 @@ class TestTrainEpoch:
         batches = [(images[:4], labels[:4]), (images[4:], labels[4:])]
         q, err1 = nn.train_epoch(p, batches, 0.0)
         _, err2 = nn.train_epoch(q, batches, 0.0)
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(getattr(p, name), getattr(q, name))
         assert err1 == err2
 
@@ -296,7 +318,7 @@ class TestTrainEpoch:
             q, err = nn.train_epoch(p, [(images, labels)], 0.05)
             out.append((q, err))
         assert out[0][1] == out[1][1]
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(getattr(out[0][0], name),
                                   getattr(out[1][0], name))
 
@@ -308,7 +330,7 @@ class TestTrainEpoch:
         q1, e1 = nn.train_epoch(p1, [(images, labels)], 0.05)
         q2, e2 = nn.train_epoch(p2, [(images, labels)], 0.05, hook)
         assert e1 == e2
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(getattr(q1, name), getattr(q2, name))
 
     def test_fused_clone_pass_matches_per_clone_backward(self):
@@ -340,18 +362,18 @@ class TestTrainEpoch:
             trace, feat, lab = contributions[parent]
             contributions += [(trace, feat + off, lab) for off in offs]
 
-        total = nn.Gradients.zeros_like(p)
+        total = nn.LayerStack.zeros_like(p)
         for trace, feat, lab in contributions:
             gw, gb, df = nn._feature_error(p, feat, nn.forward_output(p, feat),
                                            lab)
             gck, gcb, gfw, gfb = nn._lower_grads(p, trace, df)
-            for name, g in zip(nn.Gradients.ARRAYS,
+            for name, g in zip(nn.LayerStack.ARRAYS,
                                (gck, gcb, gfw, gfb, gw, gb)):
                 getattr(total, name)[...] += g
         total.scale_(1.0 / len(contributions))
         manual = nn.sgd_step(p, total, 0.2)
 
-        for name in nn.Gradients.ARRAYS:
+        for name in nn.LayerStack.ARRAYS:
             assert np.allclose(getattr(fused, name), getattr(manual, name),
                                atol=1e-12, rtol=0), name
 

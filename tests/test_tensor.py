@@ -165,6 +165,77 @@ class TestMaxpool2Backward:
             maxpool2_backward(bad, np.ones((2, 2)))
 
 
+def random_stack(rng, lead):
+    """A map stack of small integers, half of them jittered, so many 2x2
+    blocks hold ties; its first map is constant, so all its blocks do."""
+    h, w = 2 * rng.integers(1, 7), 2 * rng.integers(1, 7)
+    stack = rng.integers(-2, 2, size=(*lead, h, w)).astype(np.float64)
+    jitter = rng.random(stack.shape) < 0.5
+    stack[jitter] += rng.normal(scale=0.1, size=jitter.sum())
+    stack.reshape(-1, h, w)[0] = 1.5
+    return stack
+
+
+def naive_per_map(stack):
+    maps = stack.reshape(-1, *stack.shape[-2:])
+    out, argmax = zip(*(maxpool2_naive(m) for m in maps))
+    lead = stack.shape[:-2]
+    return (np.stack(out).reshape(*lead, *out[0].shape),
+            np.stack(argmax).reshape(*lead, *argmax[0].shape))
+
+
+class TestMaxpool2Stack:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([(1,), (8,), (2, 3)]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_naive_per_map(self, seed, lead):
+        stack = random_stack(np.random.default_rng(seed), lead)
+        out, argmax = maxpool2(stack)
+        out_n, argmax_n = naive_per_map(stack)
+        assert out.tobytes() == out_n.tobytes()
+        assert argmax.dtype == np.int64
+        np.testing.assert_array_equal(argmax, argmax_n)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([(1,), (8,), (2, 3)]))
+    @settings(max_examples=30, deadline=None)
+    def test_backward_routes_per_map(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, lead)
+        _, argmax_n = naive_per_map(stack)
+        g = rng.normal(size=argmax_n.shape)
+        h, w = stack.shape[-2:]
+        expected = np.zeros((stack.size // (h * w), h * w))
+        for row, am, gm in zip(expected, argmax_n.reshape(len(expected), -1),
+                               g.reshape(len(expected), -1)):
+            row[am] = gm
+        gi = maxpool2_backward(maxpool2(stack)[1], g)
+        assert gi.tobytes() == expected.reshape(stack.shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 5, 4), (2, 4, 3)])
+    def test_bad_input_shape_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            maxpool2(np.ones(shape))
+
+    def test_backward_shape_mismatch_rejected(self):
+        _, argmax = maxpool2(np.ones((3, 4, 4)))
+        with pytest.raises(DimensionError):
+            maxpool2_backward(argmax, np.ones((2, 2, 2)))
+        with pytest.raises(DimensionError):
+            maxpool2_backward(argmax[0, 0], np.ones(2))
+
+    def test_index_into_the_next_map_rejected(self):
+        # 16 is a valid position in the flattened stack but not in a 4x4 map
+        _, argmax = maxpool2(np.ones((2, 4, 4)))
+        bad = argmax.copy()
+        bad[0, 1, 1] = 16
+        with pytest.raises(CorruptionError):
+            maxpool2_backward(bad, np.ones((2, 2, 2)))
+
+    def test_non_integer_argmax_rejected(self):
+        _, argmax = maxpool2(np.ones((2, 4, 4)))
+        with pytest.raises(CorruptionError):
+            maxpool2_backward(argmax.astype(np.float64), np.ones((2, 2, 2)))
+
+
 class TestDense:
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])
