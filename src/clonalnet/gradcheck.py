@@ -2,8 +2,8 @@
 
 Central differences with step 1e-5 at 64-bit precision, compared against
 :func:`clonalnet.nn.batch_gradients`, the function training uses, on
-randomly seeded parameter/input instances: a one-sample batch, and the same
-sample plus one clone. Coordinates are sampled per parameter array; relative
+randomly seeded parameter/input instances: a one-row batch, and the same
+row plus one clone. Coordinates are sampled per parameter array; relative
 error uses a small denominator floor so exact-zero gradients compare cleanly
 against finite-difference noise.
 
@@ -93,7 +93,7 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
                    step: float = DEFAULT_STEP) -> CheckResult:
     """Full-stack gradient check on one seeded random instance.
 
-    Checks ``batch_gradients`` on a one-sample batch against the sample
+    Checks ``batch_gradients`` on a one-row batch against the sample
     loss, and on that sample plus one clone against the sum of both losses,
     by central finite differences on sampled coordinates of every parameter
     array.
@@ -105,11 +105,11 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
     label = int(rng.integers(arch.num_classes))
     offset = rng.normal(scale=0.1, size=arch.feature_width)
 
-    feature, trace = nn.forward_features(params, image)
-    probs = nn.forward_output(params, feature)
-    plain = nn.batch_gradients(params, [trace], [probs], [label])
-    clone = nn.batch_gradients(params, [trace], [probs], [label],
-                               [(feature + offset, label, 0)])
+    features, trace = nn.forward_features(params, image[None])
+    probs = nn.forward_output(params, features)
+    plain = nn.batch_gradients(params, trace, probs, [label])
+    clone = nn.batch_gradients(params, trace, probs, [label],
+                               [(features[0] + offset, label, 0)])
 
     err_plain = _max_error_over_coords(
         params, plain, lambda p: _probe(p, image, label),

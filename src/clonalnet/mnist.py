@@ -65,7 +65,11 @@ def parse_idx_images(data: bytes) -> np.ndarray:
         )
     pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols,
                            offset=offset)
-    return pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
+    try:
+        # an empty set can still declare a shape numpy cannot hold
+        return pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
+    except ValueError as exc:
+        raise IdxFormatError(f"image shape {(count, rows, cols)} is too large") from exc
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:

@@ -3,12 +3,17 @@ connected layer producing the feature vector that the clonal layer operates
 on, and a softmax output layer. Trained with plain stochastic gradient
 descent on cross-entropy loss.
 
+The forward functions take one image (or feature vector) or a batch along
+a leading axis through the same code; ``train_epoch`` forwards each batch in
+one call, ``predict`` one image.
+
 The clonal layer itself lives in :mod:`clonalnet.clonal`; ``train_epoch``
 accepts it as an optional hook that expands each batch's feature vectors.
-``batch_gradients`` is the one backward pass: clone error is routed back
-through the parent sample's cached trace, with the mutation offset treated
-as an additive constant (identity Jacobian), so clone gradients reach the
-convolution kernels.
+``batch_gradients`` is the one backward pass: one output-layer pass over the
+original and clone rows, then one pass through the batch trace, where clone
+error joins its parent's row with the mutation offset treated as an
+additive constant (identity Jacobian), so clone gradients reach the
+convolution kernels. Only the kernel gradient still loops per image.
 """
 
 from __future__ import annotations
@@ -87,10 +92,6 @@ class LayerStack:
     ARRAYS = ("conv_kernels", "conv_bias", "fc1_weights", "fc1_bias",
               "out_weights", "out_bias")
 
-    @classmethod
-    def zeros_like(cls, params: "LayerStack") -> "LayerStack":
-        return cls(*(np.zeros_like(getattr(params, name)) for name in cls.ARRAYS))
-
     def scale_(self, factor: float) -> "LayerStack":
         for name in self.ARRAYS:
             getattr(self, name).__imul__(factor)
@@ -111,14 +112,15 @@ class LayerStack:
 
 @dataclass
 class ForwardTrace:
-    """Per-sample cache: everything backprop needs to replay the stack."""
+    """Everything backprop needs to replay the stack, per image of an
+    ``(N, H, W)`` batch; a single ``(H, W)`` image has no leading axis."""
 
-    image: np.ndarray        # (H, W)
-    conv_pre: np.ndarray     # (f, oh, ow), pre-activation
-    argmax: np.ndarray       # (f, oh/2, ow/2), flat winners per map
-    pooled_flat: np.ndarray  # (p,)
-    fc1_pre: np.ndarray      # (d,)
-    feature: np.ndarray      # (d,)
+    image: np.ndarray        # (N, H, W)
+    conv_pre: np.ndarray     # (N, f, oh, ow), pre-activation
+    argmax: np.ndarray       # (N, f, oh/2, ow/2), flat winners per map
+    pooled_flat: np.ndarray  # (N, p)
+    fc1_pre: np.ndarray      # (N, d)
+    feature: np.ndarray      # (N, d)
 
 
 def init_params(seed: int, dims: ArchConfig) -> LayerStack:
@@ -144,17 +146,18 @@ def init_params(seed: int, dims: ArchConfig) -> LayerStack:
 
 
 def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the stack up to the feature vector; cache the full trace."""
+    """Run an ``(H, W)`` image or an ``(N, H, W)`` batch up to the feature
+    layer; return the ``(d,)`` or ``(N, d)`` features and the full trace."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise DimensionError(f"image must be 2-D, got shape {img.shape}")
-    conv_pre = (np.stack([conv2d_valid(img, k) for k in params.conv_kernels])
-                + params.conv_bias[:, None, None])
+    if img.ndim not in (2, 3):
+        raise DimensionError(f"image must be (H, W) or (N, H, W), got {img.shape}")
+    maps = [conv2d_valid(img, k) for k in params.conv_kernels]
+    conv_pre = np.stack(maps, axis=-3) + params.conv_bias[:, None, None]
     pooled, argmax = maxpool2(scaled_tanh(conv_pre))
-    pooled_flat = pooled.ravel()
-    if pooled_flat.shape[0] != params.fc1_weights.shape[1]:
+    pooled_flat = pooled.reshape(*img.shape[:-2], -1)
+    if pooled_flat.shape[-1] != params.fc1_weights.shape[1]:
         raise DimensionError(
-            f"flattened pool size {pooled_flat.shape[0]} does not match "
+            f"flattened pool size {pooled_flat.shape[-1]} does not match "
             f"fc1 input width {params.fc1_weights.shape[1]}"
         )
     fc1_pre = dense(params.fc1_weights, params.fc1_bias, pooled_flat)
@@ -171,16 +174,17 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
 
 
 def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
-    """Class probabilities: softmax over the output layer's scores."""
+    """Class probabilities of each row of a ``(..., d)`` feature stack:
+    softmax over the output layer's scores."""
     feat = np.asarray(feature, dtype=np.float64)
-    if feat.shape != (params.feature_width,):
+    if feat.ndim < 1 or feat.shape[-1] != params.feature_width:
         raise DimensionError(
             f"feature shape {feat.shape} does not match width {params.feature_width}"
         )
     logits = dense(params.out_weights, params.out_bias, feat)
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
@@ -193,72 +197,59 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return float("inf") if p == 0 else float(-np.log(p))
 
 
-def _feature_error(params: LayerStack, feature: np.ndarray,
-                   probabilities: np.ndarray, true_label: int):
-    """Output-layer gradients plus the error signal at the feature layer."""
-    delta = probabilities.astype(np.float64).copy()
-    delta[true_label] -= 1.0
-    grad_out_w, grad_out_b, dfeature = dense_backward(
-        params.out_weights, feature, delta
-    )
-    return grad_out_w, grad_out_b, dfeature
+def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
+                    labels, clones=()) -> LayerStack:
+    """Cross-entropy gradients summed over a batch and its clones.
 
-
-def _lower_grads(params: LayerStack, trace: ForwardTrace, dfeature: np.ndarray):
-    """Backprop a feature-layer error signal through fc1, pooling, conv.
-
-    Linear in ``dfeature`` for a fixed trace, which is what lets clone
-    error signals be summed per parent before a single pass.
+    ``trace`` and the ``(N, c)`` ``probabilities`` are the forward pass of
+    an ``(N, H, W)`` batch; ``clones`` holds (clone_feature, label,
+    parent_index) tuples. Each clone's feature-layer error is added to its
+    parent's row, holding the clone-parent offset constant, before one pass
+    through the batch trace, so clone gradients reach every layer. Sums run
+    over the originals in batch order, then the clones.
     """
-    dz1 = dfeature * scaled_tanh_prime(trace.fc1_pre)
+    n = len(trace.feature)
+    probs = np.asarray(probabilities, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if probs.shape != (n, params.num_classes) or labels.shape != (n,):
+        raise CorruptionError(
+            f"probabilities {probs.shape} and labels {labels.shape} do not "
+            f"match {n} traced samples of {params.num_classes} classes"
+        )
+    width = params.feature_width
+    if any(np.shape(feature) != (width,) for feature, _, _ in clones):
+        raise DimensionError(f"clone features must have shape {(width,)}")
+    clone_features = np.reshape([f for f, _, _ in clones], (len(clones), width))
+    parents = np.array([parent for _, _, parent in clones], dtype=np.intp)
+    row_labels = np.concatenate(
+        [labels, np.array([label for _, label, _ in clones], dtype=np.intp)])
+    if not np.all((0 <= row_labels) & (row_labels < params.num_classes)):
+        raise ConfigurationError(f"label outside [0, {params.num_classes})")
+
+    # output layer over the original and clone rows
+    delta = np.concatenate([probs, forward_output(params, clone_features)])
+    delta[np.arange(len(delta)), row_labels] -= 1.0
+    grad_out_w, grad_out_b, drows = dense_backward(
+        params.out_weights, np.concatenate([trace.feature, clone_features]),
+        delta,
+    )
+    feature_error = drows[:n]
+    np.add.at(feature_error, parents, drows[n:])
+
+    # fc1, pooling and convolution over the batch trace; the error is linear
+    # in feature_error, which is what lets clones be summed per parent first
+    dz1 = feature_error * scaled_tanh_prime(trace.fc1_pre)
     grad_fc1_w, grad_fc1_b, dpool_flat = dense_backward(
         params.fc1_weights, trace.pooled_flat, dz1
     )
     dpool = dpool_flat.reshape(trace.argmax.shape)
     dconv_pre = (maxpool2_backward(trace.argmax, dpool)
                  * scaled_tanh_prime(trace.conv_pre))
-    grad_conv_k = np.stack([conv2d_valid(trace.image, d) for d in dconv_pre])
-    return grad_conv_k, dconv_pre.sum(axis=(1, 2)), grad_fc1_w, grad_fc1_b
-
-
-def batch_gradients(params: LayerStack, traces, probabilities, labels,
-                    clones=()) -> LayerStack:
-    """Cross-entropy gradients summed over a batch and its clones.
-
-    ``traces`` and ``probabilities`` are the originals' forward passes;
-    ``clones`` holds (clone_feature, label, parent_index) tuples. Each
-    clone's feature-layer error is added to its parent's, and every parent
-    then makes one pass through its own trace (the offset between clone and
-    parent feature is held constant), so clone gradients reach every layer.
-    """
-    grads = LayerStack.zeros_like(params)
-    feat_err = [np.zeros(params.feature_width) for _ in traces]
-    for i, (trace, probs, label) in enumerate(zip(traces, probabilities, labels)):
-        if probs.shape != (params.num_classes,):
-            raise CorruptionError(
-                f"probabilities shape {probs.shape} does not match "
-                f"{params.num_classes} classes"
-            )
-        gw, gb, df = _feature_error(params, trace.feature, probs, int(label))
-        grads.out_weights += gw
-        grads.out_bias += gb
-        feat_err[i] += df
-
-    for clone_feat, label, parent in clones:
-        gw, gb, df = _feature_error(
-            params, clone_feat, forward_output(params, clone_feat), int(label),
-        )
-        grads.out_weights += gw
-        grads.out_bias += gb
-        feat_err[parent] += df
-
-    for trace, err in zip(traces, feat_err):
-        gck, gcb, gfw, gfb = _lower_grads(params, trace, err)
-        grads.conv_kernels += gck
-        grads.conv_bias += gcb
-        grads.fc1_weights += gfw
-        grads.fc1_bias += gfb
-    return grads
+    grad_conv_k = np.stack([[conv2d_valid(image, d) for d in maps]
+                            for image, maps in zip(trace.image, dconv_pre)])
+    return LayerStack(grad_conv_k.sum(axis=0),
+                      dconv_pre.sum(axis=(2, 3)).sum(axis=0),
+                      grad_fc1_w, grad_fc1_b, grad_out_w, grad_out_b)
 
 
 def sgd_step(params: LayerStack, gradients: LayerStack, learning_rate: float) -> LayerStack:
@@ -276,7 +267,11 @@ def predict(params: LayerStack, image: np.ndarray) -> int:
 
 
 def evaluate(params: LayerStack, images: np.ndarray, labels: np.ndarray) -> float:
-    """Misclassification rate over a sample set."""
+    """Misclassification rate over a sample set, one ``predict`` per image."""
+    if len(images) != len(labels):
+        raise DimensionError(f"{len(images)} images but {len(labels)} labels")
+    if not len(labels):
+        raise ConfigurationError("evaluate requires at least one sample")
     wrong = sum(predict(params, img) != int(lab) for img, lab in zip(images, labels))
     return wrong / len(labels)
 
@@ -285,33 +280,30 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
                 clonal_hook=None) -> tuple[LayerStack, float]:
     """One pass over ``batches``: list of (images, labels) pairs.
 
-    Per batch: forward every sample; when a clonal hook is present, it maps
-    (features, labels) to a list of (clone_feature, label, parent_index)
-    tuples. Original and clone gradients are averaged together before a
-    single SGD step. Returns the updated parameters and the misclassification
-    rate over the originals; a step that leaves any parameter non-finite
-    raises DivergenceError naming the 1-based batch.
+    Per batch: one forward pass over the batch's images; when a clonal hook
+    is present, it maps the (N, d) features and the labels to a list of
+    (clone_feature, label, parent_index) tuples. Original and clone
+    gradients are averaged together before a single SGD step. Returns the
+    updated parameters and the misclassification rate over the originals.
+    A batch whose image and label counts differ, or a step that leaves any
+    parameter non-finite, raises an error naming the 1-based batch.
     """
     batches = list(batches)
     if not batches:
         raise ConfigurationError("train_epoch requires at least one batch")
-    mistakes = 0
-    total = 0
+    mistakes = total = 0
     for number, (images, labels) in enumerate(batches, start=1):
         n = len(labels)
+        if len(images) != n:
+            raise DimensionError(f"batch {number}: {len(images)} images but {n} labels")
         if n == 0:
             raise ConfigurationError("empty batch")
-        features, traces, probs = [], [], []
-        for img in images:
-            feat, trace = forward_features(params, img)
-            features.append(feat)
-            traces.append(trace)
-            probs.append(forward_output(params, feat))
-        mistakes += sum(int(np.argmax(p)) != int(label)
-                        for p, label in zip(probs, labels))
+        features, trace = forward_features(params, images)
+        probs = forward_output(params, features)
+        mistakes += int(np.sum(probs.argmax(axis=1) != np.asarray(labels)))
 
         clones = [] if clonal_hook is None else clonal_hook(features, labels)
-        grads = batch_gradients(params, traces, probs, labels, clones)
+        grads = batch_gradients(params, trace, probs, labels, clones)
         grads.scale_(1.0 / (n + len(clones)))
         params = sgd_step(params, grads, learning_rate)
         if not all(np.isfinite(getattr(params, name)).all()

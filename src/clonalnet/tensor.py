@@ -1,43 +1,56 @@
 """Dense numeric kernels for the network: valid 2-D convolution, 2x2
-max-pooling over a stack of maps with argmax capture, and dense (affine)
-products.
+max-pooling with argmax capture, and dense (affine) products.
 
 Tensors are plain ``numpy.ndarray`` values in C (row-major) order, float64
 throughout. Convolution is cross-correlation: no kernel flip on the forward
 pass, and the backward pass is derived consistently from that convention.
 
-Each fast kernel has a brute-force twin (``*_naive``) written as the most
-literal loop possible. The naive versions are the reference oracles for the
-test suite and are never called by the training path.
+The fast kernels take stacks: any leading axes in front of an ``(H, W)``
+map or a vector, each row computed bit for bit as its own call would be.
+
+Each fast kernel has a brute-force twin (``*_naive``) for one map or vector,
+written as the most literal loop possible. The naive versions are the
+reference oracles for the test suite and are never called by the training
+path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CorruptionError, DimensionError
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
+def _as_array(x, name: str, ndim: int, stack: bool = False) -> np.ndarray:
+    """``x`` as float64 with ``ndim`` axes, or more when it is a stack."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
+    if a.ndim < ndim or (a.ndim > ndim and not stack):
+        raise DimensionError(f"{name} must have {ndim} axes"
+                             f"{' or more' if stack else ''}, got shape {a.shape}")
     return a
 
 
-def _as_stack(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim < 2:
-        raise DimensionError(f"{name} must be (..., H, W), got shape {a.shape}")
-    return a
+def _conv_operands(input, kernel, stack: bool):
+    inp = _as_array(input, "input", 2, stack)
+    ker = _as_array(kernel, "kernel", 2)
+    if ker.shape[0] > inp.shape[-2] or ker.shape[1] > inp.shape[-1]:
+        raise DimensionError(
+            f"kernel shape {ker.shape} exceeds input shape {inp.shape}"
+        )
+    return inp, ker
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {a.shape}")
-    return a
+def _dense_operands(weights, bias, x, stack: bool):
+    w = _as_array(weights, "weights", 2)
+    b = _as_array(bias, "bias", 1)
+    v = _as_array(x, "x", 1, stack)
+    if w.shape[0] != b.shape[0] or w.shape[1] != v.shape[-1]:
+        raise DimensionError(
+            f"dense shapes disagree: weights {w.shape}, bias {b.shape}, "
+            f"x {v.shape}"
+        )
+    return w, b, v
 
 
 # ---------------------------------------------------------------------------
@@ -45,32 +58,29 @@ def _as_vector(x, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def conv2d_valid(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode cross-correlation of a 2-D input with a 2-D kernel.
+    """Valid-mode cross-correlation of each map in a ``(..., H, W)`` stack
+    with one 2-D kernel.
 
-    out[y, x] = sum_{i, j} input[y + i, x + j] * kernel[i, j]
+    out[..., y, x] = sum_{i, j} input[..., y + i, x + j] * kernel[i, j]
     """
-    inp = _as_matrix(input, "input")
-    ker = _as_matrix(kernel, "kernel")
-    h, w = inp.shape
+    inp, ker = _conv_operands(input, kernel, stack=True)
+    *lead, h, w = inp.shape
     kh, kw = ker.shape
-    if kh > h or kw > w:
-        raise DimensionError(
-            f"kernel shape {ker.shape} exceeds input shape {inp.shape}"
-        )
-    windows = sliding_window_view(inp, (kh, kw))
-    return np.einsum("yxij,ij->yx", windows, ker, optimize=True)
+    oh, ow = h - kh + 1, w - kw + 1
+    *lead_strides, sy, sx = inp.strides
+    # cols[..., i, j, y, x] = input[..., y + i, x + j]; the matmul
+    # broadcasts the kernel row, so each map gets its own product
+    cols = as_strided(inp, (*lead, kh, kw, oh, ow),
+                      (*lead_strides, sy, sx, sy, sx), writeable=False)
+    out = ker.reshape(1, kh * kw) @ cols.reshape(*lead, kh * kw, oh * ow)
+    return out.reshape(*lead, oh, ow)
 
 
 def conv2d_valid_naive(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Quadruple-loop reference for :func:`conv2d_valid`."""
-    inp = _as_matrix(input, "input")
-    ker = _as_matrix(kernel, "kernel")
+    """Quadruple-loop reference for :func:`conv2d_valid` on one map."""
+    inp, ker = _conv_operands(input, kernel, stack=False)
     h, w = inp.shape
     kh, kw = ker.shape
-    if kh > h or kw > w:
-        raise DimensionError(
-            f"kernel shape {ker.shape} exceeds input shape {inp.shape}"
-        )
     out = np.zeros((h - kh + 1, w - kw + 1))
     for y in range(out.shape[0]):
         for x in range(out.shape[1]):
@@ -94,7 +104,7 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     own ``(H, W)`` map. Ties go to the first element in row-major order
     within the block.
     """
-    inp = _as_stack(input, "input")
+    inp = _as_array(input, "input", 2, stack=True)
     *lead, h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
@@ -112,8 +122,8 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block scan reference for :func:`maxpool2`."""
-    inp = _as_matrix(input, "input")
+    """Per-block scan reference for :func:`maxpool2` on one map."""
+    inp = _as_array(input, "input", 2)
     h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
@@ -141,7 +151,7 @@ def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     ``(..., H, W)`` gradient of its input.
     """
     am = np.asarray(argmax)
-    g = _as_stack(grad_out, "grad_out")
+    g = _as_array(grad_out, "grad_out", 2, stack=True)
     if am.shape != g.shape:
         raise DimensionError(
             f"argmax shape {am.shape} does not match grad_out shape {g.shape}"
@@ -164,28 +174,14 @@ def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dense(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = W @ x + b."""
-    w = _as_matrix(weights, "weights")
-    b = _as_vector(bias, "bias")
-    v = _as_vector(x, "x")
-    if w.shape[0] != b.shape[0] or w.shape[1] != v.shape[0]:
-        raise DimensionError(
-            f"dense shapes disagree: weights {w.shape}, bias {b.shape}, "
-            f"x {v.shape}"
-        )
-    return w @ v + b
+    """y = W @ x + b for each vector in a ``(..., p)`` stack."""
+    w, b, v = _dense_operands(weights, bias, x, stack=True)
+    return (w @ v[..., None])[..., 0] + b
 
 
 def dense_naive(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Double-loop reference for :func:`dense`."""
-    w = _as_matrix(weights, "weights")
-    b = _as_vector(bias, "bias")
-    v = _as_vector(x, "x")
-    if w.shape[0] != b.shape[0] or w.shape[1] != v.shape[0]:
-        raise DimensionError(
-            f"dense shapes disagree: weights {w.shape}, bias {b.shape}, "
-            f"x {v.shape}"
-        )
+    """Double-loop reference for :func:`dense` on one vector."""
+    w, b, v = _dense_operands(weights, bias, x, stack=False)
     out = np.zeros(w.shape[0])
     for i in range(w.shape[0]):
         acc = 0.0
@@ -198,16 +194,23 @@ def dense_naive(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndar
 def dense_backward(
     weights: np.ndarray, x: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``sum(dense(W, b, x) * grad_out)``.
+    """Gradients of ``sum(dense(W, b, x) * grad_out)`` for ``(..., p)`` and
+    ``(..., d)`` stacks of rows.
 
-    Returns ``(grad_weights, grad_bias, grad_x)``.
+    Returns ``(grad_weights, grad_bias, grad_x)``: weight and bias gradients
+    summed over the rows in row order (numpy adds one-entry rows pairwise),
+    and the ``(..., p)`` input gradients.
     """
-    w = _as_matrix(weights, "weights")
-    v = _as_vector(x, "x")
-    g = _as_vector(grad_out, "grad_out")
-    if w.shape[0] != g.shape[0] or w.shape[1] != v.shape[0]:
+    w = _as_array(weights, "weights", 2)
+    v = _as_array(x, "x", 1, stack=True)
+    g = _as_array(grad_out, "grad_out", 1, stack=True)
+    if (v.shape[:-1] != g.shape[:-1] or w.shape[0] != g.shape[-1]
+            or w.shape[1] != v.shape[-1]):
         raise DimensionError(
             f"dense_backward shapes disagree: weights {w.shape}, x {v.shape}, "
             f"grad_out {g.shape}"
         )
-    return np.outer(g, v), g.copy(), w.T @ g
+    rows_v = v.reshape(-1, w.shape[1])
+    rows_g = g.reshape(-1, w.shape[0])
+    grad_w = (rows_g[:, :, None] * rows_v[:, None, :]).sum(axis=0)
+    return grad_w, rows_g.sum(axis=0), (w.T @ g[..., None])[..., 0]

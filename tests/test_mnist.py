@@ -64,6 +64,12 @@ class TestParsing:
         imgs = parse_idx_images(data)
         assert imgs.shape == (60000, 1, 1)
 
+    def test_empty_set_with_unholdable_shape_rejected(self):
+        # zero images of 2^31 x 2^31 pixels: no truncation, but numpy cannot
+        # shape the empty array (found by TestIdxFuzz)
+        with pytest.raises(IdxFormatError):
+            parse_idx_images(struct.pack(">4I", IMAGE_MAGIC, 0, 2**31, 2**31))
+
     def test_header_is_big_endian(self):
         raw = np.zeros((1, 2, 2), dtype=np.uint8)
         data = image_bytes(raw)
@@ -83,6 +89,59 @@ class TestParsing:
         second = parse_idx_labels(serialize_idx_labels(first))
         assert np.array_equal(first, second)
         assert np.array_equal(first, np.array(raw))
+
+
+def mutated(data, rng):
+    """``data`` with a few bytes overwritten (half of them in the header),
+    then cut short or extended at random."""
+    out = bytearray(data)
+    for _ in range(rng.integers(1, 4)):
+        end = 16 if rng.random() < 0.5 else len(out)
+        out[rng.integers(min(end, len(out)))] = rng.integers(256)
+    cut = rng.integers(len(out) + 1)
+    choice = rng.integers(3)
+    if choice == 0:
+        out = out[:cut]
+    elif choice == 1:
+        out += bytes(rng.integers(0, 256, size=rng.integers(1, 9), dtype=np.uint8))
+    return bytes(out)
+
+
+class TestIdxFuzz:
+    # any byte string either parses to what its header declares or raises
+    # one of the two typed IDX errors, never an untyped exception
+
+    @staticmethod
+    def check(data):
+        try:
+            images = parse_idx_images(data)
+        except (IdxFormatError, IdxTruncationError):
+            pass
+        else:
+            assert images.shape == struct.unpack(">3I", data[4:16])
+            assert images.size == 0 or 0.0 <= images.min() <= images.max() <= 1.0
+        try:
+            labels = parse_idx_labels(data)
+        except (IdxFormatError, IdxTruncationError):
+            pass
+        else:
+            assert labels.shape == struct.unpack(">I", data[4:8])
+            assert labels.size == 0 or 0 <= labels.min() <= labels.max() <= 255
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, data):
+        self.check(data)
+
+    @given(st.binary(max_size=8), st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC]))
+    def test_arbitrary_bytes_after_a_magic(self, tail, magic):
+        self.check(struct.pack(">i", magic) + tail)
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_mutated_valid_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 256, size=(rng.integers(0, 4), 3, 2), dtype=np.uint8)
+        for data in (image_bytes(raw), label_bytes(list(raw[:, 0, 0]))):
+            self.check(mutated(data, rng))
 
 
 class TestDataset:

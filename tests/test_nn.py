@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,6 +17,17 @@ SMALL = nn.ArchConfig(image_size=10, num_maps=2, kernel_size=3,
 
 def central_diff(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2 * step)
+
+
+def zeros_like(params):
+    return nn.LayerStack(*(np.zeros_like(getattr(params, name))
+                           for name in nn.LayerStack.ARRAYS))
+
+
+def forward_batch(params, images):
+    """Features, trace and output probabilities of an (N, H, W) batch."""
+    features, trace = nn.forward_features(params, images)
+    return features, trace, nn.forward_output(params, features)
 
 
 class TestScaledTanh:
@@ -127,9 +139,22 @@ class TestForward:
         assert np.allclose(trace.conv_pre[1], 0.25)
 
     def test_rejects_non_2d_image(self):
+        # an (H, W) image and an (N, H, W) batch are the only accepted shapes,
+        # and each row of a batch forward is its own image's forward, bit for bit
         p = nn.init_params(0, SMALL)
-        with pytest.raises(DimensionError):
-            nn.forward_features(p, np.zeros((2, 10, 10)))
+        for shape in [(10,), (2, 2, 10, 10)]:
+            with pytest.raises(DimensionError):
+                nn.forward_features(p, np.zeros(shape))
+        images = np.random.default_rng(3).normal(size=(4, 10, 10))
+        features, trace = nn.forward_features(p, images)
+        for i, image in enumerate(images):
+            feature, row = nn.forward_features(p, image)
+            assert np.array_equal(features[i], feature)
+            for field in dataclasses.fields(nn.ForwardTrace):
+                assert np.array_equal(getattr(trace, field.name)[i],
+                                      getattr(row, field.name)), field.name
+            assert np.array_equal(nn.forward_output(p, features)[i],
+                                  nn.forward_output(p, feature))
 
 
 class TestForwardOutput:
@@ -178,29 +203,30 @@ class TestBackward:
     def test_one_hot_probabilities_give_zero_gradients(self):
         p = nn.init_params(1, SMALL)
         rng = np.random.default_rng(1)
-        _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
-        onehot = np.zeros(3)
-        onehot[2] = 1.0
-        grads = nn.batch_gradients(p, [trace], [onehot], [2])
+        _, trace = nn.forward_features(p, rng.normal(size=(1, 10, 10)))
+        onehot = np.zeros((1, 3))
+        onehot[0, 2] = 1.0
+        grads = nn.batch_gradients(p, trace, onehot, [2])
         for name in nn.LayerStack.ARRAYS:
             assert not getattr(grads, name).any()
 
     def test_out_bias_gradient_is_probability_residual(self):
         p = nn.init_params(6, SMALL)
         rng = np.random.default_rng(6)
-        feature, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
-        probs = nn.forward_output(p, feature)
-        grads = nn.batch_gradients(p, [trace], [probs], [0])
-        expected = probs.copy()
+        _, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
+        grads = nn.batch_gradients(p, trace, probs, [0])
+        expected = probs[0].copy()
         expected[0] -= 1.0
         assert np.allclose(grads.out_bias, expected, atol=1e-15)
 
     def test_shape_mismatch_detected(self):
         p = nn.init_params(1, SMALL)
         rng = np.random.default_rng(1)
-        _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
+        _, trace = nn.forward_features(p, rng.normal(size=(1, 10, 10)))
         with pytest.raises(CorruptionError):
-            nn.batch_gradients(p, [trace], [np.ones(4) / 4], [1])
+            nn.batch_gradients(p, trace, np.ones((1, 4)) / 4, [1])
+        with pytest.raises(CorruptionError):   # one label short
+            nn.batch_gradients(p, trace, np.ones((1, 3)) / 3, [])
 
     def test_gradcheck_small_instances(self):
         for seed in range(3):
@@ -221,11 +247,10 @@ class TestBackwardFromFeature:
         # own gradient, so the batch gradient doubles (bit for bit)
         p = nn.init_params(8, SMALL)
         rng = np.random.default_rng(8)
-        feature, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
-        probs = nn.forward_output(p, feature)
-        plain = nn.batch_gradients(p, [trace], [probs], [1])
-        doubled = nn.batch_gradients(p, [trace], [probs], [1],
-                                     [(feature.copy(), 1, 0)])
+        features, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
+        plain = nn.batch_gradients(p, trace, probs, [1])
+        doubled = nn.batch_gradients(p, trace, probs, [1],
+                                     [(features[0].copy(), 1, 0)])
         for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(2.0 * getattr(plain, name),
                                   getattr(doubled, name))
@@ -233,21 +258,20 @@ class TestBackwardFromFeature:
     def test_width_mismatch(self):
         p = nn.init_params(8, SMALL)
         rng = np.random.default_rng(8)
-        feature, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
-        probs = nn.forward_output(p, feature)
+        _, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
         with pytest.raises(DimensionError):
-            nn.batch_gradients(p, [trace], [probs], [0], [(np.zeros(5), 0, 0)])
+            nn.batch_gradients(p, trace, probs, [0], [(np.zeros(5), 0, 0)])
 
     def test_confident_clone_nearly_zero_gradient(self):
         p = nn.init_params(2, SMALL)
         rng = np.random.default_rng(2)
-        _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
+        _, trace = nn.forward_features(p, rng.normal(size=(1, 10, 10)))
         # scale the output weights so the clone is classified with certainty
         p.out_weights *= 50.0
-        feature = trace.feature
-        probs = nn.forward_output(p, feature)
+        feature = trace.feature[0]
+        probs = nn.forward_output(p, trace.feature)
         label = int(np.argmax(probs))
-        grads = nn.batch_gradients(p, [trace], [probs], [label],
+        grads = nn.batch_gradients(p, trace, probs, [label],
                                    [(feature, label, 0)])
         assert np.abs(grads.out_bias).max() < 1e-6
 
@@ -255,7 +279,7 @@ class TestBackwardFromFeature:
 class TestSgdStep:
     def test_zero_rate_is_identity(self):
         p = nn.init_params(4, SMALL)
-        g = nn.LayerStack.zeros_like(p)
+        g = zeros_like(p)
         g.fc1_weights += 1.0
         q = nn.sgd_step(p, g, 0.0)
         for name in nn.LayerStack.ARRAYS:
@@ -264,7 +288,7 @@ class TestSgdStep:
     def test_scalar_arithmetic(self):
         p = nn.init_params(4, SMALL)
         p.out_bias[:] = 1.0
-        g = nn.LayerStack.zeros_like(p)
+        g = zeros_like(p)
         g.out_bias[:] = 2.0
         q = nn.sgd_step(p, g, 0.1)
         assert np.allclose(q.out_bias, 0.8, atol=1e-15)
@@ -272,7 +296,7 @@ class TestSgdStep:
     def test_does_not_mutate_input(self):
         p = nn.init_params(4, SMALL)
         before = p.fc1_weights.copy()
-        g = nn.LayerStack.zeros_like(p)
+        g = zeros_like(p)
         g.fc1_weights += 3.0
         nn.sgd_step(p, g, 0.5)
         assert np.array_equal(p.fc1_weights, before)
@@ -354,28 +378,50 @@ class TestTrainEpoch:
         p = nn.init_params(13, arch)
         fused, _ = nn.train_epoch(p, [(images, labels)], 0.2, hook)
 
-        contributions = []   # (trace, feature fed to the output layer, label)
+        # one 1-row backward pass per contribution: a clone replays its
+        # parent's trace with its own feature fed to the output layer
+        contributions = []   # (1-row trace, label)
         for img, lab in zip(images, labels):
-            feat, trace = nn.forward_features(p, img)
-            contributions.append((trace, feat, int(lab)))
+            _, trace = nn.forward_features(p, img[None])
+            contributions.append((trace, int(lab)))
         for parent, offs in offsets.items():
-            trace, feat, lab = contributions[parent]
-            contributions += [(trace, feat + off, lab) for off in offs]
+            trace, lab = contributions[parent]
+            contributions += [
+                (dataclasses.replace(trace, feature=trace.feature + off), lab)
+                for off in offs]
 
-        total = nn.LayerStack.zeros_like(p)
-        for trace, feat, lab in contributions:
-            gw, gb, df = nn._feature_error(p, feat, nn.forward_output(p, feat),
-                                           lab)
-            gck, gcb, gfw, gfb = nn._lower_grads(p, trace, df)
-            for name, g in zip(nn.LayerStack.ARRAYS,
-                               (gck, gcb, gfw, gfb, gw, gb)):
-                getattr(total, name)[...] += g
+        total = zeros_like(p)
+        for trace, lab in contributions:
+            grads = nn.batch_gradients(p, trace,
+                                       nn.forward_output(p, trace.feature), [lab])
+            for name in nn.LayerStack.ARRAYS:
+                getattr(total, name)[...] += getattr(grads, name)
         total.scale_(1.0 / len(contributions))
         manual = nn.sgd_step(p, total, 0.2)
 
         for name in nn.LayerStack.ARRAYS:
             assert np.allclose(getattr(fused, name), getattr(manual, name),
                                atol=1e-12, rtol=0), name
+
+    @pytest.mark.parametrize("num_images", [2, 4])
+    def test_batch_count_mismatch_names_the_batch(self, num_images):
+        # 3 labels with 4 images used to train on the first 3 pairs, and with
+        # 2 images counted the missing third as a mistake
+        p = nn.init_params(18, SMALL)
+        images, labels = tiny_batch(SMALL, 8, 11)
+        batches = [(images[:4], labels[:4]),
+                   (images[4:4 + num_images], labels[4:7])]
+        with pytest.raises(DimensionError, match=r"^batch 2: "):
+            nn.train_epoch(p, batches, 0.1)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        # label -1 used to train silently as the last class
+        p = nn.init_params(19, SMALL)
+        images, labels = tiny_batch(SMALL, 4, 12)
+        labels[2] = label
+        with pytest.raises(ConfigurationError):
+            nn.train_epoch(p, [(images, labels)], 0.1)
 
     def test_divergence_names_the_batch(self):
         p = nn.init_params(17, SMALL)
@@ -412,3 +458,15 @@ class TestEvaluate:
         manual = np.mean([nn.predict(p, img) != int(lab)
                           for img, lab in zip(images, labels)])
         assert nn.evaluate(p, images, labels) == manual
+
+    def test_empty_sample_set_rejected(self):
+        p = nn.init_params(16, SMALL)
+        with pytest.raises(ConfigurationError):
+            nn.evaluate(p, np.zeros((0, 10, 10)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("num_images", [2, 4])
+    def test_count_mismatch_rejected(self, num_images):
+        p = nn.init_params(16, SMALL)
+        images, labels = tiny_batch(SMALL, 4, 2)
+        with pytest.raises(DimensionError):
+            nn.evaluate(p, images[:num_images], labels[:3])

@@ -165,6 +165,11 @@ class TestMaxpool2Backward:
             maxpool2_backward(bad, np.ones((2, 2)))
 
 
+# leading axes of the stacks the kernels are fed: one map, a batch, and
+# two stack axes
+LEADS = st.sampled_from([(1,), (8,), (2, 3)])
+
+
 def random_stack(rng, lead):
     """A map stack of small integers, half of them jittered, so many 2x2
     blocks hold ties; its first map is constant, so all its blocks do."""
@@ -185,7 +190,7 @@ def naive_per_map(stack):
 
 
 class TestMaxpool2Stack:
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([(1,), (8,), (2, 3)]))
+    @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
     def test_matches_naive_per_map(self, seed, lead):
         stack = random_stack(np.random.default_rng(seed), lead)
@@ -195,7 +200,7 @@ class TestMaxpool2Stack:
         assert argmax.dtype == np.int64
         np.testing.assert_array_equal(argmax, argmax_n)
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([(1,), (8,), (2, 3)]))
+    @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
     def test_backward_routes_per_map(self, seed, lead):
         rng = np.random.default_rng(seed)
@@ -234,6 +239,91 @@ class TestMaxpool2Stack:
         _, argmax = maxpool2(np.ones((2, 4, 4)))
         with pytest.raises(CorruptionError):
             maxpool2_backward(argmax.astype(np.float64), np.ones((2, 2, 2)))
+
+
+def rows(stack, tail):
+    """The rows of a stack as a list, each with the trailing ``tail`` axes."""
+    return list(stack.reshape(-1, *stack.shape[len(stack.shape) - tail:]))
+
+
+def assert_rounding_close(fast, slow, magnitude):
+    """Equal up to rounding: within 1e-12 of the sum of |terms| per entry,
+    so a cancelling sum is not held to a relative bound."""
+    assert np.all(np.abs(fast - slow) <= 1e-12 * magnitude)
+
+
+class TestStackedKernels:
+    # the stack forms the network trains with: each row bit for bit equal to
+    # its own call, and close to the naive oracle
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_conv_rows_match_per_map_calls(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(1, 13, size=2)
+        ker = rng.normal(size=(rng.integers(1, h + 1), rng.integers(1, w + 1)))
+        stack = rng.normal(size=(*lead, h, w))
+        out = conv2d_valid(stack, ker)
+        assert out.shape == (*lead, h - ker.shape[0] + 1, w - ker.shape[1] + 1)
+        for row, image in zip(rows(out, 2), rows(stack, 2)):
+            assert row.tobytes() == conv2d_valid(image, ker).tobytes()
+            assert_rounding_close(row, conv2d_valid_naive(image, ker),
+                                  conv2d_valid_naive(abs(image), abs(ker)))
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_dense_rows_match_per_vector_calls(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        d, p = rng.integers(1, 40, size=2)
+        w, b = rng.normal(size=(d, p)), rng.normal(size=d)
+        stack = rng.normal(size=(*lead, p))
+        out = dense(w, b, stack)
+        assert out.shape == (*lead, d)
+        for row, x in zip(rows(out, 1), rows(stack, 1)):
+            assert row.tobytes() == dense(w, b, x).tobytes()
+            assert_rounding_close(row, dense_naive(w, b, x),
+                                  dense_naive(abs(w), abs(b), abs(x)))
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_dense_backward_sums_rows_in_order(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        d, p = rng.integers(1, 40, size=2)
+        w = rng.normal(size=(d, p))
+        xs, gs = rng.normal(size=(*lead, p)), rng.normal(size=(*lead, d))
+        gw, gb, gx = dense_backward(w, xs, gs)
+        per_row = [dense_backward(w, x, g)
+                   for x, g in zip(rows(xs, 1), rows(gs, 1))]
+        sum_w, sum_b = per_row[0][0].copy(), per_row[0][1].copy()
+        for row_w, row_b, _ in per_row[1:]:
+            sum_w += row_w
+            sum_b += row_b
+        # numpy adds the rows one after another, but adds rows of a single
+        # entry (the bias when d == 1) pairwise from eight rows on
+        for got, want in ((gw, sum_w), (gb, sum_b)):
+            if want.size > 1:
+                assert got.tobytes() == want.tobytes()
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert gx.shape == xs.shape
+        for row, (_, _, row_x), g in zip(rows(gx, 1), per_row, rows(gs, 1)):
+            assert row.tobytes() == row_x.tobytes()
+            assert_rounding_close(row, dense_naive(w.T, np.zeros(p), g),
+                                  dense_naive(abs(w.T), np.zeros(p), abs(g)))
+        assert_rounding_close(
+            gw, sum(np.outer(g, x) for x, g in zip(rows(xs, 1), rows(gs, 1))),
+            sum(abs(np.outer(g, x)) for x, g in zip(rows(xs, 1), rows(gs, 1))))
+
+    def test_bad_stack_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            conv2d_valid(np.ones(5), np.ones((1, 1)))
+        with pytest.raises(DimensionError):
+            conv2d_valid(np.ones((2, 3, 3)), np.ones((2, 2, 2)))
+        with pytest.raises(DimensionError):
+            dense(np.ones((2, 3)), np.ones(2), np.ones((4, 2)))
+        with pytest.raises(DimensionError):   # rows of x and grad_out differ
+            dense_backward(np.ones((2, 3)), np.ones((4, 3)), np.ones((5, 2)))
+        with pytest.raises(DimensionError):
+            dense_backward(np.ones((2, 3)), np.ones(3), np.ones(3))
 
 
 class TestDense:
