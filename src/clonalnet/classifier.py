@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clonal
-from .clonal import Antibody, CloneConfig, MemoryPool, mutate
+from .clonal import CloneConfig, MemoryPool, mutate
 from .errors import ConfigurationError
 
 NOMATCH = "NOMATCH"
@@ -50,7 +50,7 @@ def classify(test_feature: np.ndarray, pools: dict[int, MemoryPool],
     decision = Decision(predicted_class=None, no_match=True)
     for label in sorted(pools):
         pool = pools[label]
-        if not pool.members:
+        if not len(pool):
             decision.counts[label] = 0
             continue
         row = clonal.pool_affinities([test_feature], pool)[0]
@@ -60,7 +60,7 @@ def classify(test_feature: np.ndarray, pools: dict[int, MemoryPool],
         if count < c_min:
             continue
         avidity_value = float(matched.mean())
-        count_term = float(count) if raw_count else count / len(pool.members)
+        count_term = float(count) if raw_count else count / len(pool)
         decision.avidities[label] = avidity_value
         decision.scores[label] = count_term + avidity_value
 
@@ -84,12 +84,9 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
                          for _ in range(config.memory_capacity - 1)]
                         ).reshape(-1, seed.size)
     scores = clonal.affinity_matrix(variants, seed)[:, 0]
-    members = [Antibody(feature=seed.copy(), class_label=label,
-                        affinity_score=1.0)]
-    members += [Antibody(feature=v, class_label=label, affinity_score=float(a))
-                for v, a in zip(variants, scores)]
     empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
-    return clonal.update_memory(empty, members)
+    return clonal.update_memory(empty, np.vstack([seed, variants]),
+                                [1.0, *scores])
 
 
 # ---------------------------------------------------------------------------

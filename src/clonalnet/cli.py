@@ -17,7 +17,7 @@ from pathlib import Path
 from . import harness
 from .classifier import write_decision_records
 from .clonal import save_pools
-from .gradcheck import DEFAULT_STEP, run_gradient_audit
+from .gradcheck import run_gradient_audit
 
 GRAD_TOLERANCE = 1e-4
 

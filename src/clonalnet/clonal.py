@@ -35,9 +35,12 @@ class Antibody:
 class MemoryPool:
     """Bounded per-class antibody set, kept sorted by descending score.
 
+    Read it as arrays: ``len(pool)`` members, their stacked features
+    ``matrix`` (m, d) and their ``scores`` (m,), best first. How members
+    are stored is private to this module; :func:`update_memory` adds rows.
     Immutable: ``members`` is stored as a tuple, and member feature arrays
-    are treated as read-only once inside a pool, so the stacked member
-    matrix can be computed once per pool.
+    are treated as read-only once inside a pool, so both arrays are
+    computed once per pool.
     """
 
     class_label: int
@@ -47,10 +50,21 @@ class MemoryPool:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
 
+    def __len__(self) -> int:
+        return len(self.members)
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Stacked member features, shape (m, d)."""
+        """Stacked member features, shape (m, d); (0, 0) for an empty pool."""
+        if not self.members:
+            return np.empty((0, 0))
         return np.stack([ab.feature for ab in self.members])
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """Member scores, shape (m,), in descending order."""
+        return np.array([ab.affinity_score for ab in self.members],
+                        dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -205,35 +219,38 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
 
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
     """Affinity of each row of ``features`` against every pool member,
-    shape (n, len(members))."""
-    if not pool.members:
+    shape (n, len(pool))."""
+    if not len(pool):
         raise ConfigurationError(
             f"memory pool for class {pool.class_label} is empty"
         )
     return affinity_matrix(features, pool.matrix)
 
 
-def update_memory(pool: MemoryPool, candidates: list[Antibody]) -> MemoryPool:
-    """Top-capacity merge of existing members and candidates by affinity
-    score.
+def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
+    """Top-capacity merge of the members and the candidate rows
+    ``features`` (k, d), scored by ``scores`` (k,).
 
-    Elitist: on score ties an existing member outranks any candidate, so a
-    member is only ever evicted by a strictly better candidate. The training
-    pools, new-class seeding and ``clonalg_run``'s elite memory all rank
-    through this one policy.
+    Elitist: on score ties a member outranks any candidate, and earlier
+    candidates outrank later ones, so a member is only ever evicted by a
+    strictly better candidate. Kept candidates are stored as copies. The
+    training pools, new-class seeding and ``clonalg_run``'s elite memory
+    all rank through this one policy.
     """
-    for cand in candidates:
-        if cand.class_label != pool.class_label:
-            raise ConfigurationError(
-                f"candidate class {cand.class_label} does not match pool "
-                f"class {pool.class_label}"
-            )
-    ranked = sorted(
-        [(ab, 0, i) for i, ab in enumerate(pool.members)]
-        + [(ab, 1, i) for i, ab in enumerate(candidates)],
-        key=lambda t: (-t[0].affinity_score, t[1], t[2]),
-    )
-    members = [ab for ab, _, _ in ranked[:pool.capacity]]
+    features = np.asarray(features, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if (features.ndim != 2 or scores.shape != (len(features),)
+            or len(pool) and features.shape[1] != pool.matrix.shape[1]):
+        raise DimensionError(
+            f"candidate rows {features.shape} with scores {scores.shape} do "
+            f"not fit a pool of shape {pool.matrix.shape}")
+    m = len(pool)
+    ranked = np.argsort(-np.concatenate([pool.scores, scores]),
+                        kind="stable")[:pool.capacity]
+    members = [pool.members[i] if i < m else
+               Antibody(features[i - m].copy(), pool.class_label,
+                        float(scores[i - m]))
+               for i in ranked]
     return MemoryPool(class_label=pool.class_label, capacity=pool.capacity,
                       members=members)
 
@@ -281,18 +298,14 @@ class ClonalExpander:
 
     def _bootstrap(self, peers: dict[int, list[np.ndarray]]) -> None:
         for label in sorted(peers):
-            if label in self.pools and self.pools[label].members:
+            if label in self.pools and len(self.pools[label]):
                 continue
             seeds = np.stack(peers[label])
             centroid = seeds.mean(axis=0)
-            scores = affinity_matrix(seeds, centroid)[:, 0]
-            candidates = [
-                Antibody(feature=s, class_label=label, affinity_score=float(a))
-                for s, a in zip(seeds, scores)
-            ]
             empty = MemoryPool(class_label=label,
                                capacity=self.config.memory_capacity)
-            self.pools[label] = update_memory(empty, candidates)
+            self.pools[label] = update_memory(
+                empty, seeds, affinity_matrix(seeds, centroid)[:, 0])
 
     def __call__(self, features, labels):
         """Return (clone_feature, label, batch_index) tuples in batch order.
@@ -306,6 +319,7 @@ class ClonalExpander:
         for feature, label in zip(features, labels):
             peers.setdefault(label, []).append(feature)
         self._bootstrap(peers)
+        # (row, score) candidates per class: accepted clones, then originals
         accepted = {label: [] for label in peers}
         originals = {label: [] for label in peers}
         clones = []
@@ -317,11 +331,12 @@ class ClonalExpander:
             for clone, score in generate_clones(feature, a, pool, peers[label],
                                                 self.config, self.rng):
                 clones.append((clone, label, i))
-                accepted[label].append(Antibody(clone, label, score))
-            originals[label].append(Antibody(np.array(feature), label, a))
+                accepted[label].append((clone, score))
+            originals[label].append((feature, a))
         for label in sorted(peers):
-            self.pools[label] = update_memory(
-                self.pools[label], accepted[label] + originals[label])
+            rows, scores = zip(*accepted[label], *originals[label])
+            self.pools[label] = update_memory(self.pools[label],
+                                              np.stack(rows), scores)
         return clones
 
 
@@ -463,14 +478,13 @@ def clonalg_run(patterns, population_size: int, generations: int,
                 [scores, affinity_matrix(offspring, pattern)[:, 0]])
             keep = np.argsort(-merged_scores)[:population_size]
             population = merged[keep]
-            top = keep[0]
-            memory = update_memory(memory, [Antibody(
-                merged[top].copy(), 0, float(merged_scores[top]))])
-        history.append(memory.members[0].affinity_score)
+            top = keep[:1]
+            memory = update_memory(memory, merged[top], merged_scores[top])
+        history.append(float(memory.scores[0]))
 
     return ClonalgResult(
         population=population,
         memory_vectors=memory.matrix,
-        memory_scores=np.array([ab.affinity_score for ab in memory.members]),
+        memory_scores=memory.scores,
         history=history,
     )

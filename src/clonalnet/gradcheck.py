@@ -23,7 +23,7 @@ import numpy as np
 from . import nn
 from .errors import CorruptionError
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 REL_FLOOR = 1e-6
 
 
@@ -59,7 +59,7 @@ class CheckResult:
 
 
 def _max_error_over_coords(params, analytic: nn.LayerStack, probe_fn, rng,
-                           coords_per_array: int, step: float) -> float:
+                           coords_per_array: int) -> float:
     worst = 0.0
     for name in nn.LayerStack.ARRAYS:
         array = getattr(params, name)
@@ -71,14 +71,14 @@ def _max_error_over_coords(params, analytic: nn.LayerStack, probe_fn, rng,
             if checked == want:
                 break
             original = flat[k]
-            flat[k] = original + step
+            flat[k] = original + STEP
             up, up_state = probe_fn(params)
-            flat[k] = original - step
+            flat[k] = original - STEP
             down, down_state = probe_fn(params)
             flat[k] = original
             if not np.array_equal(up_state, down_state):
                 continue
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * STEP)
             worst = max(worst, relative_error(grad.ravel()[k], numeric))
             checked += 1
         if checked == 0:
@@ -89,8 +89,7 @@ def _max_error_over_coords(params, analytic: nn.LayerStack, probe_fn, rng,
 
 
 def check_instance(seed: int, arch: nn.ArchConfig | None = None,
-                   coords_per_array: int = 6,
-                   step: float = DEFAULT_STEP) -> CheckResult:
+                   coords_per_array: int = 6) -> CheckResult:
     """Full-stack gradient check on one seeded random instance.
 
     Checks ``batch_gradients`` on a one-row batch against the sample
@@ -113,11 +112,11 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
 
     err_plain = _max_error_over_coords(
         params, plain, lambda p: _probe(p, image, label),
-        rng, coords_per_array, step,
+        rng, coords_per_array,
     )
     err_clone = _max_error_over_coords(
         params, clone, lambda p: _probe(p, image, label, offset),
-        rng, coords_per_array, step,
+        rng, coords_per_array,
     )
     return CheckResult(seed, err_plain, err_clone)
 

@@ -21,8 +21,8 @@ import numpy as np
 from . import synthdigits
 from .classifier import (Decision, classify, init_new_class,
                          write_decision_records)
-from .clonal import (Antibody, CloneConfig, ClonalExpander, ClonalgResult,
-                     MemoryPool, clonalg_run, save_pools)
+from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
+                     clonalg_run, save_pools, update_memory)
 from .errors import ConfigurationError, DivergenceError
 from .mnist import Dataset, batches, load_dataset, stratified_subset
 from .nn import (ArchConfig, evaluate, forward_features, init_params,
@@ -68,8 +68,16 @@ class ExperimentConfig:
             raise ConfigurationError(f"bad sizes {self.sizes}")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
-        if self.epochs < 1 or self.curve_epochs < 1:
-            raise ConfigurationError("epoch counts must be >= 1")
+        for name in ("sizes", "seeds"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must not repeat, got {getattr(self, name)}")
+        for name in ("epochs", "curve_epochs", "batch_size", "test_subset",
+                     "curve_per_class", "two_class_train", "two_class_test",
+                     "c_min", "memory_factor"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.learning_rate >= 0:   # written so that NaN fails it
             # zero is a legal no-op rate (useful for pure-evaluation passes)
             raise ConfigurationError(
@@ -79,10 +87,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"tau_match must be None or in [0, 1], got {self.tau_match}"
             )
-        if self.c_min < 1:
-            raise ConfigurationError(f"c_min must be >= 1, got {self.c_min}")
-        if self.memory_factor < 1:
-            raise ConfigurationError("memory_factor must be >= 1")
         if len(self.two_class_labels) != 2 or \
                 self.two_class_labels[0] == self.two_class_labels[1]:
             raise ConfigurationError(
@@ -340,6 +344,11 @@ def run_two_class_application(cfg: ExperimentConfig,
     from a class the pools have never seen."""
     train, test = data if data is not None else ensure_corpus(cfg.data_dir)
     labels = tuple(int(l) for l in cfg.two_class_labels)
+    for label in labels:
+        for name, ds in (("training", train), ("test", test)):
+            if not np.any(ds.labels == label):
+                raise ConfigurationError(
+                    f"two-class label {label} has no {name} image")
     seed = cfg.seeds[0]
     arch = ArchConfig(num_classes=2)
 
@@ -357,11 +366,8 @@ def run_two_class_application(cfg: ExperimentConfig,
     pools: dict[int, MemoryPool] = {}
     for net_label, pool in expander.pools.items():
         real = labels[net_label]
-        pools[real] = MemoryPool(
-            class_label=real, capacity=pool.capacity,
-            members=[Antibody(ab.feature, real, ab.affinity_score)
-                     for ab in pool.members],
-        )
+        pools[real] = update_memory(MemoryPool(real, pool.capacity),
+                                    pool.matrix, pool.scores)
 
     decisions = []
     true_labels = []
@@ -431,14 +437,12 @@ DEMO_PATTERN = np.array([
 def run_clonalg_demo(population_size: int = 50, generations: int = 200,
                      eta: float = 10.0, alpha: float = 0.2,
                      sigma: float = 0.1, select_n: int = 10,
-                     seed: int = 1, pattern: np.ndarray | None = None
-                     ) -> ClonalgResult:
+                     seed: int = 1) -> ClonalgResult:
     config = CloneConfig(eta=eta, alpha=alpha, tau=0.0, sigma=sigma,
                          memory_capacity=10, rng_seed=seed)
     rng = np.random.default_rng(seed)
-    target = DEMO_PATTERN if pattern is None else pattern
-    return clonalg_run([target], population_size, generations, config, rng,
-                       select_n=select_n)
+    return clonalg_run([DEMO_PATTERN], population_size, generations, config,
+                       rng, select_n=select_n)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +484,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def emit_svg_lineplot(path, series, title: str, x_label: str,
-                      y_label: str, width: int = 640, height: int = 420) -> None:
-    """Minimal deterministic line plot: ``series`` is a list of
+                      y_label: str) -> None:
+    """Minimal deterministic 640x420 line plot: ``series`` is a list of
     (name, [(x, y), ...]) pairs. No external plotting dependency so the
     bytes are stable across environments."""
+    width, height = 640, 420
     if not series or all(not pts for _, pts in series):
         raise ConfigurationError("refusing to plot an empty series list")
     left, right, top, bottom = 70, 25, 45, 55

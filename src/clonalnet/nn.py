@@ -221,6 +221,10 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
         raise DimensionError(f"clone features must have shape {(width,)}")
     clone_features = np.reshape([f for f, _, _ in clones], (len(clones), width))
     parents = np.array([parent for _, _, parent in clones], dtype=np.intp)
+    outside = parents[(parents < 0) | (parents >= n)]
+    if outside.size:
+        raise ConfigurationError(
+            f"clone parent {outside[0]} outside the batch [0, {n})")
     row_labels = np.concatenate(
         [labels, np.array([label for _, label, _ in clones], dtype=np.intp)])
     if not np.all((0 <= row_labels) & (row_labels < params.num_classes)):

@@ -50,8 +50,7 @@ TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
 
 
-def render_digit(digit: int, rng: np.random.Generator,
-                 noise_sigma: float = 0.18, max_shift: int = 2) -> np.ndarray:
+def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     """One 28x28 sample of ``digit`` with randomized appearance."""
     canvas = np.zeros((28, 28))
     for name in _DIGIT_SEGMENTS[digit]:
@@ -64,19 +63,18 @@ def render_digit(digit: int, rng: np.random.Generator,
             canvas[fixed:fixed + _T, lo:hi] = intensity
         else:
             canvas[lo:hi, fixed:fixed + _T] = intensity
-    dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
+    dy, dx = rng.integers(-2, 3, size=2)   # shift up to 2 pixels each way
     canvas = np.roll(np.roll(canvas, dy, axis=0), dx, axis=1)
-    canvas += rng.normal(scale=noise_sigma, size=canvas.shape)
+    canvas += rng.normal(scale=0.18, size=canvas.shape)
     return canvas.clip(0.0, 1.0)
 
 
-def make_dataset(per_class: int, seed: int, classes=range(10),
-                 noise_sigma: float = 0.18, max_shift: int = 2) -> Dataset:
+def make_dataset(per_class: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     images, labels = [], []
-    for digit in classes:
+    for digit in range(10):
         for _ in range(per_class):
-            images.append(render_digit(digit, rng, noise_sigma, max_shift))
+            images.append(render_digit(digit, rng))
             labels.append(digit)
     order = rng.permutation(len(labels))
     return Dataset(images=np.stack(images)[order],

@@ -320,33 +320,65 @@ memory_scores = st.one_of(st.sampled_from([0.0, 0.5, 0.75, 1.0]),
                           st.floats(0.0, 1.0))
 
 
+def column(values):
+    """Candidate rows (k, 1) holding the given ids."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
+
+
 class TestUpdateMemory:
     def test_empty_candidates_no_change(self):
         pool = pool_of([[1.0, 0.0], [0.0, 1.0]], capacity=4)
-        updated = update_memory(pool, [])
-        assert [ab.affinity_score for ab in updated.members] == \
-            [ab.affinity_score for ab in pool.members]
+        updated = update_memory(pool, np.empty((0, 2)), [])
+        assert np.array_equal(updated.scores, pool.scores)
+        assert np.array_equal(updated.matrix, pool.matrix)
 
     def test_top_k_retained(self):
         pool = MemoryPool(class_label=0, capacity=3)
-        candidates = [Antibody(np.array([float(i)]), 0, score)
-                      for i, score in enumerate([0.2, 0.9, 0.5, 0.7, 0.1])]
-        updated = update_memory(pool, candidates)
-        assert [ab.affinity_score for ab in updated.members] == [0.9, 0.7, 0.5]
+        updated = update_memory(pool, column(range(5)),
+                                [0.2, 0.9, 0.5, 0.7, 0.1])
+        assert updated.scores.tolist() == [0.9, 0.7, 0.5]
+        assert updated.matrix[:, 0].tolist() == [1.0, 3.0, 2.0]
 
     def test_tie_keeps_existing_member(self):
-        incumbent = Antibody(np.array([1.0]), 0, 0.8)
-        pool = MemoryPool(class_label=0, capacity=1, members=[incumbent])
-        challenger = Antibody(np.array([2.0]), 0, 0.8)
-        updated = update_memory(pool, [challenger])
-        assert updated.members[0].feature[0] == 1.0
+        pool = update_memory(MemoryPool(class_label=0, capacity=1),
+                             column([1.0]), [0.8])
+        updated = update_memory(pool, column([2.0]), [0.8])
+        assert updated.matrix[0, 0] == 1.0
 
     def test_strictly_better_candidate_evicts(self):
-        incumbent = Antibody(np.array([1.0]), 0, 0.8)
-        pool = MemoryPool(class_label=0, capacity=1, members=[incumbent])
-        challenger = Antibody(np.array([2.0]), 0, 0.81)
-        updated = update_memory(pool, [challenger])
-        assert updated.members[0].feature[0] == 2.0
+        pool = update_memory(MemoryPool(class_label=0, capacity=1),
+                             column([1.0]), [0.8])
+        updated = update_memory(pool, column([2.0]), [0.81])
+        assert updated.matrix[0, 0] == 2.0
+
+    def test_kept_rows_are_copies(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        scores = np.array([0.5, 0.25])
+        pool = update_memory(MemoryPool(class_label=0, capacity=2),
+                             rows, scores)
+        rows[:] = 0.0
+        scores[:] = 0.0
+        assert pool.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert pool.scores.tolist() == [0.5, 0.25]
+        assert all(type(s) is float for s in
+                   (ab.affinity_score for ab in pool.members))
+
+    @pytest.mark.parametrize("features, scores", [
+        (np.zeros((3, 2)), [0.1, 0.2]),
+        (np.zeros((2, 2)), [0.1, 0.2, 0.3]),
+        (np.zeros((1, 2)), 0.5),
+        (np.zeros(2), [0.1, 0.2]),
+    ])
+    def test_count_mismatch_rejected(self, features, scores):
+        # zip over rows and scores would silently drop the extras
+        pool = MemoryPool(class_label=0, capacity=4)
+        with pytest.raises(DimensionError):
+            update_memory(pool, features, scores)
+
+    def test_width_mismatch_rejected(self):
+        pool = pool_of([[1.0, 0.0], [0.0, 1.0]], capacity=4)
+        with pytest.raises(DimensionError):
+            update_memory(pool, np.ones((1, 3)), [0.9])
 
     def test_members_cannot_be_replaced_in_place(self):
         # pools are immutable, so the cached member matrix cannot go stale
@@ -357,48 +389,49 @@ class TestUpdateMemory:
         assert np.array_equal(pool_affinities(np.array([[0.0, 1.0]]), pool),
                               before)
 
-    def test_class_mismatch_rejected(self):
-        pool = MemoryPool(class_label=0, capacity=2)
-        with pytest.raises(ConfigurationError):
-            update_memory(pool, [Antibody(np.zeros(1), 1, 0.5)])
-
     def test_best_affinity_never_decreases(self):
         rng = np.random.default_rng(13)
         pool = MemoryPool(class_label=0, capacity=5)
         best = 0.0
         for _ in range(100):
-            candidates = [Antibody(rng.normal(size=3), 0, float(rng.random()))
-                          for _ in range(rng.integers(0, 4))]
-            pool = update_memory(pool, candidates)
-            assert len(pool.members) <= 5
-            if pool.members:
-                assert pool.members[0].affinity_score >= best
-                best = pool.members[0].affinity_score
-                scores = [ab.affinity_score for ab in pool.members]
-                assert scores == sorted(scores, reverse=True)
+            k = rng.integers(0, 4)
+            pool = update_memory(pool, rng.normal(size=(k, 3)), rng.random(k))
+            assert len(pool) <= 5
+            if len(pool):
+                assert pool.scores[0] >= best
+                best = pool.scores[0]
+                assert np.all(np.diff(pool.scores) <= 0)
 
     @given(st.lists(memory_scores), st.lists(memory_scores),
            st.integers(1, 8))
     def test_policy_properties(self, incumbent_scores, candidate_scores,
                                capacity):
-        incumbents = [Antibody(np.array([float(i)]), 0, s)
-                      for i, s in enumerate(incumbent_scores)]
-        candidates = [Antibody(np.array([-1.0 - i]), 0, s)
-                      for i, s in enumerate(candidate_scores)]
-        pool = MemoryPool(class_label=0, capacity=capacity, members=incumbents)
-        kept = update_memory(pool, candidates).members
+        # incumbents carry ids 0, 1, ... and candidates -1, -2, ...
+        pool = update_memory(MemoryPool(class_label=0, capacity=capacity),
+                             column(range(len(incumbent_scores))),
+                             incumbent_scores)
+        incumbents = list(zip(pool.matrix.ravel(), pool.scores))
+        candidates = [(-1.0 - i, s) for i, s in enumerate(candidate_scores)]
+        updated = update_memory(pool, column([c for c, _ in candidates]),
+                                candidate_scores)
+        kept = list(zip(updated.matrix.ravel(), updated.scores))
+        # the ranking key of the Python sort it replaces
+        oracle = sorted(
+            [(ab, 0, i) for i, ab in enumerate(incumbents)]
+            + [(ab, 1, i) for i, ab in enumerate(candidates)],
+            key=lambda t: (-t[0][1], t[1], t[2]),
+        )[:capacity]
+        assert kept == [ab for ab, _, _ in oracle]
         assert len(kept) == min(capacity, len(incumbents) + len(candidates))
-        scores = [ab.affinity_score for ab in kept]
+        scores = [s for _, s in kept]
         assert scores == sorted(scores, reverse=True)
-        kept_ids = {id(ab) for ab in kept}
-        dropped = [ab for ab in incumbents + candidates if id(ab) not in kept_ids]
-        for ab in dropped:
-            assert ab.affinity_score <= min(scores)
-        kept_candidate_scores = {ab.affinity_score for ab in candidates
-                                 if id(ab) in kept_ids}
+        dropped = [ab for ab in incumbents + candidates if ab not in kept]
+        for _, s in dropped:
+            assert s <= min(scores)
+        kept_candidate_scores = {s for i, s in kept if i < 0}
         for ab in incumbents:
-            if id(ab) not in kept_ids:
-                assert ab.affinity_score not in kept_candidate_scores
+            if ab not in kept:
+                assert ab[1] not in kept_candidate_scores
 
 
 class TestClonalExpander:
@@ -531,6 +564,24 @@ class TestPoolSerialization:
                 assert a.affinity_score == b.affinity_score
         save_pools(loaded, d / "b.txt")
         assert (d / "a.txt").read_bytes() == (d / "b.txt").read_bytes()
+
+    def test_arrays_agree_with_members(self, tmp_path):
+        rng = np.random.default_rng(20)
+        expander = ClonalExpander(CloneConfig(memory_capacity=6, rng_seed=3))
+        for _ in range(4):
+            expander(list(rng.normal(size=(8, 5))), [0, 1] * 4)
+        save_pools(expander.pools, tmp_path / "pools.txt")
+        for pools in (expander.pools, load_pools(tmp_path / "pools.txt")):
+            assert set(pools) == {0, 1}
+            for pool in pools.values():
+                assert len(pool) == len(pool.members) == 6
+                assert np.array_equal(
+                    pool.matrix, np.stack([ab.feature for ab in pool.members]))
+                assert pool.scores.tolist() == \
+                    [ab.affinity_score for ab in pool.members]
+        empty = MemoryPool(class_label=0, capacity=3)
+        assert len(empty) == 0
+        assert empty.matrix.shape == (0, 0) and empty.scores.shape == (0,)
 
     def test_versioned_header(self, tmp_path):
         path = tmp_path / "pools.txt"

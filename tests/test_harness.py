@@ -135,6 +135,14 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"sigma": float("nan")},
     {"crossover_prob": 2.0},
     {"rate_cap": 0.0},
+    {"batch_size": 0},
+    {"test_subset": 0},
+    {"test_subset": -5},
+    {"curve_per_class": 0},
+    {"two_class_train": 0},
+    {"two_class_test": 0},
+    {"sizes": (10, 10)},
+    {"seeds": (1, 1)},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
@@ -352,6 +360,24 @@ def test_two_class_application_shapes(corpus):
     assert set(result.true_labels) == set(cfg.two_class_labels)
     assert result.third_total > 0
     assert set(cfg.two_class_labels) <= set(result.pools)
+
+
+@pytest.mark.parametrize("labels, drop_from", [((0, 12), None),
+                                               ((0, 1), "train"),
+                                               ((0, 1), "test")])
+def test_two_class_label_without_images_rejected(corpus, labels, drop_from):
+    # (0, 12) used to train on class 0 alone and report accuracy 0.0
+    train, test = corpus
+    data = {"train": train, "test": test}
+    if drop_from is not None:
+        ds = data[drop_from]
+        data[drop_from] = Dataset(ds.images[ds.labels != 1],
+                                  ds.labels[ds.labels != 1])
+    cfg = ExperimentConfig(**TINY, two_class_labels=labels,
+                           two_class_train=3, two_class_test=10)
+    missing = labels[1]
+    with pytest.raises(ConfigurationError, match=f"label {missing} has no"):
+        run_two_class_application(cfg, data=(data["train"], data["test"]))
 
 
 # ---------------------------------------------------------------------------

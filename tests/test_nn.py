@@ -262,6 +262,17 @@ class TestBackwardFromFeature:
         with pytest.raises(DimensionError):
             nn.batch_gradients(p, trace, probs, [0], [(np.zeros(5), 0, 0)])
 
+    @pytest.mark.parametrize("parent", [-1, 2])
+    def test_parent_outside_batch_rejected(self, parent):
+        # parent -1 used to be added into the last row; parent 2 raised
+        # IndexError from np.add.at
+        p = nn.init_params(8, SMALL)
+        rng = np.random.default_rng(8)
+        features, trace, probs = forward_batch(p, rng.normal(size=(2, 10, 10)))
+        with pytest.raises(ConfigurationError, match=f"parent {parent} "):
+            nn.batch_gradients(p, trace, probs, [0, 1],
+                               [(features[1].copy(), 1, parent)])
+
     def test_confident_clone_nearly_zero_gradient(self):
         p = nn.init_params(2, SMALL)
         rng = np.random.default_rng(2)
