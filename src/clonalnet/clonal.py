@@ -40,7 +40,8 @@ class MemoryPool:
     are stored is private to this module; :func:`update_memory` adds rows.
     Immutable: ``members`` is stored as a tuple, and member feature arrays
     are treated as read-only once inside a pool, so both arrays are
-    computed once per pool.
+    computed once per pool. More members than ``capacity``, or scores that
+    are not best first, raise ConfigurationError.
     """
 
     class_label: int
@@ -49,6 +50,18 @@ class MemoryPool:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
+        if len(self.members) > self.capacity:
+            raise ConfigurationError(
+                f"pool of class {self.class_label}: {len(self.members)} "
+                f"members exceed capacity {self.capacity}")
+        # written so that a NaN score fails it
+        unordered = np.flatnonzero(~(self.scores[:-1] >= self.scores[1:]))
+        if unordered.size:
+            i = unordered[0]
+            before, after = self.scores[i:i + 2].tolist()
+            raise ConfigurationError(
+                f"pool of class {self.class_label}: member {i + 2} scores "
+                f"{after!r} after {before!r}; scores must not increase")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -417,8 +430,11 @@ def load_pools(path) -> dict[int, MemoryPool]:
                 class_label=label,
                 affinity_score=values[0],
             ))
-        pools[label] = MemoryPool(class_label=label, capacity=capacity,
-                                  members=members)
+        try:
+            pools[label] = MemoryPool(class_label=label, capacity=capacity,
+                                      members=members)
+        except ConfigurationError as err:
+            raise ConfigurationError(f"line {i + 1}: {err}") from None
         i += 1 + count
     return pools
 

@@ -193,9 +193,15 @@ def ensure_corpus(data_dir) -> tuple[Dataset, Dataset]:
 
 
 def fixed_test_subset(test: Dataset, total: int) -> Dataset:
-    """Stratified evaluation subset, identical across every run."""
-    per_class = max(1, total // len(test.class_ids))
-    return stratified_subset(test, per_class, seed=TEST_SUBSET_SEED)
+    """Stratified evaluation subset, identical across every run: ``total``
+    images, the same number from each class; a ``total`` that is not a
+    positive multiple of the class count raises ConfigurationError."""
+    classes = len(test.class_ids)
+    if total < 1 or total % classes:
+        raise ConfigurationError(
+            f"test subset of {total} images is not a positive multiple of "
+            f"the {classes} classes")
+    return stratified_subset(test, total // classes, seed=TEST_SUBSET_SEED)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ accepts it as an optional hook that expands each batch's feature vectors.
 original and clone rows, then one pass through the batch trace, where clone
 error joins its parent's row with the mutation offset treated as an
 additive constant (identity Jacobian), so clone gradients reach the
-convolution kernels. Only the kernel gradient still loops per image.
+convolution kernels. Each weight gradient is one matrix product over the
+batch; the kernel gradient multiplies the convolution error by the im2col
+of the batch's images.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
                      DivergenceError)
@@ -205,8 +208,9 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     an ``(N, H, W)`` batch; ``clones`` holds (clone_feature, label,
     parent_index) tuples. Each clone's feature-layer error is added to its
     parent's row, holding the clone-parent offset constant, before one pass
-    through the batch trace, so clone gradients reach every layer. Sums run
-    over the originals in batch order, then the clones.
+    through the batch trace, so clone gradients reach every layer. Weight
+    gradients are summed over the rows by matrix products, so the order of
+    their sums is BLAS's, not the batch order.
     """
     n = len(trace.feature)
     probs = np.asarray(probabilities, dtype=np.float64)
@@ -249,9 +253,13 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     dpool = dpool_flat.reshape(trace.argmax.shape)
     dconv_pre = (maxpool2_backward(trace.argmax, dpool)
                  * scaled_tanh_prime(trace.conv_pre))
-    grad_conv_k = np.stack([[conv2d_valid(image, d) for d in maps]
-                            for image, maps in zip(trace.image, dconv_pre)])
-    return LayerStack(grad_conv_k.sum(axis=0),
+    # kernel gradient as one GEMM: (f, N·oh·ow) error against the
+    # (N·oh·ow, k²) im2col of the images
+    k = params.conv_kernels.shape[-1]
+    cols = sliding_window_view(trace.image, (k, k), axis=(-2, -1))
+    grad_conv_k = (np.moveaxis(dconv_pre, 1, 0).reshape(params.num_maps, -1)
+                   @ cols.reshape(-1, k * k))
+    return LayerStack(grad_conv_k.reshape(params.conv_kernels.shape),
                       dconv_pre.sum(axis=(2, 3)).sum(axis=0),
                       grad_fc1_w, grad_fc1_b, grad_out_w, grad_out_b)
 

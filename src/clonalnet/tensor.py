@@ -7,6 +7,9 @@ pass, and the backward pass is derived consistently from that convention.
 
 The fast kernels take stacks: any leading axes in front of an ``(H, W)``
 map or a vector, each row computed bit for bit as its own call would be.
+The one reduction over rows, ``dense_backward``'s weight and bias sums, is
+a matrix product and a numpy sum, equal to the row-by-row sum up to
+rounding.
 
 Each fast kernel has a brute-force twin (``*_naive``) for one map or vector,
 written as the most literal loop possible. The naive versions are the
@@ -198,8 +201,9 @@ def dense_backward(
     ``(..., d)`` stacks of rows.
 
     Returns ``(grad_weights, grad_bias, grad_x)``: weight and bias gradients
-    summed over the rows in row order (numpy adds one-entry rows pairwise),
-    and the ``(..., p)`` input gradients.
+    summed over the rows, the weights as one ``(d, n) @ (n, p)`` product, so
+    in BLAS's order rather than row order, and the ``(..., p)`` input
+    gradients, each row bit for bit its own call's.
     """
     w = _as_array(weights, "weights", 2)
     v = _as_array(x, "x", 1, stack=True)
@@ -212,5 +216,4 @@ def dense_backward(
         )
     rows_v = v.reshape(-1, w.shape[1])
     rows_g = g.reshape(-1, w.shape[0])
-    grad_w = (rows_g[:, :, None] * rows_v[:, None, :]).sum(axis=0)
-    return grad_w, rows_g.sum(axis=0), (w.T @ g[..., None])[..., 0]
+    return rows_g.T @ rows_v, rows_g.sum(axis=0), (w.T @ g[..., None])[..., 0]

@@ -326,6 +326,20 @@ def column(values):
 
 
 class TestUpdateMemory:
+    @pytest.mark.parametrize("scores, capacity, message", [
+        ([0.9, 0.1], 1, "2 members exceed capacity 1"),
+        ([0.1, 0.9], 2, "member 2 scores 0.9 after 0.1"),
+        ([0.9, 0.5, 0.7], 3, "member 3 scores 0.7 after 0.5"),
+        ([0.9, float("nan")], 2, "member 2 scores nan after 0.9"),
+    ], ids=["over-capacity", "ascending", "ascending-late", "nan"])
+    def test_pool_rejects_members_it_would_not_keep(self, scores, capacity,
+                                                    message):
+        # such a pool used to be accepted as given, and the next
+        # update_memory re-sorted and trimmed it silently
+        members = [Antibody(np.zeros(2), 0, score) for score in scores]
+        with pytest.raises(ConfigurationError, match=message):
+            MemoryPool(0, capacity, members)
+
     def test_empty_candidates_no_change(self):
         pool = pool_of([[1.0, 0.0], [0.0, 1.0]], capacity=4)
         updated = update_memory(pool, np.empty((0, 2)), [])
@@ -512,11 +526,14 @@ def finite_pools(draw):
     pools = {}
     for label in draw(st.lists(st.integers(-3, 20), unique=True, max_size=4)):
         count = draw(st.integers(0, 4))
+        # a pool holds its members best first
+        scores = sorted(draw(st.lists(finite, min_size=count,
+                                      max_size=count)), reverse=True)
         members = [
             Antibody(np.array(draw(st.lists(finite, min_size=width,
                                             max_size=width))),
-                     label, draw(finite))
-            for _ in range(count)
+                     label, score)
+            for score in scores
         ]
         pools[label] = MemoryPool(class_label=label,
                                   capacity=draw(st.integers(max(count, 1), 6)),
@@ -605,9 +622,10 @@ class TestPoolSerialization:
         ("class 0 3 2\n0.9 1\n0.8 1\n0.7 1\n", 2),
         ("class 0 x 2\n", 2),
         ("class 0 1 2\n0.9 1.0\nclass 0 1 2\n0.8 2.0\n", 4),
+        ("class 0 1 2\n0.9 1.0\nclass 1 2 2\n0.1 1.0\n0.9 2.0\n", 4),
     ], ids=["truncated", "ragged", "width-across-classes", "no-coordinates",
             "unparseable", "nan", "inf-score", "over-capacity", "bad-count",
-            "repeated-class"])
+            "repeated-class", "scores-increase"])
     def test_malformed_body_names_line(self, tmp_path, body, line):
         path = tmp_path / "bad.txt"
         path.write_text("clonalnet-pools v1\n" + body)

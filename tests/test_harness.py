@@ -178,6 +178,13 @@ def test_fixed_test_subset_is_deterministic(corpus):
     assert np.all(np.bincount(a.labels, minlength=10) == 10)
 
 
+@pytest.mark.parametrize("total", [5, 25, 0, -10])
+def test_fixed_test_subset_rejects_totals_off_the_class_count(corpus, total):
+    # 5 used to evaluate 10 images and 25 evaluate 20 on the 10 classes
+    with pytest.raises(ConfigurationError, match=f"{total} images .* 10 classes"):
+        fixed_test_subset(corpus[1], total)
+
+
 # ---------------------------------------------------------------------------
 # result tables
 # ---------------------------------------------------------------------------

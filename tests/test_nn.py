@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonalnet import nn
 from clonalnet.clonal import CloneConfig, ClonalExpander
@@ -199,7 +201,63 @@ class TestCrossEntropy:
             assert nn.cross_entropy(np.array([0.0, 1.0]), 0) == np.inf
 
 
+def conv_error(p, trace, probs, labels, clones):
+    """Loss gradient at the conv pre-activations of a batch and its clones,
+    built one row at a time from the naive kernels."""
+    feature_error = np.zeros_like(trace.feature)
+    rows = [(prob, label, n)
+            for n, (prob, label) in enumerate(zip(probs, labels))]
+    rows += [(nn.forward_output(p, f), label, parent)
+             for f, label, parent in clones]
+    for prob, label, parent in rows:
+        delta = prob.copy()
+        delta[label] -= 1.0
+        feature_error[parent] += dense_naive(p.out_weights.T,
+                                             np.zeros(p.feature_width), delta)
+    dconv = np.zeros_like(trace.conv_pre)
+    for n, error in enumerate(feature_error):
+        dz1 = error * nn.scaled_tanh_prime(trace.fc1_pre[n])
+        dpool = dense_naive(p.fc1_weights.T, np.zeros(p.fc1_weights.shape[1]),
+                            dz1).reshape(trace.argmax.shape[1:])
+        for (m, y, x), winner in np.ndenumerate(trace.argmax[n]):
+            dconv[n, m].flat[winner] = dpool[m, y, x]
+    return dconv * nn.scaled_tanh_prime(trace.conv_pre)
+
+
 class TestBackward:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_kernel_gradient_matches_per_image_oracle(self, seed, n,
+                                                      with_clones):
+        # the kernel gradient is the sum over images of each image
+        # cross-correlated with its map's conv error
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        arch = nn.ArchConfig(
+            image_size=2 * int(rng.integers(1, 5)) + k - 1,
+            num_maps=int(rng.integers(1, 4)), kernel_size=k,
+            feature_width=int(rng.integers(1, 6)),
+            num_classes=int(rng.integers(1, 5)))
+        p = nn.init_params(seed, arch)
+        images = rng.normal(size=(n, arch.image_size, arch.image_size))
+        labels = rng.integers(0, arch.num_classes, size=n)
+        features, trace, probs = forward_batch(p, images)
+        parents = rng.integers(0, n, size=rng.integers(1, 2 * n + 1))
+        clones = [(features[parent]
+                   + rng.normal(scale=0.2, size=arch.feature_width),
+                   int(rng.integers(arch.num_classes)), int(parent))
+                  for parent in parents] if with_clones else []
+        grads = nn.batch_gradients(p, trace, probs, labels, clones)
+        dconv = conv_error(p, trace, probs, labels, clones)
+        for m in range(arch.num_maps):
+            want = sum(conv2d_valid_naive(image, dconv[i, m])
+                       for i, image in enumerate(images))
+            magnitude = sum(conv2d_valid_naive(abs(image), abs(dconv[i, m]))
+                            for i, image in enumerate(images))
+            assert np.all(abs(grads.conv_kernels[m] - want)
+                          <= 1e-12 * magnitude), m
+
     def test_one_hot_probabilities_give_zero_gradients(self):
         p = nn.init_params(1, SMALL)
         rng = np.random.default_rng(1)
