@@ -3,11 +3,15 @@
 
 Trains fixed ``cnn`` and ``cnn-ais`` cells on a small synthetic corpus and
 prints one digest per cell for the final parameters (raw float64 bytes),
-the per-epoch error rows and the ``save_pools`` file. It also digests the
-two-class application's decisions and the clonal-selection demo for seeds
-1-3. Two trees that print the same lines train bit-identically on these
-cells. BLAS is limited to one thread before numpy loads, so summation order
-does not depend on the machine's core count.
+the per-epoch error rows and the ``save_pools`` file. For the
+``cnn-ais per_class=25`` cell it also digests ``classify``'s decisions on
+every test image against that cell's ten pools, and again with the
+configured third class withheld as perfbench's ``immune_classify`` does.
+It also digests the two-class application's decisions and the
+clonal-selection demo for seeds 1-3. Two trees that print the same lines
+train bit-identically on these cells. BLAS is limited to one thread before
+numpy loads, so summation order does not depend on the machine's core
+count.
 
     PYTHONPATH=src python scripts/train_fingerprint.py
 """
@@ -21,10 +25,13 @@ import hashlib  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from clonalnet import harness, synthdigits  # noqa: E402
+from clonalnet.classifier import classify, init_new_class  # noqa: E402
 from clonalnet.clonal import save_pools  # noqa: E402
 from clonalnet.mnist import stratified_subset  # noqa: E402
-from clonalnet.nn import ArchConfig  # noqa: E402
+from clonalnet.nn import ArchConfig, forward_features  # noqa: E402
 
 # (variant, per-class size, seed, epochs)
 CELLS = [(variant, per_class, seed, epochs)
@@ -50,6 +57,25 @@ def pools_bytes(pools) -> bytes:
         return path.read_bytes()
 
 
+def pool_decisions(params, pools, test, cfg, per_class, seed) -> list:
+    """``classify``'s decision on each test image in turn; a refused image
+    of a class without a pool seeds one. Returns the decisions and the
+    final pool count."""
+    pools = dict(pools)
+    rng = np.random.default_rng(seed)
+    decisions = []
+    for image, label in zip(test.images, test.labels.tolist()):
+        feature, _ = forward_features(params, image)
+        decision = classify(feature, pools, cfg.matching_tau,
+                            c_min=cfg.c_min, raw_count=cfg.raw_count)
+        decisions.append(decision)
+        if decision.no_match and label not in pools:
+            pools[label] = init_new_class(
+                feature, label, cfg.clone_config(per_class, seed), rng,
+                existing=pools)
+    return [decisions, len(pools)]
+
+
 def main() -> int:
     cfg = harness.ExperimentConfig()
     train = synthdigits.make_dataset(30, seed=2024)
@@ -67,6 +93,12 @@ def main() -> int:
         print(f"{name} rows   {digest(rows)}")
         if expander is not None:
             print(f"{name} pools  {digest(pools_bytes(expander.pools))}")
+        if variant == "cnn-ais" and per_class == 25:
+            withheld = {label: pool for label, pool in expander.pools.items()
+                        if label != cfg.third_class}
+            runs = [pool_decisions(params, pools, test, cfg, per_class, seed)
+                    for pools in (expander.pools, withheld)]
+            print(f"{name} ten-pool decisions {digest(runs)}")
 
     two = harness.run_two_class_application(
         harness.ExperimentConfig(two_class_test=20), data=(train, test))

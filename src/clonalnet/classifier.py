@@ -2,8 +2,10 @@
 
 Phase 1 counts, per class, the pool antibodies whose affinity to the test
 feature clears a match threshold. Phase 2 scores each class that produced
-enough matches by avidity, the mean affinity of its matching antibodies;
-both phases read the same affinity row, one per pool. The combined score
+enough matches by avidity, the mean affinity of its matching antibodies.
+Both phases read one affinity block per batch of test features, from one
+``affinity_matrix`` call against the non-empty pools stacked in label
+order; a single feature is a batch of one. The combined score
 is count (normalized by pool size by default) plus avidity; the class with
 the highest score wins, ties going to the lowest class id. A test feature
 that matches nothing is flagged instead of being forced into a class, and a
@@ -13,12 +15,13 @@ fresh pool can be initialized from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import clonal
 from .clonal import CloneConfig, MemoryPool, mutate
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionError
 
 NOMATCH = "NOMATCH"
 
@@ -35,41 +38,78 @@ class Decision:
 def classify(test_feature: np.ndarray, pools: dict[int, MemoryPool],
              tau_match: float, c_min: int = 1,
              raw_count: bool = False) -> Decision:
-    """Score every class pool against the test feature.
+    """The decision for one ``(d,)`` test feature: :func:`classify_batch`
+    on a one-row batch."""
+    feature = np.asarray(test_feature, dtype=np.float64)
+    if feature.ndim != 1:
+        raise DimensionError(
+            f"test feature must be a vector, got shape {feature.shape}")
+    return classify_batch(feature[None, :], pools, tau_match, c_min,
+                          raw_count)[0]
 
-    One affinity row per non-empty pool gives both phases: the count is the
-    number of entries >= ``tau_match`` (0 for an empty pool), and a class
-    with at least ``c_min`` matches gets their mean affinity as avidity.
-    Score = count / pool_size + avidity (or raw count + avidity when
-    ``raw_count``). If no class qualifies the decision is a no-match.
+
+def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
+                   tau_match: float, c_min: int = 1,
+                   raw_count: bool = False) -> list[Decision]:
+    """Score every class pool against each row of ``features`` (n, d).
+
+    The non-empty pools are stacked in label order into one (M, d) matrix,
+    and one ``affinity_matrix`` call gives both phases for every row: a
+    class's count is the number of its pool's entries >= ``tau_match`` (0
+    for an empty pool), and a class with at least ``c_min`` matches gets
+    their mean affinity as avidity. Score = count / pool_size + avidity (or
+    raw count + avidity when ``raw_count``). A row for which no class
+    qualifies is a no-match. A pool whose width differs from the features'
+    raises DimensionError naming its class.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
     if c_min < 1:
         raise ConfigurationError(f"c_min must be >= 1, got {c_min}")
-    decision = Decision(predicted_class=None, no_match=True)
-    for label in sorted(pools):
-        pool = pools[label]
-        if not len(pool):
-            decision.counts[label] = 0
-            continue
-        row = clonal.pool_affinities([test_feature], pool)[0]
-        matched = row[row >= tau_match]
-        count = len(matched)
-        decision.counts[label] = count
-        if count < c_min:
-            continue
-        avidity_value = float(matched.mean())
-        count_term = float(count) if raw_count else count / len(pool)
-        decision.avidities[label] = avidity_value
-        decision.scores[label] = count_term + avidity_value
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(
+            f"test features must be (n, d) rows, got shape {x.shape}")
+    labels = sorted(pools)
+    filled = [label for label in labels if len(pools[label])]
+    for label in filled:
+        width = pools[label].matrix.shape[1]
+        if width != x.shape[1]:
+            raise DimensionError(
+                f"pool of class {label} holds width-{width} features, the "
+                f"test features have width {x.shape[1]}")
+    sizes = [len(pools[label]) for label in filled]
+    counts = np.zeros((len(x), len(filled)), dtype=np.intp)
+    sums = np.zeros((len(x), len(filled)))
+    if filled:
+        offsets = list(accumulate(sizes[:-1], initial=0))
+        aff = clonal.affinity_matrix(
+            x, np.concatenate([pools[label].matrix for label in filled]))
+        hit = aff >= tau_match
+        counts = np.add.reduceat(hit, offsets, axis=1, dtype=np.intp)
+        sums = np.add.reduceat(np.where(hit, aff, 0.0), offsets, axis=1)
 
-    if decision.scores:
-        # max score, ties resolved toward the lowest class id
-        best = min(decision.scores, key=lambda c: (-decision.scores[c], c))
-        decision.predicted_class = best
-        decision.no_match = False
-    return decision
+    decisions = []
+    for row_counts, row_sums in zip(counts.tolist(), sums.tolist()):
+        decision = Decision(predicted_class=None, no_match=True,
+                            counts=dict.fromkeys(labels, 0))
+        for label, size, count, total in zip(filled, sizes, row_counts,
+                                             row_sums):
+            decision.counts[label] = count
+            if count < c_min:
+                continue
+            avidity_value = total / count
+            count_term = float(count) if raw_count else count / size
+            decision.avidities[label] = avidity_value
+            decision.scores[label] = count_term + avidity_value
+        if decision.scores:
+            # max score, ties resolved toward the lowest class id
+            scores = decision.scores
+            decision.predicted_class = min(scores,
+                                           key=lambda c: (-scores[c], c))
+            decision.no_match = False
+        decisions.append(decision)
+    return decisions
 
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,

@@ -200,7 +200,9 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Affinity of every query row against every reference row.
 
     Shape (n, m); agrees with the scalar ``affinity`` entry by entry,
-    including the zero-vector conventions.
+    including the zero-vector conventions. The zero-vector and
+    extreme-magnitude repair runs only when the extremes of the squared
+    norms show that some pair needs it.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     r = np.atleast_2d(np.asarray(references, dtype=np.float64))
@@ -210,6 +212,13 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
         )
     query_sq = np.einsum("ij,ij->i", q, q)
     ref_sq = np.einsum("ij,ij->i", r, r)
+    # every norm product lies between these two, and a NaN fails both
+    normal = (not query_sq.size or not ref_sq.size
+              or (float(query_sq.min()) * float(ref_sq.min()) >= _TINY_NORMAL
+                  and math.isfinite(float(query_sq.max())
+                                    * float(ref_sq.max()))))
+    if normal:
+        return _affinity_from(q @ r.T, query_sq[:, None] * ref_sq)
     q_zero = ~q.any(axis=1)
     r_zero = ~r.any(axis=1)
     if q_zero.any() and r_zero.any():
@@ -217,17 +226,29 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     # inf/nan intermediates are expected for extreme magnitudes and are
     # repaired below, so keep numpy quiet about them here
     with np.errstate(invalid="ignore", over="ignore"):
-        denom_sq = np.outer(query_sq, ref_sq)
-        safe = np.sqrt(np.where(denom_sq > 0.0, denom_sq, 1.0))
-        cos = np.where(denom_sq > 0.0, (q @ r.T) / safe, 0.0)
-    out = (1.0 + np.clip(cos, -1.0, 1.0)) / 2.0
+        dot = q @ r.T
+        denom_sq = query_sq[:, None] * ref_sq
+        degenerate = (denom_sq < _TINY_NORMAL) | ~np.isfinite(denom_sq)
+        # a pair without a positive norm product gets cosine 0 / 1
+        undefined = ~(denom_sq > 0.0)
+        dot[undefined] = 0.0
+        denom_sq[undefined] = 1.0
+        out = _affinity_from(dot, denom_sq)
     # pairs of nonzero vectors whose norm product left the normal float
     # range go through the scalar path, which renormalizes
-    degenerate = (denom_sq < _TINY_NORMAL) | ~np.isfinite(denom_sq)
     degenerate &= ~(q_zero[:, None] | r_zero[None, :])
     for i, j in zip(*np.nonzero(degenerate)):
         out[i, j] = affinity(q[i], r[j])
     return out
+
+
+def _affinity_from(dot: np.ndarray, denom_sq: np.ndarray) -> np.ndarray:
+    """(1 + clip(dot / sqrt(denom_sq), -1, 1)) / 2, computed in ``dot``."""
+    dot /= np.sqrt(denom_sq, out=denom_sq)
+    np.clip(dot, -1.0, 1.0, out=dot)
+    dot += 1.0
+    dot /= 2.0
+    return dot
 
 
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synthdigits
-from .classifier import (Decision, classify, init_new_class,
+from .classifier import (Decision, classify_batch, init_new_class,
                          write_decision_records)
 from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
                      clonalg_run, save_pools, update_memory)
@@ -375,46 +375,39 @@ def run_two_class_application(cfg: ExperimentConfig,
         pools[real] = update_memory(MemoryPool(real, pool.capacity),
                                     pool.matrix, pool.scores)
 
-    decisions = []
-    true_labels = []
-    correct = 0
-    for image, net_label in zip(test_sub.images, test_sub.labels):
-        feature, _ = forward_features(params, image)
-        decision = classify(feature, pools, cfg.matching_tau,
-                            c_min=cfg.c_min, raw_count=cfg.raw_count)
-        decisions.append(decision)
-        real = labels[int(net_label)]
-        true_labels.append(real)
-        if not decision.no_match and decision.predicted_class == real:
-            correct += 1
+    features, _ = forward_features(params, test_sub.images)
+    decisions = classify_batch(features, pools, cfg.matching_tau,
+                               c_min=cfg.c_min, raw_count=cfg.raw_count)
+    true_labels = [labels[int(l)] for l in test_sub.labels]
+    correct = sum(not d.no_match and d.predicted_class == real
+                  for d, real in zip(decisions, true_labels))
     accuracy = correct / len(decisions) if decisions else 0.0
 
     # third-class probe: unseen patterns should fail the match threshold,
-    # and the first failure seeds a brand-new pool
+    # and the first failure seeds a brand-new pool, against which the
+    # images after it are classified
     third_mask = test.labels == cfg.third_class
     third_images = test.images[third_mask][:50]
     rng = np.random.default_rng(derived_seed(seed, cfg.third_class, 13))
-    third_nomatch = 0
+    third_features, _ = forward_features(params, third_images)
+    third = classify_batch(third_features, pools, cfg.matching_tau,
+                           c_min=cfg.c_min, raw_count=cfg.raw_count)
+    first = next((i for i, d in enumerate(third) if d.no_match), len(third))
     recognized_after = 0
-    new_pool_started = False
-    for image in third_images:
-        feature, _ = forward_features(params, image)
-        decision = classify(feature, pools, cfg.matching_tau,
-                            c_min=cfg.c_min, raw_count=cfg.raw_count)
-        if decision.no_match:
-            third_nomatch += 1
-            if not new_pool_started:
-                pools[cfg.third_class] = init_new_class(
-                    feature, cfg.third_class,
-                    cfg.clone_config(cfg.two_class_train,
-                                     derived_seed(seed, 17)),
-                    rng, existing=pools,
-                )
-                new_pool_started = True
-                continue
-        if new_pool_started and not decision.no_match \
-                and decision.predicted_class == cfg.third_class:
-            recognized_after += 1
+    if first < len(third):
+        pools[cfg.third_class] = init_new_class(
+            third_features[first], cfg.third_class,
+            cfg.clone_config(cfg.two_class_train, derived_seed(seed, 17)),
+            rng, existing=pools,
+        )
+        after = classify_batch(third_features[first + 1:], pools,
+                               cfg.matching_tau, c_min=cfg.c_min,
+                               raw_count=cfg.raw_count)
+        third[first + 1:] = after
+        recognized_after = sum(not d.no_match
+                               and d.predicted_class == cfg.third_class
+                               for d in after)
+    third_nomatch = sum(d.no_match for d in third)
 
     return TwoClassResult(
         accuracy=accuracy, decisions=decisions, true_labels=true_labels,

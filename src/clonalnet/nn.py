@@ -157,7 +157,8 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     maps = [conv2d_valid(img, k) for k in params.conv_kernels]
     conv_pre = np.stack(maps, axis=-3) + params.conv_bias[:, None, None]
     pooled, argmax = maxpool2(scaled_tanh(conv_pre))
-    pooled_flat = pooled.reshape(*img.shape[:-2], -1)
+    # the width spelled out, so that an empty batch reshapes too
+    pooled_flat = pooled.reshape(*img.shape[:-2], np.prod(pooled.shape[-3:]))
     if pooled_flat.shape[-1] != params.fc1_weights.shape[1]:
         raise DimensionError(
             f"flattened pool size {pooled_flat.shape[-1]} does not match "

@@ -111,17 +111,17 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     *lead, h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
-    # blocks[..., by, bx, k] lists each 2x2 block in row-major order, so
-    # argmax's first-max rule implements the tie-break directly
-    blocks = inp.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2).reshape(
-        *lead, h // 2, w // 2, 4
-    )
-    local = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, local[..., None], axis=-1)[..., 0]
-    rows = 2 * np.arange(h // 2)[:, None] + local // 2
-    cols = 2 * np.arange(w // 2) + local % 2
-    argmax = rows * w + cols
-    return out, argmax.astype(np.int64)
+    # visit the block corners in row-major order; a later corner wins only
+    # when strictly greater, which keeps the first of tied maxima
+    out = inp[..., 0::2, 0::2].copy()
+    corner = np.zeros(out.shape, dtype=np.int64)
+    for offset, dy, dx in ((1, 0, 1), (w, 1, 0), (w + 1, 1, 1)):
+        candidate = inp[..., dy::2, dx::2]
+        later = candidate > out
+        np.copyto(out, candidate, where=later)
+        np.copyto(corner, offset, where=later)
+    corner += 2 * w * np.arange(h // 2)[:, None] + 2 * np.arange(w // 2)
+    return out, corner
 
 
 def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clonalnet import classifier
+from clonalnet import classifier, clonal
 from clonalnet.classifier import (
-    NOMATCH, Decision, classify, decision_record_header,
+    NOMATCH, Decision, classify, classify_batch, decision_record_header,
     format_decision_record, init_new_class, write_decision_records,
 )
-from clonalnet.clonal import Antibody, CloneConfig, MemoryPool, affinity
-from clonalnet.errors import ConfigurationError
+from clonalnet.clonal import (Antibody, CloneConfig, MemoryPool, affinity,
+                              pool_affinities)
+from clonalnet.errors import ConfigurationError, DimensionError
 
 
 def pool_from(features, label=0, capacity=None):
@@ -195,6 +198,145 @@ class TestClassify:
     def test_no_pools_rejected(self):
         with pytest.raises(ConfigurationError):
             classify(np.ones(3), {}, tau_match=0.5)
+
+
+def oracle_decision(feature, pools, tau, c_min, raw_count):
+    """(predicted class or None, counts, avidities, scores) from one
+    ``pool_affinities`` row per non-empty pool."""
+    counts, avidities, scores = {}, {}, {}
+    for label in sorted(pools):
+        pool = pools[label]
+        counts[label] = 0
+        if not len(pool):
+            continue
+        row = pool_affinities(feature[None, :], pool)[0]
+        matched = row[row >= tau]
+        counts[label] = len(matched)
+        if len(matched) >= c_min:
+            avidities[label] = float(matched.mean())
+            count_term = len(matched) if raw_count else len(matched) / len(pool)
+            scores[label] = count_term + avidities[label]
+    ranked = sorted(scores, key=lambda c: (-scores[c], c))
+    return (ranked[0] if ranked else None), counts, avidities, scores
+
+
+def integer_rows(draw, n, width):
+    """(n, width) small-integer rows with no zero row. Integer coordinates
+    make every dot product and squared norm exact, so an affinity does not
+    depend on how many rows share the matrix product it comes from."""
+    rows = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * width,
+                                  max_size=n * width)),
+                    dtype=np.float64).reshape(n, width)
+    rows[~rows.any(axis=1), 0] = 1.0
+    return rows
+
+
+class TestClassifyBatch:
+    @pytest.mark.parametrize("empty_at", [0, 2, 4],
+                             ids=["first", "middle", "last"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_pool_oracle(self, empty_at, data):
+        """Each row's decision equals a per-pool ``pool_affinities`` loop:
+        classes, no-match flags and counts exactly, avidities and scores to
+        1e-15 (the segment sums add the matches in another order). Scores
+        that tie to within 1e-12 may rank either way."""
+        width = data.draw(st.integers(1, 5), label="width")
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=5,
+                                   max_size=5), label="sizes")
+        sizes[empty_at] = 0
+        labels = [2, 4, 5, 7, 9]
+        built = {label: pool_from(integer_rows(data.draw, size, width),
+                                  label=label, capacity=size + 2)
+                 for label, size in zip(labels, sizes)}
+        # inserted out of label order
+        pools = {label: built[label] for label in (9, 2, 7, 4, 5)}
+        features = integer_rows(data.draw, data.draw(st.integers(1, 6)), width)
+        tau = data.draw(st.floats(0.0, 1.0), label="tau")
+        c_min = data.draw(st.integers(1, 3), label="c_min")
+        raw_count = data.draw(st.booleans(), label="raw_count")
+
+        decisions = classify_batch(features, pools, tau, c_min, raw_count)
+        assert len(decisions) == len(features)
+        for feature, decision in zip(features, decisions):
+            predicted, counts, avidities, scores = oracle_decision(
+                feature, pools, tau, c_min, raw_count)
+            assert decision.counts == counts
+            assert list(decision.counts) == sorted(pools)
+            assert decision.no_match == (predicted is None)
+            assert decision.avidities.keys() == avidities.keys()
+            for c in avidities:
+                assert abs(decision.avidities[c] - avidities[c]) <= 1e-15
+                assert abs(decision.scores[c] - scores[c]) <= 1e-15
+            if predicted is not None:
+                best = scores[predicted]
+                tied = {c for c in scores if best - scores[c] <= 1e-12}
+                assert decision.predicted_class in tied
+                if len(tied) == 1:
+                    assert decision.predicted_class == predicted
+            assert classify(feature, pools, tau, c_min, raw_count) \
+                == classify_batch(feature[None, :], pools, tau, c_min,
+                                  raw_count)[0]
+
+    def test_empty_pool_positions(self):
+        # the empty pool's class sits first, in the middle and last in label
+        # order; every other class keeps its own count
+        full = {label: pool_from([unit(label % 4), unit(label % 4) * 2.0],
+                                 label=label) for label in (1, 2, 3)}
+        for empty in (0, 2, 5):
+            pools = {**full, empty: MemoryPool(class_label=empty, capacity=4)}
+            decisions = classify_batch(np.stack([unit(1), unit(3)]), pools,
+                                       tau_match=0.9)
+            assert [d.counts for d in decisions] == [
+                {c: 2 if c == 1 else 0 for c in sorted(pools)},
+                {c: 2 if c == 3 else 0 for c in sorted(pools)}]
+            assert [d.predicted_class for d in decisions] == [1, 3]
+
+    def test_pools_of_different_widths_name_the_class(self):
+        pools = {0: pool_from([np.ones(4)], label=0),
+                 1: pool_from([np.ones(5)], label=1)}
+        with pytest.raises(DimensionError, match="class 1"):
+            classify_batch(np.ones((2, 4)), pools, tau_match=0.5)
+        with pytest.raises(DimensionError, match="class 0"):
+            classify(np.ones(5), pools, tau_match=0.5)
+
+    def test_feature_width_matching_no_pool_names_a_class(self):
+        pools = {3: pool_from([np.ones(4)], label=3),
+                 6: pool_from([np.ones(4)], label=6)}
+        with pytest.raises(DimensionError, match="class 3"):
+            classify(np.ones(6), pools, tau_match=0.5)
+
+    def test_batch_must_be_rows(self):
+        pools = {0: pool_from([np.ones(3)])}
+        with pytest.raises(DimensionError):
+            classify_batch(np.ones(3), pools, tau_match=0.5)
+        with pytest.raises(DimensionError):
+            classify(np.ones((1, 3)), pools, tau_match=0.5)
+
+    def test_empty_batch(self):
+        pools = {0: pool_from([np.ones(3)])}
+        assert classify_batch(np.empty((0, 3)), pools, tau_match=0.5) == []
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_one_affinity_call_per_batch(self, monkeypatch, rows):
+        rng = np.random.default_rng(8)
+        pools = {c: pool_from(rng.normal(size=(5, 6)), label=c)
+                 for c in range(4)}
+        pools[4] = MemoryPool(class_label=4, capacity=5)
+        calls = []
+        real = clonal.affinity_matrix
+
+        def counting(queries, references):
+            calls.append((np.shape(queries), np.shape(references)))
+            return real(queries, references)
+
+        monkeypatch.setattr(clonal, "affinity_matrix", counting)
+        features = rng.normal(size=(rows, 6))
+        if rows == 1:
+            classify(features[0], pools, tau_match=0.5)
+        else:
+            classify_batch(features, pools, tau_match=0.5)
+        assert calls == [((rows, 6), (20, 6))]
 
 
 class TestInitNewClass:

@@ -241,6 +241,59 @@ class TestPoolAffinities:
             pool_affinities(np.ones((1, 2)), empty)
 
 
+class TestAffinityMatrix:
+    @pytest.mark.parametrize("special", [("zero", "tiny", "huge"), ("zero",),
+                                         ("tiny",), ("huge",)])
+    def test_mixed_batch_matches_scalar_and_normal_rows(self, monkeypatch,
+                                                        special):
+        """Zero and extreme-magnitude rows in one call with normal rows: every
+        entry matches the scalar ``affinity``, only the extreme rows go
+        through it, and the normal rows keep the values the same-shaped
+        all-normal call gives them, bit for bit."""
+        rng = np.random.default_rng(12)
+        references = rng.normal(size=(7, 6))
+        rows = {"zero": np.zeros(6), "tiny": np.full(6, 1e-200),
+                "huge": rng.normal(size=6) * 1e200}
+        plain = rng.normal(size=(6, 6))
+        mixed = plain.copy()
+        at = [1, 3, 4][:len(special)]
+        mixed[at] = [rows[name] for name in special]
+        normal = [i for i in range(len(mixed)) if i not in at]
+        extreme = sum(name != "zero" for name in special)
+
+        scalar_calls = []
+        real_affinity = clonal.affinity
+
+        def counting(a, b):
+            scalar_calls.append(1)
+            return real_affinity(a, b)
+
+        monkeypatch.setattr(clonal, "affinity", counting)
+        table = clonal.affinity_matrix(mixed, references)
+        assert len(scalar_calls) == extreme * len(references)
+        reference_table = clonal.affinity_matrix(plain, references)
+        assert len(scalar_calls) == extreme * len(references)
+        monkeypatch.undo()
+
+        for i in range(len(mixed)):
+            for j in range(len(references)):
+                expected = affinity(mixed[i], references[j])
+                assert abs(table[i, j] - expected) < 1e-12
+        assert np.array_equal(table[normal], reference_table[normal])
+        # a call of another shape may block the matrix product differently
+        alone = clonal.affinity_matrix(mixed[normal], references)
+        assert np.max(np.abs(table[normal] - alone)) <= 1e-15
+
+    def test_extreme_rows_emit_no_warnings(self):
+        batch = np.stack([np.ones(3), np.zeros(3), np.full(3, 1e-200),
+                          np.full(3, 1e200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = clonal.affinity_matrix(batch, batch[[0, 2, 3]])
+        assert np.all(table[:, 0] == table[:, 1])
+        assert np.all(table[1] == 0.5)
+
+
 def best_match(feature, pool):
     """Scalar oracle for a feature's best affinity against a pool."""
     return max(affinity(feature, m.feature) for m in pool.members)

@@ -369,6 +369,18 @@ def test_two_class_application_shapes(corpus):
     assert set(cfg.two_class_labels) <= set(result.pools)
 
 
+def test_two_class_application_without_third_class_images(corpus):
+    train, test = corpus
+    cfg = ExperimentConfig(**TINY, two_class_train=3, two_class_test=10)
+    keep = test.labels != cfg.third_class
+    result = run_two_class_application(
+        cfg, data=(train, Dataset(test.images[keep], test.labels[keep])))
+    assert len(result.decisions) == 10
+    assert (result.third_total, result.third_nomatch,
+            result.third_recognized_after) == (0, 0, 0)
+    assert cfg.third_class not in result.pools
+
+
 @pytest.mark.parametrize("labels, drop_from", [((0, 12), None),
                                                ((0, 1), "train"),
                                                ((0, 1), "test")])

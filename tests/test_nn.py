@@ -158,6 +158,12 @@ class TestForward:
             assert np.array_equal(nn.forward_output(p, features)[i],
                                   nn.forward_output(p, feature))
 
+    def test_empty_batch_gives_no_rows(self):
+        p = nn.init_params(0, SMALL)
+        features, trace = nn.forward_features(p, np.zeros((0, 10, 10)))
+        assert features.shape == (0, SMALL.feature_width)
+        assert trace.pooled_flat.shape == (0, p.fc1_weights.shape[1])
+
 
 class TestForwardOutput:
     def test_probabilities_normalized(self):
