@@ -5,7 +5,8 @@ feature clears a match threshold. Phase 2 scores each class that produced
 enough matches by avidity, the mean affinity of its matching antibodies.
 Both phases read one affinity block per batch of test features, from one
 ``affinity_matrix`` call against the non-empty pools stacked in label
-order; a single feature is a batch of one. The combined score
+order; a single feature is a batch of one. The stack is kept until the
+pools change. The combined score
 is count (normalized by pool size by default) plus avidity; the class with
 the highest score wins, ties going to the lowest class id. A test feature
 that matches nothing is flagged instead of being forced into a class, and a
@@ -14,6 +15,7 @@ fresh pool can be initialized from it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -84,7 +86,7 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     if filled:
         offsets = list(accumulate(sizes[:-1], initial=0))
         aff = clonal.affinity_matrix(
-            x, np.concatenate([pools[label].matrix for label in filled]))
+            x, _stacked(tuple(pools[label] for label in filled)))
         hit = aff >= tau_match
         counts = np.add.reduceat(hit, offsets, axis=1, dtype=np.intp)
         sums = np.add.reduceat(np.where(hit, aff, 0.0), offsets, axis=1)
@@ -110,6 +112,16 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
             decision.no_match = False
         decisions.append(decision)
     return decisions
+
+
+@functools.lru_cache(maxsize=1)
+def _stacked(pools: tuple[MemoryPool, ...]) -> np.ndarray:
+    """The pools' matrices stacked in order, kept for the next call with the
+    same pools; pools hash by identity and their arrays are read-only, so a
+    kept stack cannot go stale."""
+    stack = np.concatenate([pool.matrix for pool in pools])
+    stack.flags.writeable = False
+    return stack
 
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,

@@ -6,12 +6,18 @@ pattern-recognition demo.
 
 Affinity maps cosine similarity into [0, 1] via (1 + cos) / 2 so that the
 clone-count and mutation-rate formulas receive a bounded positive quantity.
+
+A pool stores its members as two read-only arrays, features (m, d) and
+scores (m,). ``Antibody`` and ``MemoryPool.members`` are a read-only
+compatibility view of them for callers that build pools from lists of
+antibodies; nothing in this package reads that view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -24,60 +30,79 @@ from .errors import ConfigurationError, DimensionError, UndefinedAffinityError
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Antibody:
+    """One pool member, as :attr:`MemoryPool.members` shows it."""
+
     feature: np.ndarray
     class_label: int
     affinity_score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryPool:
     """Bounded per-class antibody set, kept sorted by descending score.
 
-    Read it as arrays: ``len(pool)`` members, their stacked features
-    ``matrix`` (m, d) and their ``scores`` (m,), best first. How members
-    are stored is private to this module; :func:`update_memory` adds rows.
-    Immutable: ``members`` is stored as a tuple, and member feature arrays
-    are treated as read-only once inside a pool, so both arrays are
-    computed once per pool. More members than ``capacity``, or scores that
-    are not best first, raise ConfigurationError.
+    A pool is two read-only arrays: the member features ``matrix`` (m, d)
+    and their ``scores`` (m,), best first; ``matrix`` is (0, 0) for an
+    empty pool. ``MemoryPool(label, capacity, matrix=..., scores=...)``
+    stores read-only copies of the arrays it is given, and
+    :func:`update_memory` returns a new pool with rows merged in. More
+    members than ``capacity``, or scores that are not best first, raise
+    ConfigurationError. Pools compare and hash by identity.
+
+    Compatibility view: a third positional argument of :class:`Antibody`
+    objects is converted to the arrays once, and ``members`` shows the
+    arrays as a tuple of Antibody objects over read-only rows.
     """
 
     class_label: int
     capacity: int
-    members: tuple[Antibody, ...] = ()
+    antibodies: InitVar[Sequence[Antibody]] = ()
+    matrix: np.ndarray = field(default=(), kw_only=True)
+    scores: np.ndarray = field(default=(), kw_only=True)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) > self.capacity:
+    def __post_init__(self, antibodies):
+        matrix, scores = self.matrix, self.scores
+        if len(antibodies):
+            matrix = [ab.feature for ab in antibodies]
+            scores = [ab.affinity_score for ab in antibodies]
+        try:
+            matrix = np.array(matrix, dtype=np.float64)
+        except ValueError:
+            raise DimensionError(f"pool of class {self.class_label}: "
+                                 f"rows of different widths") from None
+        scores = np.array(scores, dtype=np.float64)
+        if not len(matrix):
+            matrix = matrix.reshape(0, 0)
+        if matrix.ndim != 2 or scores.shape != (len(matrix),):
+            raise DimensionError(
+                f"pool of class {self.class_label}: features "
+                f"{matrix.shape} do not fit scores {scores.shape}")
+        matrix.flags.writeable = scores.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "scores", scores)
+        if len(scores) > self.capacity:
             raise ConfigurationError(
-                f"pool of class {self.class_label}: {len(self.members)} "
+                f"pool of class {self.class_label}: {len(scores)} "
                 f"members exceed capacity {self.capacity}")
         # written so that a NaN score fails it
-        unordered = np.flatnonzero(~(self.scores[:-1] >= self.scores[1:]))
+        unordered = np.flatnonzero(~(scores[:-1] >= scores[1:]))
         if unordered.size:
             i = unordered[0]
-            before, after = self.scores[i:i + 2].tolist()
+            before, after = scores[i:i + 2].tolist()
             raise ConfigurationError(
                 f"pool of class {self.class_label}: member {i + 2} scores "
                 f"{after!r} after {before!r}; scores must not increase")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.scores)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Stacked member features, shape (m, d); (0, 0) for an empty pool."""
-        if not self.members:
-            return np.empty((0, 0))
-        return np.stack([ab.feature for ab in self.members])
-
-    @cached_property
-    def scores(self) -> np.ndarray:
-        """Member scores, shape (m,), in descending order."""
-        return np.array([ab.affinity_score for ab in self.members],
-                        dtype=np.float64)
+    def members(self) -> tuple[Antibody, ...]:
+        """Read-only compatibility view: one Antibody per row, best first."""
+        return tuple(Antibody(row, self.class_label, score)
+                     for row, score in zip(self.matrix, self.scores.tolist()))
 
 
 @dataclass(frozen=True)
@@ -267,7 +292,8 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
 
     Elitist: on score ties a member outranks any candidate, and earlier
     candidates outrank later ones, so a member is only ever evicted by a
-    strictly better candidate. Kept candidates are stored as copies. The
+    strictly better candidate. The kept rows are gathered from the members
+    and the candidates with one index and stored as read-only copies. The
     training pools, new-class seeding and ``clonalg_run``'s elite memory
     all rank through this one policy.
     """
@@ -278,15 +304,11 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
         raise DimensionError(
             f"candidate rows {features.shape} with scores {scores.shape} do "
             f"not fit a pool of shape {pool.matrix.shape}")
-    m = len(pool)
-    ranked = np.argsort(-np.concatenate([pool.scores, scores]),
-                        kind="stable")[:pool.capacity]
-    members = [pool.members[i] if i < m else
-               Antibody(features[i - m].copy(), pool.class_label,
-                        float(scores[i - m]))
-               for i in ranked]
-    return MemoryPool(class_label=pool.class_label, capacity=pool.capacity,
-                      members=members)
+    merged = np.concatenate([pool.scores, scores])
+    ranked = np.argsort(-merged, kind="stable")[:pool.capacity]
+    rows = np.concatenate([pool.matrix, features]) if len(pool) else features
+    return MemoryPool(pool.class_label, pool.capacity, matrix=rows[ranked],
+                      scores=merged[ranked])
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +407,9 @@ def save_pools(pools: dict[int, MemoryPool], path) -> None:
     lines = [POOL_FORMAT_HEADER]
     for label in sorted(pools):
         pool = pools[label]
-        lines.append(f"class {pool.class_label} {len(pool.members)} {pool.capacity}")
-        for ab in pool.members:
-            coords = " ".join(repr(float(x)) for x in ab.feature)
-            lines.append(f"{ab.affinity_score!r} {coords}")
+        lines.append(f"class {pool.class_label} {len(pool)} {pool.capacity}")
+        for score, row in zip(pool.scores.tolist(), pool.matrix.tolist()):
+            lines.append(" ".join(map(repr, [score, *row])))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -425,7 +446,7 @@ def load_pools(path) -> dict[int, MemoryPool]:
             )
         if label in pools:
             raise ConfigurationError(f"line {i + 1}: repeated class {label}")
-        members = []
+        rows, scores = [], []
         for j in range(i + 1, i + 1 + count):
             try:
                 values = [float(x) for x in lines[j].split()]
@@ -446,14 +467,11 @@ def load_pools(path) -> dict[int, MemoryPool]:
                     f"line {j + 1}: {len(values) - 1} coordinates, "
                     f"expected {width}"
                 )
-            members.append(Antibody(
-                feature=np.array(values[1:]),
-                class_label=label,
-                affinity_score=values[0],
-            ))
+            scores.append(values[0])
+            rows.append(values[1:])
         try:
-            pools[label] = MemoryPool(class_label=label, capacity=capacity,
-                                      members=members)
+            pools[label] = MemoryPool(label, capacity, matrix=rows,
+                                      scores=scores)
         except ConfigurationError as err:
             raise ConfigurationError(f"line {i + 1}: {err}") from None
         i += 1 + count

@@ -22,7 +22,7 @@ from . import synthdigits
 from .classifier import (Decision, classify_batch, init_new_class,
                          write_decision_records)
 from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
-                     clonalg_run, save_pools, update_memory)
+                     clonalg_run, save_pools)
 from .errors import ConfigurationError, DivergenceError
 from .mnist import Dataset, batches, load_dataset, stratified_subset
 from .nn import (ArchConfig, evaluate, forward_features, init_params,
@@ -372,8 +372,8 @@ def run_two_class_application(cfg: ExperimentConfig,
     pools: dict[int, MemoryPool] = {}
     for net_label, pool in expander.pools.items():
         real = labels[net_label]
-        pools[real] = update_memory(MemoryPool(real, pool.capacity),
-                                    pool.matrix, pool.scores)
+        pools[real] = MemoryPool(real, pool.capacity, matrix=pool.matrix,
+                                 scores=pool.scores)
 
     features, _ = forward_features(params, test_sub.images)
     decisions = classify_batch(features, pools, cfg.matching_tau,

@@ -27,7 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
                      DivergenceError)
-from .tensor import conv2d_valid, dense, dense_backward, maxpool2, maxpool2_backward
+from .tensor import (conv2d_valid, dense, dense_backward, maxpool2,
+                     maxpool2_backward, maxpool2_gather)
 
 TANH_SCALE = 1.7159
 TANH_SLOPE = 2.0 / 3.0
@@ -251,9 +252,11 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     grad_fc1_w, grad_fc1_b, dpool_flat = dense_backward(
         params.fc1_weights, trace.pooled_flat, dz1
     )
+    # only the pool winners get error, so tanh' is needed at them only
     dpool = dpool_flat.reshape(trace.argmax.shape)
-    dconv_pre = (maxpool2_backward(trace.argmax, dpool)
-                 * scaled_tanh_prime(trace.conv_pre))
+    winners = maxpool2_gather(trace.conv_pre, trace.argmax)
+    dconv_pre = maxpool2_backward(trace.argmax,
+                                  dpool * scaled_tanh_prime(winners))
     # kernel gradient as one GEMM: (f, N·oh·ow) error against the
     # (N·oh·ow, k²) im2col of the images
     k = params.conv_kernels.shape[-1]

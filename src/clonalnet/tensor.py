@@ -19,6 +19,8 @@ path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -113,13 +115,12 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
     # visit the block corners in row-major order; a later corner wins only
     # when strictly greater, which keeps the first of tied maxima
-    out = inp[..., 0::2, 0::2].copy()
-    corner = np.zeros(out.shape, dtype=np.int64)
+    out, corner = inp[..., 0::2, 0::2], 0
     for offset, dy, dx in ((1, 0, 1), (w, 1, 0), (w + 1, 1, 1)):
         candidate = inp[..., dy::2, dx::2]
         later = candidate > out
-        np.copyto(out, candidate, where=later)
-        np.copyto(corner, offset, where=later)
+        out = np.where(later, candidate, out)
+        corner = np.where(later, offset, corner)
     corner += 2 * w * np.arange(h // 2)[:, None] + 2 * np.arange(w // 2)
     return out, corner
 
@@ -147,29 +148,51 @@ def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, argmax
 
 
+def _winner_index(argmax) -> np.ndarray:
+    """Flat index into a whole ``(..., H, W)`` stack of each winner in a
+    ``(..., H/2, W/2)`` stack of :func:`maxpool2` argmaxes."""
+    am = np.asarray(argmax)
+    *lead, ph, pw = am.shape
+    size = 4 * ph * pw
+    if am.size and (not np.issubdtype(am.dtype, np.integer)
+                    or am.min() < 0 or am.max() >= size):
+        raise CorruptionError(
+            f"argmax must hold integer indices into maps of shape {(2 * ph, 2 * pw)}"
+        )
+    maps = np.arange(0, math.prod(lead) * size, size)
+    return am + maps.reshape(*lead, 1, 1)
+
+
 def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Route grad_out entries to the argmax positions; zeros elsewhere.
 
     Takes the ``(..., H/2, W/2)`` stacks of :func:`maxpool2` and returns the
     ``(..., H, W)`` gradient of its input.
     """
-    am = np.asarray(argmax)
     g = _as_array(grad_out, "grad_out", 2, stack=True)
-    if am.shape != g.shape:
+    if np.shape(argmax) != g.shape:
         raise DimensionError(
-            f"argmax shape {am.shape} does not match grad_out shape {g.shape}"
+            f"argmax shape {np.shape(argmax)} does not match grad_out shape {g.shape}"
         )
-    *lead, ph, pw = am.shape
-    h, w = 2 * ph, 2 * pw
-    if am.size and (not np.issubdtype(am.dtype, np.integer)
-                    or am.min() < 0 or am.max() >= h * w):
-        raise CorruptionError(
-            f"argmax must hold integer indices into maps of shape {(h, w)}"
+    index = _winner_index(argmax)
+    *lead, ph, pw = g.shape
+    grad_input = np.zeros((*lead, 2 * ph, 2 * pw))
+    grad_input.reshape(-1)[index] = g
+    return grad_input
+
+
+def maxpool2_gather(input: np.ndarray, argmax: np.ndarray) -> np.ndarray:
+    """The entries of an ``(..., H, W)`` stack at the argmax positions of
+    :func:`maxpool2`, shape ``(..., H/2, W/2)``: the reverse of
+    :func:`maxpool2_backward`'s scatter."""
+    inp = _as_array(input, "input", 2, stack=True)
+    am = np.asarray(argmax)
+    if (am.shape[:-2] != inp.shape[:-2]
+            or inp.shape[-2:] != tuple(2 * n for n in am.shape[-2:])):
+        raise DimensionError(
+            f"argmax shape {am.shape} does not pool input shape {inp.shape}"
         )
-    grad_input = np.zeros((*lead, h * w))
-    np.put_along_axis(grad_input, am.reshape(*lead, ph * pw),
-                      g.reshape(*lead, ph * pw), axis=-1)
-    return grad_input.reshape(*lead, h, w)
+    return inp.reshape(-1)[_winner_index(am)]
 
 
 # ---------------------------------------------------------------------------

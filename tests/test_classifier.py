@@ -8,18 +8,15 @@ from clonalnet.classifier import (
     NOMATCH, Decision, classify, classify_batch, decision_record_header,
     format_decision_record, init_new_class, write_decision_records,
 )
-from clonalnet.clonal import (Antibody, CloneConfig, MemoryPool, affinity,
+from clonalnet.clonal import (CloneConfig, MemoryPool, affinity,
                               pool_affinities)
 from clonalnet.errors import ConfigurationError, DimensionError
 
 
 def pool_from(features, label=0, capacity=None):
-    feats = [np.asarray(f, dtype=np.float64) for f in features]
-    members = [Antibody(feature=f, class_label=label, affinity_score=1.0)
-               for f in feats]
-    return MemoryPool(class_label=label,
-                      capacity=capacity or max(1, len(members)),
-                      members=members)
+    matrix = np.array(features, dtype=np.float64)
+    return MemoryPool(label, capacity or max(1, len(matrix)), matrix=matrix,
+                      scores=np.ones(len(matrix)))
 
 
 def unit(i, d=4):
@@ -56,8 +53,8 @@ class TestPhase1Count:
         tau = 0.55
         for _ in range(20):
             test = rng.normal(size=5)
-            expected = {c: sum(affinity(test, ab.feature) >= tau
-                               for ab in pool.members)
+            expected = {c: sum(affinity(test, row) >= tau
+                               for row in pool.matrix)
                         for c, pool in pools.items()}
             assert classify(test, pools, tau).counts == expected
 
@@ -101,8 +98,8 @@ class TestPhase2Avidity:
             test = rng.normal(size=6)
             decision = classify(test, pools, tau)
             for c, pool in pools.items():
-                matched = [a for a in (affinity(test, ab.feature)
-                                       for ab in pool.members) if a >= tau]
+                matched = [a for a in (affinity(test, row)
+                                       for row in pool.matrix) if a >= tau]
                 if matched:
                     checked += 1
                     assert abs(decision.avidities[c] - np.mean(matched)) < 1e-12
@@ -145,10 +142,10 @@ class TestClassify:
             decision = classify(test, pools, tau, c_min=c_min)
             scores = {}
             for c, pool in pools.items():
-                affs = [affinity(test, ab.feature) for ab in pool.members]
+                affs = [affinity(test, row) for row in pool.matrix]
                 qualified = [a for a in affs if a >= tau]
                 if len(qualified) >= c_min:
-                    scores[c] = len(qualified) / len(pool.members) \
+                    scores[c] = len(qualified) / len(pool) \
                         + np.mean(qualified)
             if not scores:
                 assert decision.no_match
@@ -339,18 +336,54 @@ class TestClassifyBatch:
         assert calls == [((rows, 6), (20, 6))]
 
 
+class TestStackedPoolCache:
+    def pools(self):
+        rng = np.random.default_rng(9)
+        return {c: pool_from(rng.normal(size=(6, 5)), label=c)
+                for c in range(3)}
+
+    def test_repeated_calls_stack_once(self):
+        pools = self.pools()
+        classifier._stacked.cache_clear()
+        for feature in np.random.default_rng(10).normal(size=(4, 5)):
+            classify(feature, dict(pools), tau_match=0.5)
+        info = classifier._stacked.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_new_class_pool_restacks(self):
+        pools = self.pools()
+        rng = np.random.default_rng(11)
+        feature = rng.normal(size=5)
+        classifier._stacked.cache_clear()
+        classify(feature, pools, tau_match=0.5)
+        pools[7] = init_new_class(feature, 7, CloneConfig(memory_capacity=4),
+                                  rng, existing=pools)
+        decision = classify(feature, pools, tau_match=0.5)
+        assert classifier._stacked.cache_info().misses == 2
+        assert decision.counts[7] >= 1
+
+    def test_decisions_equal_the_uncached_stack(self, monkeypatch):
+        pools = self.pools()
+        features = np.random.default_rng(12).normal(size=(8, 5))
+        cached = [classify_batch(features, pools, 0.5) for _ in range(2)]
+        monkeypatch.setattr(classifier, "_stacked",
+                            classifier._stacked.__wrapped__)
+        uncached = classify_batch(features, pools, 0.5)
+        assert cached[0] == cached[1] == uncached
+
+
 class TestInitNewClass:
     def test_capacity_one_is_exact_seed(self):
         config = CloneConfig(memory_capacity=1)
         pool = init_new_class(np.array([1.0, 2.0]), 9, config,
                               np.random.default_rng(0))
-        assert len(pool.members) == 1
-        assert np.array_equal(pool.members[0].feature, [1.0, 2.0])
+        assert len(pool) == 1
+        assert np.array_equal(pool.matrix, [[1.0, 2.0]])
 
     def test_pool_size_equals_capacity(self):
         config = CloneConfig(memory_capacity=7)
         pool = init_new_class(np.ones(4), 2, config, np.random.default_rng(1))
-        assert len(pool.members) == 7
+        assert len(pool) == 7
         assert pool.capacity == 7
 
     def test_small_sigma_members_stay_close_to_seed(self):
@@ -359,8 +392,8 @@ class TestInitNewClass:
         for seed in range(5):
             pool = init_new_class(seed_feature, 1, config,
                                   np.random.default_rng(seed))
-            for ab in pool.members:
-                assert affinity(ab.feature, seed_feature) >= config.tau
+            for row in pool.matrix:
+                assert affinity(row, seed_feature) >= config.tau
 
     def test_label_collision_rejected(self):
         config = CloneConfig(memory_capacity=2)
@@ -373,14 +406,13 @@ class TestInitNewClass:
         config = CloneConfig(sigma=0.3, memory_capacity=9)
         seed_feature = np.random.default_rng(4).normal(size=16)
         pool = init_new_class(seed_feature, 0, config, np.random.default_rng(5))
-        for ab in pool.members:
-            expected = affinity(ab.feature, seed_feature)
-            assert abs(ab.affinity_score - expected) < 1e-12
+        for row, score in zip(pool.matrix, pool.scores):
+            assert abs(score - affinity(row, seed_feature)) < 1e-12
 
     def test_members_sorted_by_score(self):
         config = CloneConfig(memory_capacity=6)
         pool = init_new_class(np.ones(8), 0, config, np.random.default_rng(3))
-        scores = [ab.affinity_score for ab in pool.members]
+        scores = pool.scores.tolist()
         assert scores == sorted(scores, reverse=True)
         assert scores[0] == 1.0
 

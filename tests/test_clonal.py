@@ -188,10 +188,9 @@ class TestCrossover:
 
 
 def pool_of(features, label=0, capacity=10):
-    members = [Antibody(feature=np.asarray(f, dtype=np.float64),
-                        class_label=label, affinity_score=1.0 - 0.01 * i)
-               for i, f in enumerate(features)]
-    return MemoryPool(class_label=label, capacity=capacity, members=members)
+    matrix = np.asarray(features, dtype=np.float64)
+    return MemoryPool(label, capacity, matrix=matrix,
+                      scores=1.0 - 0.01 * np.arange(len(matrix)))
 
 
 class TestPoolAffinities:
@@ -202,7 +201,7 @@ class TestPoolAffinities:
         table = pool_affinities(queries, pool)
         for i in range(4):
             for j in range(5):
-                expected = affinity(queries[i], pool.members[j].feature)
+                expected = affinity(queries[i], pool.matrix[j])
                 assert abs(table[i, j] - expected) < 1e-12
 
     def test_matches_scalar_at_extreme_magnitudes(self):
@@ -296,7 +295,7 @@ class TestAffinityMatrix:
 
 def best_match(feature, pool):
     """Scalar oracle for a feature's best affinity against a pool."""
-    return max(affinity(feature, m.feature) for m in pool.members)
+    return max(affinity(feature, row) for row in pool.matrix)
 
 
 class TestGenerateClones:
@@ -389,9 +388,9 @@ class TestUpdateMemory:
                                                     message):
         # such a pool used to be accepted as given, and the next
         # update_memory re-sorted and trimmed it silently
-        members = [Antibody(np.zeros(2), 0, score) for score in scores]
         with pytest.raises(ConfigurationError, match=message):
-            MemoryPool(0, capacity, members)
+            MemoryPool(0, capacity, matrix=np.zeros((len(scores), 2)),
+                       scores=scores)
 
     def test_empty_candidates_no_change(self):
         pool = pool_of([[1.0, 0.0], [0.0, 1.0]], capacity=4)
@@ -427,8 +426,6 @@ class TestUpdateMemory:
         scores[:] = 0.0
         assert pool.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert pool.scores.tolist() == [0.5, 0.25]
-        assert all(type(s) is float for s in
-                   (ab.affinity_score for ab in pool.members))
 
     @pytest.mark.parametrize("features, scores", [
         (np.zeros((3, 2)), [0.1, 0.2]),
@@ -448,11 +445,15 @@ class TestUpdateMemory:
             update_memory(pool, np.ones((1, 3)), [0.9])
 
     def test_members_cannot_be_replaced_in_place(self):
-        # pools are immutable, so the cached member matrix cannot go stale
+        # pools are immutable, so a stack of their matrices cannot go stale
         pool = pool_of([[1.0, 0.0], [0.0, 1.0]])
         before = pool_affinities(np.array([[0.0, 1.0]]), pool)
-        with pytest.raises(TypeError):
-            pool.members[1] = Antibody(np.array([1.0, 0.0]), 0, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            pool.matrix[1] = [1.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            pool.scores[0] = 0.5
+        with pytest.raises(AttributeError):
+            pool.matrix = np.zeros((2, 2))
         assert np.array_equal(pool_affinities(np.array([[0.0, 1.0]]), pool),
                               before)
 
@@ -500,6 +501,34 @@ class TestUpdateMemory:
             if ab not in kept:
                 assert ab[1] not in kept_candidate_scores
 
+    @given(st.lists(memory_scores, max_size=8), st.lists(memory_scores),
+           st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    def test_ties_match_reference_rank_and_gather(self, incumbent_scores,
+                                                  candidate_scores, capacity,
+                                                  width, seed):
+        rng = np.random.default_rng(seed)
+        incumbent_scores = sorted(incumbent_scores, reverse=True)[:capacity]
+        pool = MemoryPool(0, capacity,
+                          matrix=rng.normal(size=(len(incumbent_scores), width)),
+                          scores=incumbent_scores)
+        candidates = rng.normal(size=(len(candidate_scores), width))
+        updated = update_memory(pool, candidates, candidate_scores)
+        # reference: members before candidates on equal scores, each side
+        # in its own order, then the kept rows and scores gathered one by one
+        keys = [(-s, 0, i) for i, s in enumerate(incumbent_scores)]
+        keys += [(-s, 1, i) for i, s in enumerate(candidate_scores)]
+        kept = sorted(keys)[:capacity]
+        rows = [(pool.matrix, candidates)[side][i] for _, side, i in kept]
+        expected = np.array(rows).reshape(len(kept), width)
+        assert updated.matrix.tobytes() == expected.tobytes()
+        assert updated.scores.tolist() == [-s for s, _, _ in kept]
+        # kept candidate rows are copies, and the pool's arrays are read-only
+        candidates[:] = np.nan
+        assert updated.matrix.tobytes() == expected.tobytes()
+        for array in (updated.matrix, updated.scores):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
 
 class TestClonalExpander:
     def test_bootstrap_builds_sorted_pools(self):
@@ -510,8 +539,8 @@ class TestClonalExpander:
         expander(feats, labels)
         assert set(expander.pools) == {0, 1}
         for pool in expander.pools.values():
-            assert len(pool.members) <= 3
-            scores = [ab.affinity_score for ab in pool.members]
+            assert len(pool) <= 3
+            scores = pool.scores.tolist()
             assert scores == sorted(scores, reverse=True)
 
     def test_deterministic(self):
@@ -527,9 +556,10 @@ class TestClonalExpander:
         for (fa, la, pa), (fb, lb, pb) in zip(runs[0][0], runs[1][0]):
             assert np.array_equal(fa, fb) and la == lb and pa == pb
         for label in runs[0][1]:
-            for ma, mb in zip(runs[0][1][label].members,
-                              runs[1][1][label].members):
-                assert np.array_equal(ma.feature, mb.feature)
+            assert np.array_equal(runs[0][1][label].matrix,
+                                  runs[1][1][label].matrix)
+            assert np.array_equal(runs[0][1][label].scores,
+                                  runs[1][1][label].scores)
 
     def test_new_members_scored_against_the_pool_before_the_call(self):
         rng = np.random.default_rng(19)
@@ -539,8 +569,8 @@ class TestClonalExpander:
         centres = 2.0 * rng.normal(size=(2, 5))
         # zero-scored starting pools, so that later candidates enter them
         expander.pools = {
-            l: MemoryPool(l, 20, [Antibody(c + rng.normal(size=5), l, 0.0)
-                                  for _ in range(4)])
+            l: MemoryPool(l, 20, matrix=c + rng.normal(size=(4, 5)),
+                          scores=np.zeros(4))
             for l, c in enumerate(centres)}
         originals = clones_checked = 0
         for _ in range(6):
@@ -548,16 +578,17 @@ class TestClonalExpander:
             before = dict(expander.pools)
             clones = expander(features, labels)
             for label, pool in expander.pools.items():
-                old = before[label].members
-                for ab in pool.members:
-                    if any(ab is m for m in old):
+                old = before[label].matrix
+                for row, score in zip(pool.matrix, pool.scores):
+                    # a row of the pool before the call is no new member
+                    if (old == row).all(axis=1).any():
                         continue
-                    expected = max(affinity(ab.feature, m.feature) for m in old)
-                    assert abs(ab.affinity_score - expected) < 1e-12
-                    if any(np.array_equal(ab.feature, f) for f in features):
+                    expected = max(affinity(row, m) for m in old)
+                    assert abs(score - expected) < 1e-12
+                    if any(np.array_equal(row, f) for f in features):
                         originals += 1
                     else:
-                        assert any(np.array_equal(ab.feature, c)
+                        assert any(np.array_equal(row, c)
                                    for c, _, _ in clones)
                         clones_checked += 1
         assert originals > 0 and clones_checked > 0
@@ -582,15 +613,10 @@ def finite_pools(draw):
         # a pool holds its members best first
         scores = sorted(draw(st.lists(finite, min_size=count,
                                       max_size=count)), reverse=True)
-        members = [
-            Antibody(np.array(draw(st.lists(finite, min_size=width,
-                                            max_size=width))),
-                     label, score)
-            for score in scores
-        ]
-        pools[label] = MemoryPool(class_label=label,
-                                  capacity=draw(st.integers(max(count, 1), 6)),
-                                  members=members)
+        matrix = [draw(st.lists(finite, min_size=width, max_size=width))
+                  for _ in scores]
+        pools[label] = MemoryPool(label, draw(st.integers(max(count, 1), 6)),
+                                  matrix=matrix, scores=scores)
     return pools
 
 
@@ -607,9 +633,8 @@ class TestPoolSerialization:
         assert set(loaded) == {0, 4}
         for label, pool in pools.items():
             assert loaded[label].capacity == pool.capacity
-            for a, b in zip(pool.members, loaded[label].members):
-                assert np.array_equal(a.feature, b.feature)
-                assert a.affinity_score == b.affinity_score
+            assert np.array_equal(loaded[label].matrix, pool.matrix)
+            assert np.array_equal(loaded[label].scores, pool.scores)
 
     def test_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -628,10 +653,9 @@ class TestPoolSerialization:
         assert set(loaded) == set(pools)
         for label, pool in pools.items():
             assert loaded[label].capacity == pool.capacity
-            assert len(loaded[label].members) == len(pool.members)
-            for a, b in zip(pool.members, loaded[label].members):
-                assert np.array_equal(a.feature, b.feature)
-                assert a.affinity_score == b.affinity_score
+            assert len(loaded[label]) == len(pool)
+            assert np.array_equal(loaded[label].matrix, pool.matrix)
+            assert np.array_equal(loaded[label].scores, pool.scores)
         save_pools(loaded, d / "b.txt")
         assert (d / "a.txt").read_bytes() == (d / "b.txt").read_bytes()
 
@@ -644,14 +668,35 @@ class TestPoolSerialization:
         for pools in (expander.pools, load_pools(tmp_path / "pools.txt")):
             assert set(pools) == {0, 1}
             for pool in pools.values():
+                # the compatibility view shows the arrays bit for bit
                 assert len(pool) == len(pool.members) == 6
-                assert np.array_equal(
-                    pool.matrix, np.stack([ab.feature for ab in pool.members]))
-                assert pool.scores.tolist() == \
-                    [ab.affinity_score for ab in pool.members]
+                view = np.stack([ab.feature for ab in pool.members])
+                assert view.tobytes() == pool.matrix.tobytes()
+                assert np.array([ab.affinity_score for ab in pool.members]
+                                ).tobytes() == pool.scores.tobytes()
+                assert all(ab.class_label == pool.class_label
+                           and not ab.feature.flags.writeable
+                           for ab in pool.members)
         empty = MemoryPool(class_label=0, capacity=3)
-        assert len(empty) == 0
+        assert len(empty) == 0 and empty.members == ()
         assert empty.matrix.shape == (0, 0) and empty.scores.shape == (0,)
+
+    def test_antibody_list_constructor(self):
+        features = np.array([[1.0, 2.0], [3.0, 4.0]])
+        pool = MemoryPool(0, 2, [Antibody(features[0], 0, 0.75),
+                                 Antibody(features[1], 0, 0.5)])
+        features[:] = 0.0
+        assert pool.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert pool.scores.tolist() == [0.75, 0.5]
+        with pytest.raises(ConfigurationError, match="exceed capacity 1"):
+            MemoryPool(0, 1, [Antibody(np.zeros(2), 0, 0.9),
+                              Antibody(np.zeros(2), 0, 0.1)])
+        with pytest.raises(ConfigurationError, match="scores must not increase"):
+            MemoryPool(0, 2, [Antibody(np.zeros(2), 0, 0.1),
+                              Antibody(np.zeros(2), 0, 0.9)])
+        with pytest.raises(DimensionError, match="class 0"):
+            MemoryPool(0, 2, [Antibody(np.zeros(2), 0, 0.9),
+                              Antibody(np.zeros(3), 0, 0.1)])
 
     def test_versioned_header(self, tmp_path):
         path = tmp_path / "pools.txt"

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,8 @@ from clonalnet.clonal import CloneConfig, ClonalExpander
 from clonalnet.errors import (ConfigurationError, CorruptionError,
                               DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
-from clonalnet.tensor import conv2d_valid_naive, dense_naive, maxpool2_naive
+from clonalnet.tensor import (conv2d_valid_naive, dense_backward, dense_naive,
+                              maxpool2_backward, maxpool2_naive)
 
 SMALL = nn.ArchConfig(image_size=10, num_maps=2, kernel_size=3,
                       feature_width=6, num_classes=3)
@@ -230,7 +232,62 @@ def conv_error(p, trace, probs, labels, clones):
     return dconv * nn.scaled_tanh_prime(trace.conv_pre)
 
 
+def full_map_conv_gradients(p, trace, probs, labels, clones):
+    """Kernel and bias gradients with tanh' taken over the whole conv map,
+    ``maxpool2_backward(argmax, dpool) * scaled_tanh_prime(conv_pre)``, by
+    the same operations in the same order as ``batch_gradients`` otherwise."""
+    n = len(trace.feature)
+    clone_features = np.reshape([f for f, _, _ in clones],
+                                (len(clones), p.feature_width))
+    row_labels = np.concatenate([labels, [l for _, l, _ in clones]]).astype(int)
+    delta = np.concatenate([probs, nn.forward_output(p, clone_features)])
+    delta[np.arange(len(delta)), row_labels] -= 1.0
+    _, _, drows = dense_backward(
+        p.out_weights, np.concatenate([trace.feature, clone_features]), delta)
+    feature_error = drows[:n]
+    np.add.at(feature_error, np.array([c for _, _, c in clones], dtype=int),
+              drows[n:])
+    dz1 = feature_error * nn.scaled_tanh_prime(trace.fc1_pre)
+    _, _, dpool = dense_backward(p.fc1_weights, trace.pooled_flat, dz1)
+    dconv = (maxpool2_backward(trace.argmax, dpool.reshape(trace.argmax.shape))
+             * nn.scaled_tanh_prime(trace.conv_pre))
+    k = p.conv_kernels.shape[-1]
+    cols = sliding_window_view(trace.image, (k, k), axis=(-2, -1))
+    kernels = (np.moveaxis(dconv, 1, 0).reshape(p.num_maps, -1)
+               @ cols.reshape(-1, k * k))
+    return (kernels.reshape(p.conv_kernels.shape),
+            dconv.sum(axis=(2, 3)).sum(axis=0))
+
+
 class TestBackward:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_conv_gradients_equal_the_full_map_formula(self, seed, n,
+                                                       with_clones):
+        # tanh' at the pool winners only must change no bit of the
+        # kernel and bias gradients
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        arch = nn.ArchConfig(
+            image_size=2 * int(rng.integers(1, 5)) + k - 1,
+            num_maps=int(rng.integers(1, 4)), kernel_size=k,
+            feature_width=int(rng.integers(1, 6)),
+            num_classes=int(rng.integers(1, 5)))
+        p = nn.init_params(seed, arch)
+        images = rng.normal(size=(n, arch.image_size, arch.image_size))
+        labels = rng.integers(0, arch.num_classes, size=n)
+        features, trace, probs = forward_batch(p, images)
+        clones = [(features[parent]
+                   + rng.normal(scale=0.2, size=arch.feature_width),
+                   int(rng.integers(arch.num_classes)), int(parent))
+                  for parent in rng.integers(0, n, size=2 * n)
+                  ] if with_clones else []
+        grads = nn.batch_gradients(p, trace, probs, labels, clones)
+        kernels, bias = full_map_conv_gradients(p, trace, probs, labels, clones)
+        assert grads.conv_kernels.tobytes() == kernels.tobytes()
+        assert grads.conv_bias.tobytes() == bias.tobytes()
+
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
            st.booleans())
     @settings(max_examples=25, deadline=None)

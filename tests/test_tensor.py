@@ -12,6 +12,7 @@ from clonalnet.tensor import (
     dense_naive,
     maxpool2,
     maxpool2_backward,
+    maxpool2_gather,
     maxpool2_naive,
 )
 
@@ -239,6 +240,30 @@ class TestMaxpool2Stack:
         _, argmax = maxpool2(np.ones((2, 4, 4)))
         with pytest.raises(CorruptionError):
             maxpool2_backward(argmax.astype(np.float64), np.ones((2, 2, 2)))
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_gather_reads_each_maps_winners(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, lead)
+        out, argmax = maxpool2(stack)
+        other = rng.normal(size=stack.shape)
+        h, w = stack.shape[-2:]
+        expected = [m.ravel()[am.ravel()] for m, am in
+                    zip(other.reshape(-1, h, w), rows(argmax, 2))]
+        assert maxpool2_gather(stack, argmax).tobytes() == out.tobytes()
+        assert maxpool2_gather(other, argmax).tobytes() == \
+            np.reshape(expected, argmax.shape).tobytes()
+
+    def test_gather_rejects_bad_shapes_and_indices(self):
+        _, argmax = maxpool2(np.ones((2, 4, 4)))
+        for bad_input in (np.ones((3, 4, 4)), np.ones((2, 4, 6)), np.ones(4)):
+            with pytest.raises(DimensionError):
+                maxpool2_gather(bad_input, argmax)
+        bad = argmax.copy()
+        bad[1, 0, 0] = 16
+        with pytest.raises(CorruptionError):
+            maxpool2_gather(np.ones((2, 4, 4)), bad)
 
 
 def rows(stack, tail):
