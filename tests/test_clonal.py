@@ -675,6 +675,7 @@ class TestPoolSerialization:
                 assert np.array([ab.affinity_score for ab in pool.members]
                                 ).tobytes() == pool.scores.tobytes()
                 assert all(ab.class_label == pool.class_label
+                           and type(ab.affinity_score) is float
                            and not ab.feature.flags.writeable
                            for ab in pool.members)
         empty = MemoryPool(class_label=0, capacity=3)
