@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, UndefinedAffinityError
+from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
+                     read_text)
 
 # smallest normal float64: squared norms below this have underflowed and
 # carry no usable direction information
@@ -415,8 +416,9 @@ def save_pools(pools: dict[int, MemoryPool], path) -> None:
 
 def load_pools(path) -> dict[int, MemoryPool]:
     """Read pools written by :func:`save_pools`. Malformed content raises
-    ConfigurationError naming its 1-based line number."""
-    lines = Path(path).read_text().splitlines()
+    ConfigurationError naming its 1-based line number, and undecodable
+    bytes one naming the file."""
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != POOL_FORMAT_HEADER:
         raise ConfigurationError(
             f"unrecognized pool file header: {lines[0] if lines else '<empty>'}"

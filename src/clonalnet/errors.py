@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that turns undecodable bytes into one of them."""
+
+from pathlib import Path
 
 
 class DimensionError(ValueError):
@@ -34,3 +37,13 @@ class IdxTruncationError(ValueError):
 
 class UndefinedAffinityError(ValueError):
     """Affinity requested between two all-zero vectors."""
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``. A byte that does not decode raises
+    ConfigurationError naming the file and the byte's offset."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(
+            f"{path}: undecodable byte at offset {err.start}") from None

@@ -23,7 +23,7 @@ from .classifier import (Decision, classify_batch, init_new_class,
                          write_decision_records)
 from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
                      clonalg_run, save_pools)
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, read_text
 from .mnist import Dataset, batches, load_dataset, stratified_subset
 from .nn import (ArchConfig, evaluate, forward_features, init_params,
                  train_epoch)
@@ -121,7 +121,7 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
     mapping: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -461,14 +461,26 @@ def emit_csv(path, rows: list[SweepResult]) -> None:
 
 
 def read_csv(path) -> list[SweepResult]:
-    lines = Path(path).read_text().splitlines()
+    """Rows written by :func:`emit_csv`. A malformed row raises
+    ConfigurationError naming its 1-based line."""
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"unrecognized results header in {path}")
+    width = len(CSV_HEADER.split(","))
     rows = []
-    for line in lines[1:]:
-        variant, size, seed, epoch, tr, te = line.split(",")
-        rows.append(SweepResult(variant, int(size), int(seed), int(epoch),
-                                float(tr), float(te)))
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ConfigurationError(
+                f"{path} line {number}: {len(cells)} fields, expected {width}")
+        variant, size, seed, epoch, tr, te = cells
+        try:
+            rows.append(SweepResult(variant, int(size), int(seed), int(epoch),
+                                    float(tr), float(te)))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path} line {number}: unparseable number in {line!r}"
+            ) from None
     return rows
 
 

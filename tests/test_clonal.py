@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonalnet import clonal
@@ -730,6 +730,37 @@ class TestPoolSerialization:
         path.write_text("clonalnet-pools v1\n" + body)
         with pytest.raises(ConfigurationError, match=f"line {line}:"):
             load_pools(path)
+
+    def test_undecodable_byte_names_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"clonalnet-pools v1\nclass 0 1 2\n0.9 1.0\xff\n")
+        with pytest.raises(ConfigurationError, match="bad.txt: undecodable"):
+            load_pools(path)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                              st.integers(0, 10**6), st.integers(0, 255)),
+                    min_size=1, max_size=6))
+    def test_mutated_bytes_raise_only_configuration_error(
+            self, tmp_path_factory, edits):
+        rng = np.random.default_rng(21)
+        pools = {0: pool_of(rng.normal(size=(3, 4)), label=0, capacity=4),
+                 7: pool_of(rng.normal(size=(2, 4)), label=7, capacity=2)}
+        path = tmp_path_factory.mktemp("fuzz") / "pools.txt"
+        save_pools(pools, path)
+        data = bytearray(path.read_bytes())
+        for kind, position, byte in edits:
+            if kind == "insert":
+                data.insert(position % (len(data) + 1), byte)
+            elif kind == "replace":
+                data[position % len(data)] = byte
+            elif len(data) > 1:
+                del data[position % len(data)]
+        path.write_bytes(bytes(data))
+        try:
+            load_pools(path)
+        except ConfigurationError:
+            pass
 
 
 class TestClonalgRun:

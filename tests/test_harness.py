@@ -54,6 +54,13 @@ def test_parse_config_file_rejects_bare_token(tmp_path):
         parse_config_file(path)
 
 
+def test_parse_config_file_rejects_undecodable_byte(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs = 5\n\xff\n")
+    with pytest.raises(ConfigurationError, match="run.cfg: undecodable"):
+        parse_config_file(path)
+
+
 def test_mapping_coerces_field_types():
     cfg = config_from_mapping({
         "sizes": "5,10", "seeds": "1,2", "epochs": "3",
@@ -213,6 +220,26 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ConfigurationError):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("cnn,10,1,15,0.1,0.2\ncnn,10,2,15,0.1\n", 3),
+    ("cnn,10,1,15,0.1,0.2\n\ncnn,10,2,15,0.1,0.2\n", 3),
+    ("cnn,10,1,15,0.1,zero\n", 2),
+    ("cnn,ten,1,15,0.1,0.2\n", 2),
+], ids=["field-count", "blank-line", "unparseable-float", "unparseable-int"])
+def test_read_csv_malformed_row_names_line(tmp_path, rows, line):
+    path = tmp_path / "r.csv"
+    path.write_text(CSV_HEADER + "\n" + rows)
+    with pytest.raises(ConfigurationError, match=f"r.csv line {line}:"):
+        read_csv(path)
+
+
+def test_read_csv_rejects_undecodable_byte(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\ncnn,10,1,15,0.1,0.2\xff\n")
+    with pytest.raises(ConfigurationError, match="r.csv: undecodable"):
         read_csv(path)
 
 

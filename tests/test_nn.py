@@ -584,12 +584,26 @@ class TestTrainEpoch:
 
 
 class TestEvaluate:
-    def test_matches_predict(self):
+    @pytest.mark.parametrize("n", [
+        1, nn.EVAL_CHUNK - 1, nn.EVAL_CHUNK, nn.EVAL_CHUNK + 1,
+        2 * nn.EVAL_CHUNK + 3,
+    ], ids=["one", "chunk-1", "chunk", "chunk+1", "2chunks+3"])
+    def test_matches_predict(self, n):
         p = nn.init_params(16, SMALL)
-        images, labels = tiny_batch(SMALL, 5, 1)
-        manual = np.mean([nn.predict(p, img) != int(lab)
-                          for img, lab in zip(images, labels)])
-        assert nn.evaluate(p, images, labels) == manual
+        images, labels = tiny_batch(SMALL, n, 1)
+        oracle = np.array([
+            np.argmax(nn.forward_output(p, nn.forward_features(p, img)[0]))
+            for img in images])
+        singles = [nn.predict(p, img) for img in images]
+        assert all(type(label) is int for label in singles)
+        assert singles == oracle.tolist()
+        stacked = nn.predict(p, images)
+        assert stacked.shape == (n,) and stacked.dtype.kind == "i"
+        assert np.array_equal(stacked, oracle)
+        assert nn.evaluate(p, images, labels) == np.mean(oracle != labels)
+        # every image is scored once, against its own label
+        assert nn.evaluate(p, images, oracle) == 0.0
+        assert nn.evaluate(p, images, (oracle + 1) % SMALL.num_classes) == 1.0
 
     def test_empty_sample_set_rejected(self):
         p = nn.init_params(16, SMALL)
