@@ -132,9 +132,8 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
     if existing is not None and label in existing:
         raise ConfigurationError(f"class {label} already has a pool")
     seed = np.asarray(test_feature, dtype=np.float64)
-    variants = np.array([mutate(seed, 1.0, config.sigma, rng)
-                         for _ in range(config.memory_capacity - 1)]
-                        ).reshape(-1, seed.size)
+    shape = (config.memory_capacity - 1, seed.size)
+    variants = mutate(np.broadcast_to(seed, shape), 1.0, config.sigma, rng)
     scores = clonal.affinity_matrix(variants, seed)[:, 0]
     empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
     return clonal.update_memory(empty, np.vstack([seed, variants]),

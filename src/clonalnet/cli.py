@@ -138,7 +138,7 @@ def cmd_two_class(args) -> int:
 def cmd_clonalg_demo(args) -> int:
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in str(args.seeds).split(",")]
+    seeds = harness.config_from_mapping({"seeds": args.seeds}).seeds
     lines = ["seed,generation,best_affinity"]
     series = []
     final = {}

@@ -6,6 +6,8 @@ pattern-recognition demo.
 
 Affinity maps cosine similarity into [0, 1] via (1 + cos) / 2 so that the
 clone-count and mutation-rate formulas receive a bounded positive quantity.
+``affinity_matrix`` is the one implementation, one GEMM per call;
+``affinity_naive`` is its per-pair test oracle.
 
 A pool stores its members as two read-only arrays, features (m, d) and
 scores (m,). ``Antibody`` and ``MemoryPool.members`` are a read-only
@@ -26,9 +28,9 @@ import numpy as np
 from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
                      read_text)
 
-# smallest normal float64: squared norms below this have underflowed and
-# carry no usable direction information
-_TINY_NORMAL = float(np.finfo(np.float64).tiny)
+# squared norms outside this range are rescaled before use: any two inside
+# it, or in the [1, d] of a rescaled row, multiply to a normal float
+_SQ_LOW, _SQ_HIGH = 2.0 ** -510, 2.0 ** 510
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,21 @@ class MemoryPool:
     antibodies: InitVar[Sequence[Antibody]] = ()
     matrix: np.ndarray = field(default=(), kw_only=True)
     scores: np.ndarray = field(default=(), kw_only=True)
+    # set only by update_memory, whose arrays nothing else holds
+    _fresh: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self, antibodies):
+    def __post_init__(self, antibodies, _fresh):
         matrix, scores = self.matrix, self.scores
         if len(antibodies):
             matrix = [ab.feature for ab in antibodies]
             scores = [ab.affinity_score for ab in antibodies]
-        try:
-            matrix = np.array(matrix, dtype=np.float64)
-        except ValueError:
-            raise DimensionError(f"pool of class {self.class_label}: "
-                                 f"rows of different widths") from None
-        scores = np.array(scores, dtype=np.float64)
+        if not _fresh:
+            try:
+                matrix = np.array(matrix, dtype=np.float64)
+            except ValueError:
+                raise DimensionError(f"pool of class {self.class_label}: "
+                                     f"rows of different widths") from None
+            scores = np.array(scores, dtype=np.float64)
         if not len(matrix):
             matrix = matrix.reshape(0, 0)
         if matrix.ndim != 2 or scores.shape != (len(matrix),):
@@ -143,11 +148,14 @@ class CloneConfig:
 # scalar operators
 # ---------------------------------------------------------------------------
 
-def affinity(v1: np.ndarray, v2: np.ndarray) -> float:
-    """(1 + cosine(v1, v2)) / 2, in [0, 1].
+def affinity_naive(v1: np.ndarray, v2: np.ndarray) -> float:
+    """(1 + cosine(v1, v2)) / 2, in [0, 1], one pair at a time: the test
+    oracle for :func:`affinity_matrix`.
 
-    A single zero vector counts as orthogonal (0.5); two zero vectors have
-    no defined direction and raise.
+    Each nonzero vector is first divided by its largest |component|, so no
+    magnitude over- or underflows. A single zero vector counts as
+    orthogonal (0.5); two zero vectors, or a non-finite component, have no
+    defined direction and raise.
     """
     a = np.asarray(v1, dtype=np.float64)
     b = np.asarray(v2, dtype=np.float64)
@@ -155,29 +163,16 @@ def affinity(v1: np.ndarray, v2: np.ndarray) -> float:
         raise DimensionError(
             f"affinity needs equal-width vectors, got {a.shape} and {b.shape}"
         )
-    a_zero = not a.any()
-    b_zero = not b.any()
-    if a_zero and b_zero:
-        raise UndefinedAffinityError("affinity of two zero vectors is undefined")
-    if a_zero or b_zero:
+    a_max = float(np.abs(a).max(initial=0.0))
+    b_max = float(np.abs(b).max(initial=0.0))
+    if not math.isfinite(a_max + b_max) or a_max == b_max == 0.0:
+        raise UndefinedAffinityError(
+            "affinity of two zero vectors or a non-finite one is undefined")
+    if a_max == 0.0 or b_max == 0.0:
         return 0.5
-    # np.vdot computes what np.dot does for real vectors but sets no numpy
-    # floating-point warning; an overflow here is repaired by the branch
-    # below (np.errstate would cost as much as the dot products themselves)
-    aa = float(np.vdot(a, a))
-    bb = float(np.vdot(b, b))
-    denom_sq = aa * bb
-    if denom_sq < _TINY_NORMAL or not math.isfinite(denom_sq):
-        # squared norms of extreme-magnitude vectors leave the normal float
-        # range even though the vectors are nonzero; cosine is scale
-        # invariant, so renormalize by the largest component and retry
-        a = a / np.abs(a).max()
-        b = b / np.abs(b).max()
-        aa = float(np.dot(a, a))
-        bb = float(np.dot(b, b))
-        denom_sq = aa * bb
+    a, b = a / a_max, b / b_max
     # sqrt of the product (not product of sqrts) keeps cos(v, v) exactly 1
-    cos = float(np.dot(a, b) / np.sqrt(denom_sq))
+    cos = float(np.dot(a, b) / np.sqrt(np.dot(a, a) * np.dot(b, b)))
     return (1.0 + min(1.0, max(-1.0, cos))) / 2.0
 
 
@@ -223,12 +218,15 @@ def crossover(v1: np.ndarray, v2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Affinity of every query row against every reference row.
+    """Affinity of every query row against every reference row, shape (n, m).
 
-    Shape (n, m); agrees with the scalar ``affinity`` entry by entry,
-    including the zero-vector conventions. The zero-vector and
-    extreme-magnitude repair runs only when the extremes of the squared
-    norms show that some pair needs it.
+    One path serves every pair: a row whose squared norm lies outside
+    [2^-510, 2^510] is first divided by its largest |component| (cosine is
+    scale invariant), so any two squared norms multiply to a normal float.
+    Rows inside that range, every feature the network emits among them, are
+    used as given. A single zero row counts as orthogonal (0.5); two zero
+    rows, or a row with a non-finite component, raise
+    UndefinedAffinityError. :func:`affinity_naive` is the per-pair oracle.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     r = np.atleast_2d(np.asarray(references, dtype=np.float64))
@@ -236,45 +234,38 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"affinity needs equal-width rows, got {q.shape} and {r.shape}"
         )
-    query_sq = np.einsum("ij,ij->i", q, q)
-    ref_sq = np.einsum("ij,ij->i", r, r)
-    # every norm product lies between these two, and a NaN fails both
-    normal = (not query_sq.size or not ref_sq.size
-              or (float(query_sq.min()) * float(ref_sq.min()) >= _TINY_NORMAL
-                  and math.isfinite(float(query_sq.max())
-                                    * float(ref_sq.max()))))
-    if normal:
-        return _affinity_from(q @ r.T, query_sq[:, None] * ref_sq)
-    q_zero = ~q.any(axis=1)
-    r_zero = ~r.any(axis=1)
-    if q_zero.any() and r_zero.any():
+    q, query_sq, q_zero = _rescaled(q)
+    r, ref_sq, r_zero = _rescaled(r)
+    if q_zero and r_zero:
         raise UndefinedAffinityError("affinity of two zero vectors is undefined")
-    # inf/nan intermediates are expected for extreme magnitudes and are
-    # repaired below, so keep numpy quiet about them here
-    with np.errstate(invalid="ignore", over="ignore"):
-        dot = q @ r.T
-        denom_sq = query_sq[:, None] * ref_sq
-        degenerate = (denom_sq < _TINY_NORMAL) | ~np.isfinite(denom_sq)
-        # a pair without a positive norm product gets cosine 0 / 1
-        undefined = ~(denom_sq > 0.0)
-        dot[undefined] = 0.0
-        denom_sq[undefined] = 1.0
-        out = _affinity_from(dot, denom_sq)
-    # pairs of nonzero vectors whose norm product left the normal float
-    # range go through the scalar path, which renormalizes
-    degenerate &= ~(q_zero[:, None] | r_zero[None, :])
-    for i, j in zip(*np.nonzero(degenerate)):
-        out[i, j] = affinity(q[i], r[j])
-    return out
-
-
-def _affinity_from(dot: np.ndarray, denom_sq: np.ndarray) -> np.ndarray:
-    """(1 + clip(dot / sqrt(denom_sq), -1, 1)) / 2, computed in ``dot``."""
-    dot /= np.sqrt(denom_sq, out=denom_sq)
+    dot = q @ r.T
+    dot /= np.sqrt(query_sq[:, None] * ref_sq)
     np.clip(dot, -1.0, 1.0, out=dot)
     dot += 1.0
     dot /= 2.0
     return dot
+
+
+def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``x`` with its extreme rows divided by their largest |component|,
+    the rows' squared norms, and whether some row is zero. A zero row gets
+    squared norm 1, so that its dot products of 0 give cosine 0."""
+    sq = np.einsum("ij,ij->i", x, x)
+    # written so that a NaN norm fails it
+    if not sq.size or sq.min() >= _SQ_LOW and sq.max() <= _SQ_HIGH:
+        return x, sq, False
+    extreme = np.flatnonzero(~((sq >= _SQ_LOW) & (sq <= _SQ_HIGH)))
+    rows = x[extreme]
+    scale = np.abs(rows).max(axis=1, initial=0.0)
+    if not np.isfinite(scale).all():
+        raise UndefinedAffinityError(
+            "affinity of a non-finite vector is undefined")
+    zero = scale == 0.0
+    rows /= np.where(zero, 1.0, scale)[:, None]
+    x = x.copy()
+    x[extreme] = rows
+    sq[extreme] = np.where(zero, 1.0, np.einsum("ij,ij->i", rows, rows))
+    return x, sq, bool(zero.any())
 
 
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
@@ -294,7 +285,7 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
     Elitist: on score ties a member outranks any candidate, and earlier
     candidates outrank later ones, so a member is only ever evicted by a
     strictly better candidate. The kept rows are gathered from the members
-    and the candidates with one index and stored as read-only copies. The
+    and the candidates with one index, a copy the new pool keeps. The
     training pools, new-class seeding and ``clonalg_run``'s elite memory
     all rank through this one policy.
     """
@@ -309,7 +300,7 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
     ranked = np.argsort(-merged, kind="stable")[:pool.capacity]
     rows = np.concatenate([pool.matrix, features]) if len(pool) else features
     return MemoryPool(pool.class_label, pool.capacity, matrix=rows[ranked],
-                      scores=merged[ranked])
+                      scores=merged[ranked], _fresh=True)
 
 
 # ---------------------------------------------------------------------------

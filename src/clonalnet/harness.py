@@ -66,8 +66,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ConfigurationError(f"bad sizes {self.sizes}")
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise ConfigurationError(
+                f"seeds must be one or more integers >= 0, got {self.seeds}")
         for name in ("sizes", "seeds"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ConfigurationError(
@@ -461,8 +462,9 @@ def emit_csv(path, rows: list[SweepResult]) -> None:
 
 
 def read_csv(path) -> list[SweepResult]:
-    """Rows written by :func:`emit_csv`. A malformed row raises
-    ConfigurationError naming its 1-based line."""
+    """Rows written by :func:`emit_csv`. A malformed row, or one with an
+    unknown variant, a size or epoch below 1 or an error rate outside
+    [0, 1], raises ConfigurationError naming its 1-based line."""
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"unrecognized results header in {path}")
@@ -475,12 +477,18 @@ def read_csv(path) -> list[SweepResult]:
                 f"{path} line {number}: {len(cells)} fields, expected {width}")
         variant, size, seed, epoch, tr, te = cells
         try:
-            rows.append(SweepResult(variant, int(size), int(seed), int(epoch),
-                                    float(tr), float(te)))
+            row = SweepResult(variant, int(size), int(seed), int(epoch),
+                              float(tr), float(te))
+            # written so that a NaN error rate fails it
+            if (variant not in VARIANTS or row.per_class_size < 1
+                    or row.epoch < 1 or not 0.0 <= row.train_error <= 1.0
+                    or not 0.0 <= row.test_error <= 1.0):
+                raise ValueError
         except ValueError:
             raise ConfigurationError(
-                f"{path} line {number}: unparseable number in {line!r}"
+                f"{path} line {number}: bad or unparseable value in {line!r}"
             ) from None
+        rows.append(row)
     return rows
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from clonalnet import cli, harness
-from clonalnet.clonal import affinity, clone_count, mutation_rate
+from clonalnet.clonal import affinity_naive, clone_count, mutation_rate
 from clonalnet.gradcheck import run_gradient_audit
 from clonalnet.harness import ExperimentConfig
 from clonalnet.tensor import (
@@ -109,10 +109,10 @@ def test_clone_formulas_monotone_and_affinity_bounded():
     for _ in range(100):
         v = rng.normal(size=16)
         u = rng.normal(size=16)
-        a = affinity(v, u)
+        a = affinity_naive(v, u)
         bounded &= 0.0 <= a <= 1.0
-        symmetric &= a == affinity(u, v)
-        invariant &= abs(a - affinity(37.5 * v, 0.04 * u)) <= 1e-12
+        symmetric &= a == affinity_naive(u, v)
+        invariant &= abs(a - affinity_naive(37.5 * v, 0.04 * u)) <= 1e-12
     _verdict(
         "clonal formula properties",
         monotone and bounded and symmetric and invariant,

@@ -8,9 +8,10 @@ from clonalnet.classifier import (
     NOMATCH, Decision, classify, classify_batch, decision_record_header,
     format_decision_record, init_new_class, write_decision_records,
 )
-from clonalnet.clonal import (CloneConfig, MemoryPool, affinity,
-                              pool_affinities)
-from clonalnet.errors import ConfigurationError, DimensionError
+from clonalnet.clonal import (CloneConfig, MemoryPool, affinity_naive,
+                              mutate, pool_affinities)
+from clonalnet.errors import (ConfigurationError, DimensionError,
+                              UndefinedAffinityError)
 
 
 def pool_from(features, label=0, capacity=None):
@@ -53,7 +54,7 @@ class TestPhase1Count:
         tau = 0.55
         for _ in range(20):
             test = rng.normal(size=5)
-            expected = {c: sum(affinity(test, row) >= tau
+            expected = {c: sum(affinity_naive(test, row) >= tau
                                for row in pool.matrix)
                         for c, pool in pools.items()}
             assert classify(test, pools, tau).counts == expected
@@ -98,7 +99,7 @@ class TestPhase2Avidity:
             test = rng.normal(size=6)
             decision = classify(test, pools, tau)
             for c, pool in pools.items():
-                matched = [a for a in (affinity(test, row)
+                matched = [a for a in (affinity_naive(test, row)
                                        for row in pool.matrix) if a >= tau]
                 if matched:
                     checked += 1
@@ -142,7 +143,7 @@ class TestClassify:
             decision = classify(test, pools, tau, c_min=c_min)
             scores = {}
             for c, pool in pools.items():
-                affs = [affinity(test, row) for row in pool.matrix]
+                affs = [affinity_naive(test, row) for row in pool.matrix]
                 qualified = [a for a in affs if a >= tau]
                 if len(qualified) >= c_min:
                     scores[c] = len(qualified) / len(pool) \
@@ -195,6 +196,19 @@ class TestClassify:
     def test_no_pools_rejected(self):
         with pytest.raises(ConfigurationError):
             classify(np.ones(3), {}, tau_match=0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_or_member_raises(self, value):
+        # a NaN feature used to be predicted as class 0 with avidity 0.0
+        bad = unit(1)
+        bad[0] = value
+        pools = {0: pool_from([unit(0)], label=0),
+                 1: pool_from([unit(1)], label=1)}
+        with pytest.raises(UndefinedAffinityError):
+            classify(bad, pools, tau_match=0.0)
+        pools[1] = pool_from([bad], label=1)
+        with pytest.raises(UndefinedAffinityError):
+            classify(unit(0), pools, tau_match=0.0)
 
 
 def oracle_decision(feature, pools, tau, c_min, raw_count):
@@ -393,7 +407,7 @@ class TestInitNewClass:
             pool = init_new_class(seed_feature, 1, config,
                                   np.random.default_rng(seed))
             for row in pool.matrix:
-                assert affinity(row, seed_feature) >= config.tau
+                assert affinity_naive(row, seed_feature) >= config.tau
 
     def test_label_collision_rejected(self):
         config = CloneConfig(memory_capacity=2)
@@ -407,7 +421,21 @@ class TestInitNewClass:
         seed_feature = np.random.default_rng(4).normal(size=16)
         pool = init_new_class(seed_feature, 0, config, np.random.default_rng(5))
         for row, score in zip(pool.matrix, pool.scores):
-            assert abs(score - affinity(row, seed_feature)) < 1e-12
+            assert abs(score - affinity_naive(row, seed_feature)) < 1e-12
+
+    @pytest.mark.parametrize("capacity", [1, 2, 6, 30, 150])
+    def test_variants_equal_one_draw_per_variant(self, capacity):
+        """All variants come from one ``mutate`` call; they equal one call per
+        variant, and leave the generator in the same state."""
+        config = CloneConfig(sigma=0.4, memory_capacity=capacity)
+        seed_feature = np.random.default_rng(6).normal(size=12)
+        rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+        pool = init_new_class(seed_feature, 0, config, rng)
+        variants = [mutate(seed_feature, 1.0, config.sigma, loop_rng)
+                    for _ in range(capacity - 1)]
+        expected = [seed_feature.tolist()] + [v.tolist() for v in variants]
+        assert sorted(pool.matrix.tolist()) == sorted(expected)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_members_sorted_by_score(self):
         config = CloneConfig(memory_capacity=6)

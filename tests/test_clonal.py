@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from clonalnet import clonal
 from clonalnet.clonal import (
-    Antibody, CloneConfig, ClonalExpander, MemoryPool, affinity, clonalg_run,
-    clone_count, crossover, generate_clones, load_pools, mutate,
+    Antibody, CloneConfig, ClonalExpander, MemoryPool, affinity_naive,
+    clonalg_run, clone_count, crossover, generate_clones, load_pools, mutate,
     mutation_rate, pool_affinities, save_pools, update_memory,
 )
 from clonalnet.errors import (ConfigurationError, DimensionError,
@@ -25,41 +27,43 @@ def finite_vectors(width):
 class TestAffinity:
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert affinity(v, v) == 1.0
+        assert affinity_naive(v, v) == 1.0
 
     def test_orthogonal(self):
-        assert affinity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
+        assert affinity_naive(np.array([1.0, 0.0]),
+                              np.array([0.0, 1.0])) == 0.5
 
     def test_opposite(self):
         v = np.array([2.0, -1.0])
-        assert affinity(v, -v) == 0.0
+        assert affinity_naive(v, -v) == 0.0
 
     def test_both_zero_undefined(self):
         z = np.zeros(3)
         with pytest.raises(UndefinedAffinityError):
-            affinity(z, z)
+            affinity_naive(z, z)
 
     def test_single_zero_counts_as_orthogonal(self):
-        assert affinity(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.5
+        assert affinity_naive(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.5
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            affinity(np.zeros(2), np.zeros(3))
+            affinity_naive(np.zeros(2), np.zeros(3))
 
     def test_subnormal_norm_is_not_a_zero_vector(self):
         # squared norm underflows to 0.0 but the vector has a direction
         tiny = np.array([0.0, 0.0, 0.0, 1.4309679698518183e-256])
-        assert affinity(np.zeros(4), tiny) == 0.5
-        assert affinity(tiny, np.zeros(4)) == 0.5
+        assert affinity_naive(np.zeros(4), tiny) == 0.5
+        assert affinity_naive(tiny, np.zeros(4)) == 0.5
 
     def test_extreme_magnitudes_renormalized(self):
         tiny = np.full(4, 1e-200)
-        assert affinity(tiny, tiny) == 1.0
-        assert affinity(tiny, -tiny) == 0.0
+        assert affinity_naive(tiny, tiny) == 1.0
+        assert affinity_naive(tiny, -tiny) == 0.0
         huge = np.full(4, 1e200)
-        assert affinity(huge, huge) == 1.0
-        assert affinity(huge, tiny) == 1.0
-        assert affinity(np.array([1e-270, 0.0]), np.array([0.0, 1e-270])) == 0.5
+        assert affinity_naive(huge, huge) == 1.0
+        assert affinity_naive(huge, tiny) == 1.0
+        assert affinity_naive(np.array([1e-270, 0.0]),
+                              np.array([0.0, 1e-270])) == 0.5
 
     def test_extreme_magnitudes_emit_no_warnings(self):
         huge, tiny = np.full(4, 1e200), np.full(4, 1e-200)
@@ -70,14 +74,14 @@ class TestAffinity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a, b, expected in pairs:
-                assert affinity(a, b) == expected
+                assert affinity_naive(a, b) == expected
 
     @given(finite_vectors(4), finite_vectors(4))
     def test_symmetric_and_bounded(self, a, b):
         if not a.any() and not b.any():
             return
-        x = affinity(a, b)
-        assert affinity(b, a) == x
+        x = affinity_naive(a, b)
+        assert affinity_naive(b, a) == x
         assert 0.0 <= x <= 1.0
 
     @given(finite_vectors(4), st.floats(0.01, 100))
@@ -93,7 +97,8 @@ class TestAffinity:
                 or np.any(np.abs(c * v)[nonzero] < tiny):
             return
         other = np.arange(1.0, 5.0)
-        assert abs(affinity(c * v, other) - affinity(v, other)) < 1e-12
+        assert abs(affinity_naive(c * v, other)
+                   - affinity_naive(v, other)) < 1e-12
 
 
 class TestCloneCount:
@@ -201,7 +206,7 @@ class TestPoolAffinities:
         table = pool_affinities(queries, pool)
         for i in range(4):
             for j in range(5):
-                expected = affinity(queries[i], pool.matrix[j])
+                expected = affinity_naive(queries[i], pool.matrix[j])
                 assert abs(table[i, j] - expected) < 1e-12
 
     def test_matches_scalar_at_extreme_magnitudes(self):
@@ -221,7 +226,7 @@ class TestPoolAffinities:
         table = pool_affinities(queries, pool)
         for i in range(queries.shape[0]):
             for j in range(members.shape[0]):
-                expected = affinity(queries[i], members[j])
+                expected = affinity_naive(queries[i], members[j])
                 assert abs(table[i, j] - expected) < 1e-12
 
     def test_zero_query_against_nonzero_pool(self):
@@ -243,12 +248,10 @@ class TestPoolAffinities:
 class TestAffinityMatrix:
     @pytest.mark.parametrize("special", [("zero", "tiny", "huge"), ("zero",),
                                          ("tiny",), ("huge",)])
-    def test_mixed_batch_matches_scalar_and_normal_rows(self, monkeypatch,
-                                                        special):
+    def test_mixed_batch_matches_scalar_and_normal_rows(self, special):
         """Zero and extreme-magnitude rows in one call with normal rows: every
-        entry matches the scalar ``affinity``, only the extreme rows go
-        through it, and the normal rows keep the values the same-shaped
-        all-normal call gives them, bit for bit."""
+        entry matches the scalar ``affinity_naive``, and the normal rows keep
+        the values the same-shaped all-normal call gives them, bit for bit."""
         rng = np.random.default_rng(12)
         references = rng.normal(size=(7, 6))
         rows = {"zero": np.zeros(6), "tiny": np.full(6, 1e-200),
@@ -258,25 +261,12 @@ class TestAffinityMatrix:
         at = [1, 3, 4][:len(special)]
         mixed[at] = [rows[name] for name in special]
         normal = [i for i in range(len(mixed)) if i not in at]
-        extreme = sum(name != "zero" for name in special)
 
-        scalar_calls = []
-        real_affinity = clonal.affinity
-
-        def counting(a, b):
-            scalar_calls.append(1)
-            return real_affinity(a, b)
-
-        monkeypatch.setattr(clonal, "affinity", counting)
         table = clonal.affinity_matrix(mixed, references)
-        assert len(scalar_calls) == extreme * len(references)
         reference_table = clonal.affinity_matrix(plain, references)
-        assert len(scalar_calls) == extreme * len(references)
-        monkeypatch.undo()
-
         for i in range(len(mixed)):
             for j in range(len(references)):
-                expected = affinity(mixed[i], references[j])
+                expected = affinity_naive(mixed[i], references[j])
                 assert abs(table[i, j] - expected) < 1e-12
         assert np.array_equal(table[normal], reference_table[normal])
         # a call of another shape may block the matrix product differently
@@ -292,10 +282,37 @@ class TestAffinityMatrix:
         assert np.all(table[:, 0] == table[:, 1])
         assert np.all(table[1] == 0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["query", "reference"])
+    def test_non_finite_rows_raise(self, value, side):
+        rng = np.random.default_rng(13)
+        queries, references = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        (queries if side == "query" else references)[1, 0] = value
+        with pytest.raises(UndefinedAffinityError):
+            clonal.affinity_matrix(queries, references)
+        with pytest.raises(UndefinedAffinityError):
+            pool_affinities(queries, pool_of(references))
+        with pytest.raises(UndefinedAffinityError):
+            affinity_naive(queries[1], references[1])
+
+    def test_subnormal_norm_pair_matches_exact_value(self):
+        # the first row's squared norm is subnormal, the second's overflows
+        tiny = np.array([1.3e-160, -0.7e-160, 0.9e-160, 0.2e-160])
+        huge = np.array([1.1e150, 0.3e150, 0.5e150, -0.2e150])
+        fa, fb = [Fraction(x) for x in tiny], [Fraction(x) for x in huge]
+        dot = sum(x * y for x, y in zip(fa, fb))
+        norms = sum(x * x for x in fa) * sum(y * y for y in fb)
+        exact = (1.0 + math.copysign(math.sqrt(dot * dot / norms), dot)) / 2.0
+        assert abs(clonal.affinity_matrix(tiny, huge)[0, 0] - exact) < 1e-12
+        assert abs(clonal.affinity_matrix(huge, tiny)[0, 0] - exact) < 1e-12
+        assert abs(affinity_naive(tiny, huge) - exact) < 1e-12
+        # an underflowed squared norm does not make a zero vector
+        assert clonal.affinity_matrix(np.zeros(4), tiny)[0, 0] == 0.5
+
 
 def best_match(feature, pool):
     """Scalar oracle for a feature's best affinity against a pool."""
-    return max(affinity(feature, row) for row in pool.matrix)
+    return max(affinity_naive(feature, row) for row in pool.matrix)
 
 
 class TestGenerateClones:
@@ -328,7 +345,7 @@ class TestGenerateClones:
         clone_rng = np.random.default_rng(9)
         emitted = expected = 0
         for feature in peers:
-            a = max(affinity(feature, f) for f in pool_feats)
+            a = max(affinity_naive(feature, f) for f in pool_feats)
             emitted += len(generate_clones(feature, a, pool, peers, config,
                                            clone_rng))
             expected += clone_count(a, config.eta, config.tau)
@@ -426,6 +443,16 @@ class TestUpdateMemory:
         scores[:] = 0.0
         assert pool.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert pool.scores.tolist() == [0.5, 0.25]
+
+    def test_constructor_copies_caller_arrays(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        scores = np.array([0.5, 0.25])
+        pool = MemoryPool(0, 2, matrix=rows, scores=scores)
+        rows[:] = 0.0
+        scores[:] = 0.0
+        assert pool.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert pool.scores.tolist() == [0.5, 0.25]
+        assert rows.flags.writeable and scores.flags.writeable
 
     @pytest.mark.parametrize("features, scores", [
         (np.zeros((3, 2)), [0.1, 0.2]),
@@ -583,7 +610,7 @@ class TestClonalExpander:
                     # a row of the pool before the call is no new member
                     if (old == row).all(axis=1).any():
                         continue
-                    expected = max(affinity(row, m) for m in old)
+                    expected = max(affinity_naive(row, m) for m in old)
                     assert abs(score - expected) < 1e-12
                     if any(np.array_equal(row, f) for f in features):
                         originals += 1
@@ -770,7 +797,9 @@ class TestClonalgRun:
                              rng_seed=0)
         rng = np.random.default_rng(33)
         initial = np.random.default_rng(33).uniform(0.0, 1.0, size=(20, 4))
-        expected = max(affinity(row, pattern) for row in initial)
+        expected = clonal.affinity_matrix(initial, pattern).max()
+        assert abs(expected - max(affinity_naive(row, pattern)
+                                  for row in initial)) < 1e-15
         result = clonalg_run([pattern], population_size=20, generations=1,
                              config=config, rng=rng, select_n=5)
         assert result.history[0] == expected

@@ -150,6 +150,7 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"two_class_test": 0},
     {"sizes": (10, 10)},
     {"seeds": (1, 1)},
+    {"seeds": (-1,)},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
@@ -228,7 +229,17 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     ("cnn,10,1,15,0.1,0.2\n\ncnn,10,2,15,0.1,0.2\n", 3),
     ("cnn,10,1,15,0.1,zero\n", 2),
     ("cnn,ten,1,15,0.1,0.2\n", 2),
-], ids=["field-count", "blank-line", "unparseable-float", "unparseable-int"])
+    ("cnn,10,1,15,0.1,0.2\nrnn,10,1,15,0.1,0.2\n", 3),
+    ("cnn,0,1,15,0.1,0.2\n", 2),
+    ("cnn,-10,1,15,0.1,0.2\n", 2),
+    ("cnn,10,1,0,0.1,0.2\n", 2),
+    ("cnn,10,1,15,nan,0.2\n", 2),
+    ("cnn,10,1,15,0.1,inf\n", 2),
+    ("cnn,10,1,15,0.1,-3\n", 2),
+    ("cnn,10,1,15,1.5,0.2\n", 2),
+], ids=["field-count", "blank-line", "unparseable-float", "unparseable-int",
+        "unknown-variant", "size-zero", "size-negative", "epoch-zero",
+        "error-nan", "error-inf", "error-negative", "error-above-one"])
 def test_read_csv_malformed_row_names_line(tmp_path, rows, line):
     path = tmp_path / "r.csv"
     path.write_text(CSV_HEADER + "\n" + rows)
@@ -439,6 +450,12 @@ def test_cli_clonalg_demo_writes_artifacts(tmp_path, capsys):
     assert len(hist) == 6
     assert (tmp_path / "clonalg_history.svg").exists()
     assert "seed 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "", "-1", "2,2"])
+def test_cli_clonalg_demo_rejects_bad_seeds(tmp_path, seeds):
+    with pytest.raises(ConfigurationError, match="seeds"):
+        cli.main(["clonalg-demo", "--out", str(tmp_path), "--seeds", seeds])
 
 
 def test_cli_size_sweep_smoke(tmp_path, corpus_dir):
