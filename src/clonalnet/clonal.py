@@ -32,6 +32,9 @@ from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
 # it, or in the [1, d] of a rescaled row, multiply to a normal float
 _SQ_LOW, _SQ_HIGH = 2.0 ** -510, 2.0 ** 510
 
+# chance that a training clone is crossed with a same-class batch feature
+CROSSOVER_PROB = 0.2
+
 
 @dataclass(frozen=True)
 class Antibody:
@@ -51,8 +54,8 @@ class MemoryPool:
     empty pool. ``MemoryPool(label, capacity, matrix=..., scores=...)``
     stores read-only copies of the arrays it is given, and
     :func:`update_memory` returns a new pool with rows merged in. More
-    members than ``capacity``, or scores that are not best first, raise
-    ConfigurationError. Pools compare and hash by identity.
+    members than ``capacity``, scores not best first, or a non-finite row
+    raise ConfigurationError. Pools compare and hash by identity.
 
     Compatibility view: a third positional argument of :class:`Antibody`
     objects is converted to the arrays once, and ``members`` shows the
@@ -78,6 +81,9 @@ class MemoryPool:
             except ValueError:
                 raise DimensionError(f"pool of class {self.class_label}: "
                                      f"rows of different widths") from None
+            if not np.isfinite(matrix).all():
+                raise ConfigurationError(f"pool of class {self.class_label}: "
+                                         f"a member row is not finite")
             scores = np.array(scores, dtype=np.float64)
         if not len(matrix):
             matrix = matrix.reshape(0, 0)
@@ -117,8 +123,6 @@ class CloneConfig:
     alpha: float = 0.1            # mutation constant
     tau: float = 0.6              # acceptance threshold
     sigma: float = 0.1            # base mutation scale
-    rate_cap: float = 1.0
-    crossover_prob: float = 0.2
     memory_capacity: int = 30
     rng_seed: int = 0
 
@@ -132,12 +136,6 @@ class CloneConfig:
             raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
         if not self.sigma >= 0:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.rate_cap > 0:
-            raise ConfigurationError(f"rate_cap must be > 0, got {self.rate_cap}")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ConfigurationError(
-                f"crossover_prob must be in [0, 1], got {self.crossover_prob}"
-            )
         if self.memory_capacity < 1:
             raise ConfigurationError(
                 f"memory_capacity must be >= 1, got {self.memory_capacity}"
@@ -186,16 +184,15 @@ def clone_count(a: float, eta: float, tau: float) -> int:
     return max(1, int(math.floor(eta * a + 0.5)))
 
 
-def mutation_rate(a: float, alpha: float, rate_cap: float) -> float:
-    """min(alpha / a, rate_cap); saturates at rate_cap as a -> 0."""
-    if a <= 0.0:
-        return rate_cap
-    return min(alpha / a, rate_cap)
+def mutation_rate(a: float, alpha: float) -> float:
+    """min(alpha / a, 1); saturates at 1 as a -> 0."""
+    return 1.0 if a <= 0.0 else min(alpha / a, 1.0)
 
 
-def mutate(v: np.ndarray, rate: float, sigma: float,
+def mutate(v: np.ndarray, rate: float | np.ndarray, sigma: float,
            rng: np.random.Generator) -> np.ndarray:
-    """Independent zero-mean Gaussian perturbation, std = rate * sigma."""
+    """Independent zero-mean Gaussian perturbation, std = rate * sigma; an
+    (n, 1) column of rates draws what n one-row calls would."""
     v = np.asarray(v, dtype=np.float64)
     return v + rng.normal(scale=rate * sigma, size=v.shape)
 
@@ -287,7 +284,8 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
     strictly better candidate. The kept rows are gathered from the members
     and the candidates with one index, a copy the new pool keeps. The
     training pools, new-class seeding and ``clonalg_run``'s elite memory
-    all rank through this one policy.
+    all rank through this one policy. A non-finite candidate row raises
+    ConfigurationError.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -296,6 +294,9 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
         raise DimensionError(
             f"candidate rows {features.shape} with scores {scores.shape} do "
             f"not fit a pool of shape {pool.matrix.shape}")
+    if not np.isfinite(features).all():
+        raise ConfigurationError(f"pool of class {pool.class_label}: "
+                                 f"a candidate row is not finite")
     merged = np.concatenate([pool.scores, scores])
     ranked = np.argsort(-merged, kind="stable")[:pool.capacity]
     rows = np.concatenate([pool.matrix, features]) if len(pool) else features
@@ -312,20 +313,20 @@ def generate_clones(feature: np.ndarray, a: float, pool: MemoryPool,
                     rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
     """Clone one parent whose best match in its class pool has affinity ``a``.
 
-    ``a`` sets the clone count and the mutation rate; each clone is
-    optionally crossed with a random same-class batch feature from
-    ``peers`` before mutation. Returns (clone_feature, affinity) pairs for
+    ``a`` sets the clone count and the mutation rate; with probability
+    ``CROSSOVER_PROB`` a clone is first crossed with a random same-class
+    batch feature from ``peers``. Returns (clone_feature, affinity) pairs for
     the clones whose best match back in the pool clears the acceptance
     threshold; that affinity is the clone's memory score.
     """
     n_clones = clone_count(a, config.eta, config.tau)
     if n_clones == 0:
         return []
-    rate = mutation_rate(a, config.alpha, config.rate_cap)
+    rate = mutation_rate(a, config.alpha)
     proposals = []
     for _ in range(n_clones):
         base = feature
-        if config.crossover_prob > 0 and rng.random() < config.crossover_prob:
+        if rng.random() < CROSSOVER_PROB:
             partner = peers[int(rng.integers(len(peers)))]
             base = crossover(base, partner, rng)
         proposals.append(mutate(base, rate, config.sigma, rng))
@@ -356,7 +357,8 @@ class ClonalExpander:
                 empty, seeds, affinity_matrix(seeds, centroid)[:, 0])
 
     def __call__(self, features, labels):
-        """Return (clone_feature, label, batch_index) tuples in batch order.
+        """Return (clone_feature, batch_index) pairs in batch order; a
+        clone's class is its parent's.
 
         Each original is scored once against its class pool as it stood
         before the call; that score sets its clone count and is its memory
@@ -378,7 +380,7 @@ class ClonalExpander:
             a = float(pool_affinities(np.asarray(feature)[None, :], pool).max())
             for clone, score in generate_clones(feature, a, pool, peers[label],
                                                 self.config, self.rng):
-                clones.append((clone, label, i))
+                clones.append((clone, i))
                 accepted[label].append((clone, score))
             originals[label].append((feature, a))
         for label in sorted(peers):
@@ -484,25 +486,25 @@ class ClonalgResult:
 
 
 def clonalg_run(patterns, population_size: int, generations: int,
-                config: CloneConfig, rng: np.random.Generator,
-                select_n: int = 10) -> ClonalgResult:
-    """Population-based clonal selection against a set of target patterns.
+                config: CloneConfig, select_n: int = 10) -> ClonalgResult:
+    """Population-based clonal selection against a set of target patterns,
+    seeded by ``config.rng_seed``.
 
     Per generation and pattern: score the whole population, select the
-    ``select_n`` best, clone each proportionally to affinity, mutate each
-    clone at the inverse-affinity rate, reinsert, and refresh an elitist
-    top-m memory set. The history records the best memory score per
-    generation and is non-decreasing by construction.
+    ``select_n`` best, clone each proportionally to affinity, mutate all
+    clones in one draw at their parents' inverse-affinity rates, reinsert,
+    and refresh an elitist top-m memory set. The history records the best
+    memory score per generation and is non-decreasing by construction.
     """
     patterns = [np.asarray(p, dtype=np.float64).ravel() for p in patterns]
     if not patterns:
         raise ConfigurationError("clonalg_run requires at least one pattern")
-    if population_size < select_n:
-        raise ConfigurationError(
-            f"population_size {population_size} < select_n {select_n}"
-        )
+    if not 1 <= select_n <= population_size:
+        raise ConfigurationError(f"select_n {select_n} is not in "
+                                 f"[1, population_size {population_size}]")
     if generations < 1:
         raise ConfigurationError(f"generations must be >= 1, got {generations}")
+    rng = np.random.default_rng(config.rng_seed)
     dim = patterns[0].shape[0]
     population = rng.uniform(0.0, 1.0, size=(population_size, dim))
 
@@ -512,15 +514,13 @@ def clonalg_run(patterns, population_size: int, generations: int,
     for _ in range(generations):
         for pattern in patterns:
             scores = affinity_matrix(population, pattern)[:, 0]
-            best_idx = np.argsort(-scores)[:select_n]
-            children = []
-            for idx in best_idx:
-                a = float(scores[idx])
-                rate = mutation_rate(a, config.alpha, config.rate_cap)
-                for _ in range(clone_count(a, config.eta, 0.0)):
-                    children.append(mutate(population[idx], rate,
-                                           config.sigma, rng))
-            offspring = np.array(children).reshape(-1, dim)
+            best = np.argsort(-scores)[:select_n]
+            parent_scores = scores[best].tolist()
+            counts = [clone_count(a, config.eta, 0.0) for a in parent_scores]
+            rates = [mutation_rate(a, config.alpha) for a in parent_scores]
+            offspring = mutate(np.repeat(population[best], counts, axis=0),
+                               np.repeat(rates, counts)[:, None],
+                               config.sigma, rng)
             merged = np.vstack([population, offspring])
             merged_scores = np.concatenate(
                 [scores, affinity_matrix(offspring, pattern)[:, 0]])

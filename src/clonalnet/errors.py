@@ -36,7 +36,7 @@ class IdxTruncationError(ValueError):
 
 
 class UndefinedAffinityError(ValueError):
-    """Affinity requested between two all-zero vectors."""
+    """Affinity of two all-zero vectors or a non-finite vector requested."""
 
 
 def read_text(path) -> str:

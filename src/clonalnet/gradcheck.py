@@ -3,7 +3,8 @@
 Central differences with step 1e-5 at 64-bit precision, compared against
 :func:`clonalnet.nn.batch_gradients`, the function training uses, on
 randomly seeded parameter/input instances: a one-row batch, and the same
-row plus one clone. Coordinates are sampled per parameter array; relative
+row plus one clone, passed as a (feature, parent) pair that takes its
+parent's label. Coordinates are sampled per parameter array; relative
 error uses a small denominator floor so exact-zero gradients compare cleanly
 against finite-difference noise.
 
@@ -108,7 +109,7 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
     probs = nn.forward_output(params, features)
     plain = nn.batch_gradients(params, trace, probs, [label])
     clone = nn.batch_gradients(params, trace, probs, [label],
-                               [(features[0] + offset, label, 0)])
+                               [(features[0] + offset, 0)])
 
     err_plain = _max_error_over_coords(
         params, plain, lambda p: _probe(p, image, label),

@@ -31,6 +31,8 @@ from .nn import (ArchConfig, evaluate, forward_features, init_params,
 CSV_HEADER = "variant,per_class_size,seed,epoch,train_error,test_error"
 VARIANTS = ("cnn", "cnn-ais")
 TEST_SUBSET_SEED = 9973
+# a class pool holds MEMORY_FACTOR times the per-class training size
+MEMORY_FACTOR = 3
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,6 @@ class ExperimentConfig:
     alpha: float = 0.1
     tau: float = 0.6
     sigma: float = 1.0
-    rate_cap: float = 1.0
-    crossover_prob: float = 0.2
-    memory_factor: int = 3          # pool capacity = factor * per-class size
     tau_match: float | None = 0.8   # None: fall back to tau
     c_min: int = 1
     raw_count: bool = False
@@ -75,7 +74,7 @@ class ExperimentConfig:
                     f"{name} must not repeat, got {getattr(self, name)}")
         for name in ("epochs", "curve_epochs", "batch_size", "test_subset",
                      "curve_per_class", "two_class_train", "two_class_test",
-                     "c_min", "memory_factor"):
+                     "c_min"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
@@ -108,8 +107,7 @@ class ExperimentConfig:
     def clone_config(self, per_class: int, rng_seed: int) -> CloneConfig:
         return CloneConfig(
             eta=self.eta, alpha=self.alpha, tau=self.tau, sigma=self.sigma,
-            rate_cap=self.rate_cap, crossover_prob=self.crossover_prob,
-            memory_capacity=self.memory_factor * per_class, rng_seed=rng_seed,
+            memory_capacity=MEMORY_FACTOR * per_class, rng_seed=rng_seed,
         )
 
 
@@ -440,9 +438,8 @@ def run_clonalg_demo(population_size: int = 50, generations: int = 200,
                      seed: int = 1) -> ClonalgResult:
     config = CloneConfig(eta=eta, alpha=alpha, tau=0.0, sigma=sigma,
                          memory_capacity=10, rng_seed=seed)
-    rng = np.random.default_rng(seed)
     return clonalg_run([DEMO_PATTERN], population_size, generations, config,
-                       rng, select_n=select_n)
+                       select_n=select_n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ one call, and ``evaluate`` makes one ``predict`` call per chunk of
 The clonal layer itself lives in :mod:`clonalnet.clonal`; ``train_epoch``
 accepts it as an optional hook that expands each batch's feature vectors.
 ``batch_gradients`` is the one backward pass: one output-layer pass over the
-original and clone rows, then one pass through the batch trace, where clone
-error joins its parent's row with the mutation offset treated as an
+original and clone rows, then one pass through the batch trace, where a
+clone, a (feature, parent_index) pair that takes its parent's label, adds
+its error to its parent's row with the mutation offset treated as an
 additive constant (identity Jacobian), so clone gradients reach the
 convolution kernels. Each weight gradient is one matrix product over the
 batch; the kernel gradient multiplies the convolution error by the im2col
@@ -208,12 +209,12 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     """Cross-entropy gradients summed over a batch and its clones.
 
     ``trace`` and the ``(N, c)`` ``probabilities`` are the forward pass of
-    an ``(N, H, W)`` batch; ``clones`` holds (clone_feature, label,
-    parent_index) tuples. Each clone's feature-layer error is added to its
-    parent's row, holding the clone-parent offset constant, before one pass
-    through the batch trace, so clone gradients reach every layer. Weight
-    gradients are summed over the rows by matrix products, so the order of
-    their sums is BLAS's, not the batch order.
+    an ``(N, H, W)`` batch; ``clones`` holds (clone_feature, parent_index)
+    pairs, and a clone's label is its parent's. Each clone's feature-layer
+    error is added to its parent's row, holding the clone-parent offset
+    constant, before one pass through the batch trace, so clone gradients
+    reach every layer. Weight gradients are summed over the rows by matrix
+    products, so the order of their sums is BLAS's, not the batch order.
     """
     n = len(trace.feature)
     probs = np.asarray(probabilities, dtype=np.float64)
@@ -223,19 +224,18 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
             f"probabilities {probs.shape} and labels {labels.shape} do not "
             f"match {n} traced samples of {params.num_classes} classes"
         )
+    if not np.all((0 <= labels) & (labels < params.num_classes)):
+        raise ConfigurationError(f"label outside [0, {params.num_classes})")
     width = params.feature_width
-    if any(np.shape(feature) != (width,) for feature, _, _ in clones):
+    if any(np.shape(feature) != (width,) for feature, _ in clones):
         raise DimensionError(f"clone features must have shape {(width,)}")
-    clone_features = np.reshape([f for f, _, _ in clones], (len(clones), width))
-    parents = np.array([parent for _, _, parent in clones], dtype=np.intp)
+    clone_features = np.reshape([f for f, _ in clones], (len(clones), width))
+    parents = np.array([parent for _, parent in clones], dtype=np.intp)
     outside = parents[(parents < 0) | (parents >= n)]
     if outside.size:
         raise ConfigurationError(
             f"clone parent {outside[0]} outside the batch [0, {n})")
-    row_labels = np.concatenate(
-        [labels, np.array([label for _, label, _ in clones], dtype=np.intp)])
-    if not np.all((0 <= row_labels) & (row_labels < params.num_classes)):
-        raise ConfigurationError(f"label outside [0, {params.num_classes})")
+    row_labels = np.concatenate([labels, labels[parents]])
 
     # output layer over the original and clone rows
     delta = np.concatenate([probs, forward_output(params, clone_features)])
@@ -317,7 +317,7 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
 
     Per batch: one forward pass over the batch's images; when a clonal hook
     is present, it maps the (N, d) features and the labels to a list of
-    (clone_feature, label, parent_index) tuples. Original and clone
+    (clone_feature, parent_index) pairs. Original and clone
     gradients are averaged together before a single SGD step. Returns the
     updated parameters and the misclassification rate over the originals.
     A batch whose image and label counts differ, or a step that leaves any

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from clonalnet import cli, harness
-from clonalnet.clonal import affinity_naive, clone_count, mutation_rate
+from clonalnet.clonal import (affinity_matrix, affinity_naive, clone_count,
+                              mutation_rate)
 from clonalnet.gradcheck import run_gradient_audit
 from clonalnet.harness import ExperimentConfig
 from clonalnet.tensor import (
@@ -101,23 +102,32 @@ def test_clone_formulas_monotone_and_affinity_bounded():
         counts = [clone_count(float(a), eta, tau) for a in grid]
         monotone &= all(b >= a for a, b in zip(counts, counts[1:]))
     for alpha in (0.1, 0.5):
-        rates = [mutation_rate(float(a), alpha, 1.0) for a in grid]
+        rates = [mutation_rate(float(a), alpha) for a in grid]
         monotone &= all(b <= a for a, b in zip(rates, rates[1:]))
 
+    # the oracle and the kernel the program runs each hold the properties,
+    # and the kernel stays within 1e-15 of the oracle
     rng = np.random.default_rng(7)
     bounded = symmetric = invariant = True
+    worst = 0.0
     for _ in range(100):
         v = rng.normal(size=16)
         u = rng.normal(size=16)
         a = affinity_naive(v, u)
-        bounded &= 0.0 <= a <= 1.0
-        symmetric &= a == affinity_naive(u, v)
-        invariant &= abs(a - affinity_naive(37.5 * v, 0.04 * u)) <= 1e-12
+        m = affinity_matrix(v, u)[0, 0]
+        bounded &= 0.0 <= a <= 1.0 and 0.0 <= m <= 1.0
+        symmetric &= (a == affinity_naive(u, v)
+                      and m == affinity_matrix(u, v)[0, 0])
+        invariant &= (abs(a - affinity_naive(37.5 * v, 0.04 * u)) <= 1e-12
+                      and abs(m - affinity_matrix(37.5 * v, 0.04 * u)[0, 0])
+                      <= 1e-12)
+        worst = max(worst, abs(m - a))
     _verdict(
         "clonal formula properties",
-        monotone and bounded and symmetric and invariant,
+        monotone and bounded and symmetric and invariant and worst <= 1e-15,
         f"monotone {monotone}, bounded {bounded}, symmetric {symmetric}, "
-        f"scale-invariant {invariant}",
+        f"scale-invariant {invariant}, affinity_matrix within "
+        f"{worst:.1e} of affinity_naive",
     )
 
 

@@ -206,9 +206,10 @@ class TestClassify:
                  1: pool_from([unit(1)], label=1)}
         with pytest.raises(UndefinedAffinityError):
             classify(bad, pools, tau_match=0.0)
-        pools[1] = pool_from([bad], label=1)
-        with pytest.raises(UndefinedAffinityError):
-            classify(unit(0), pools, tau_match=0.0)
+        # a non-finite member is refused when its pool is built, before
+        # any classify
+        with pytest.raises(ConfigurationError, match="class 1: .* not finite"):
+            pool_from([bad], label=1)
 
 
 def oracle_decision(feature, pools, tau, c_min, raw_count):

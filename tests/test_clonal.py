@@ -125,17 +125,17 @@ class TestCloneCount:
 
 class TestMutationRate:
     def test_formula(self):
-        assert mutation_rate(1.0, alpha=0.1, rate_cap=1.0) == 0.1
+        assert mutation_rate(1.0, alpha=0.1) == 0.1
 
     def test_cap_near_zero_affinity(self):
-        assert mutation_rate(0.001, alpha=0.1, rate_cap=1.0) == 1.0
+        assert mutation_rate(0.001, alpha=0.1) == 1.0
 
     def test_zero_affinity_saturates(self):
-        assert mutation_rate(0.0, alpha=0.1, rate_cap=1.0) == 1.0
+        assert mutation_rate(0.0, alpha=0.1) == 1.0
 
     def test_monotone_non_increasing_over_grid(self):
         grid = np.linspace(0.0, 1.0, 100)
-        rates = [mutation_rate(a, alpha=0.2, rate_cap=1.0) for a in grid]
+        rates = [mutation_rate(a, alpha=0.2) for a in grid]
         assert all(r2 <= r1 for r1, r2 in zip(rates, rates[1:]))
 
 
@@ -290,8 +290,12 @@ class TestAffinityMatrix:
         (queries if side == "query" else references)[1, 0] = value
         with pytest.raises(UndefinedAffinityError):
             clonal.affinity_matrix(queries, references)
-        with pytest.raises(UndefinedAffinityError):
-            pool_affinities(queries, pool_of(references))
+        if side == "query":
+            with pytest.raises(UndefinedAffinityError):
+                pool_affinities(queries, pool_of(references))
+        else:   # a pool refuses a non-finite member when it is built
+            with pytest.raises(ConfigurationError, match="not finite"):
+                pool_of(references)
         with pytest.raises(UndefinedAffinityError):
             affinity_naive(queries[1], references[1])
 
@@ -327,8 +331,8 @@ class TestGenerateClones:
     def test_degenerate_operators_copy_parent(self):
         feature = np.array([0.5, -0.25, 1.0])
         pool = pool_of([feature])
-        config = CloneConfig(eta=5.0, sigma=0.0, crossover_prob=0.0,
-                             tau=0.6, memory_capacity=5)
+        # crossover with the parent itself as the only peer is the parent
+        config = CloneConfig(eta=5.0, sigma=0.0, tau=0.6, memory_capacity=5)
         clones = generate_clones(feature.copy(), 1.0, pool, [feature], config,
                                  np.random.default_rng(0))
         assert len(clones) == 5
@@ -408,6 +412,25 @@ class TestUpdateMemory:
         with pytest.raises(ConfigurationError, match=message):
             MemoryPool(0, capacity, matrix=np.zeros((len(scores), 2)),
                        scores=scores)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("build", ["matrix", "antibodies",
+                                       "update_memory"])
+    def test_non_finite_rows_rejected(self, build, value):
+        # such a row used to be accepted, and failed only at its pool's
+        # first classify or pool_affinities call
+        row = np.array([value, 1.0, 0.0, 0.0])
+        with pytest.raises(ConfigurationError,
+                           match="pool of class 5: .* not finite"):
+            if build == "matrix":
+                MemoryPool(5, 2, matrix=[np.ones(4), row], scores=[0.9, 0.5])
+            elif build == "antibodies":
+                MemoryPool(5, 2, [Antibody(np.ones(4), 5, 0.9),
+                                  Antibody(row, 5, 0.5)])
+            else:
+                update_memory(pool_of([np.ones(4)], label=5, capacity=3),
+                              np.stack([np.zeros(4), row]), [0.4, 0.3])
 
     def test_empty_candidates_no_change(self):
         pool = pool_of([[1.0, 0.0], [0.0, 1.0]], capacity=4)
@@ -580,8 +603,8 @@ class TestClonalExpander:
             clones = expander(list(feats), list(labels))
             runs.append((clones, expander.pools))
         assert len(runs[0][0]) == len(runs[1][0])
-        for (fa, la, pa), (fb, lb, pb) in zip(runs[0][0], runs[1][0]):
-            assert np.array_equal(fa, fb) and la == lb and pa == pb
+        for (fa, pa), (fb, pb) in zip(runs[0][0], runs[1][0]):
+            assert np.array_equal(fa, fb) and pa == pb
         for label in runs[0][1]:
             assert np.array_equal(runs[0][1][label].matrix,
                                   runs[1][1][label].matrix)
@@ -616,7 +639,7 @@ class TestClonalExpander:
                         originals += 1
                     else:
                         assert any(np.array_equal(row, c)
-                                   for c, _, _ in clones)
+                                   for c, _ in clones)
                         clones_checked += 1
         assert originals > 0 and clones_checked > 0
 
@@ -790,27 +813,70 @@ class TestPoolSerialization:
             pass
 
 
+def clonalg_naive(pattern, population_size, generations, config, select_n):
+    """``clonalg_run`` on one pattern with one ``mutate`` call per clone:
+    the reference for its one-draw offspring."""
+    rng = np.random.default_rng(config.rng_seed)
+    population = rng.uniform(0.0, 1.0, size=(population_size, len(pattern)))
+    memory = MemoryPool(class_label=0, capacity=config.memory_capacity)
+    history = []
+    for _ in range(generations):
+        scores = clonal.affinity_matrix(population, pattern)[:, 0]
+        children = []
+        for idx in np.argsort(-scores)[:select_n]:
+            a = float(scores[idx])
+            rate = mutation_rate(a, config.alpha)
+            children += [mutate(population[idx], rate, config.sigma, rng)
+                         for _ in range(clone_count(a, config.eta, 0.0))]
+        offspring = np.array(children).reshape(-1, len(pattern))
+        merged = np.vstack([population, offspring])
+        merged_scores = np.concatenate(
+            [scores, clonal.affinity_matrix(offspring, pattern)[:, 0]])
+        keep = np.argsort(-merged_scores)[:population_size]
+        population = merged[keep]
+        memory = update_memory(memory, merged[keep[:1]],
+                               merged_scores[keep[:1]])
+        history.append(float(memory.scores[0]))
+    return population, memory, history
+
+
 class TestClonalgRun:
+    @pytest.mark.parametrize("eta, alpha, sigma, population, select_n", [
+        (10.0, 0.2, 0.1, 50, 10), (0.0, 0.2, 0.1, 12, 4),
+        (10.0, 0.2, 0.0, 12, 4), (3.0, 0.9, 0.5, 12, 12),
+        (7.5, 0.3, 0.25, 5, 1),
+    ])
+    def test_matches_per_clone_oracle(self, eta, alpha, sigma, population,
+                                      select_n):
+        pattern = np.eye(4).ravel()
+        config = CloneConfig(eta=eta, alpha=alpha, tau=0.0, sigma=sigma,
+                             memory_capacity=3, rng_seed=41)
+        result = clonalg_run([pattern], population, 6, config, select_n)
+        want, memory, history = clonalg_naive(pattern, population, 6, config,
+                                              select_n)
+        assert result.population.tobytes() == want.tobytes()
+        assert result.memory_vectors.tobytes() == memory.matrix.tobytes()
+        assert result.memory_scores.tobytes() == memory.scores.tobytes()
+        assert result.history == history
+
     def test_zero_mutation_keeps_initial_best(self):
         pattern = np.array([1.0, 0.0, 1.0, 0.0])
         config = CloneConfig(eta=5.0, sigma=0.0, tau=0.0, memory_capacity=3,
-                             rng_seed=0)
-        rng = np.random.default_rng(33)
+                             rng_seed=33)
         initial = np.random.default_rng(33).uniform(0.0, 1.0, size=(20, 4))
         expected = clonal.affinity_matrix(initial, pattern).max()
         assert abs(expected - max(affinity_naive(row, pattern)
                                   for row in initial)) < 1e-15
         result = clonalg_run([pattern], population_size=20, generations=1,
-                             config=config, rng=rng, select_n=5)
+                             config=config, select_n=5)
         assert result.history[0] == expected
 
     def test_history_non_decreasing(self):
         pattern = np.eye(3).ravel()
         config = CloneConfig(eta=6.0, alpha=0.3, tau=0.0, sigma=0.2,
-                             memory_capacity=4, rng_seed=0)
+                             memory_capacity=4, rng_seed=2)
         result = clonalg_run([pattern], population_size=30, generations=40,
-                             config=config, rng=np.random.default_rng(2),
-                             select_n=8)
+                             config=config, select_n=8)
         hist = result.history
         assert len(hist) == 40
         assert all(b >= a for a, b in zip(hist, hist[1:]))
@@ -818,31 +884,31 @@ class TestClonalgRun:
     def test_affinity_improves(self):
         pattern = np.array([[1, 0], [0, 1]], dtype=np.float64)
         config = CloneConfig(eta=8.0, alpha=0.2, tau=0.0, sigma=0.15,
-                             memory_capacity=5, rng_seed=0)
+                             memory_capacity=5, rng_seed=3)
         result = clonalg_run([pattern], population_size=25, generations=60,
-                             config=config, rng=np.random.default_rng(3),
-                             select_n=6)
+                             config=config, select_n=6)
         assert result.history[-1] > result.history[0]
 
     def test_memory_respects_capacity(self):
         pattern = np.ones(5)
-        config = CloneConfig(memory_capacity=4, tau=0.0, rng_seed=0)
+        config = CloneConfig(memory_capacity=4, tau=0.0, rng_seed=4)
         result = clonalg_run([pattern], population_size=15, generations=5,
-                             config=config, rng=np.random.default_rng(4),
-                             select_n=5)
+                             config=config, select_n=5)
         assert result.memory_vectors.shape[0] <= 4
         assert result.population.shape == (15, 5)
 
     def test_empty_patterns_rejected(self):
         with pytest.raises(ConfigurationError):
-            clonalg_run([], 10, 5, CloneConfig(memory_capacity=2),
-                        np.random.default_rng(0))
+            clonalg_run([], 10, 5, CloneConfig(memory_capacity=2))
 
     def test_population_smaller_than_selection_rejected(self):
-        with pytest.raises(ConfigurationError):
-            clonalg_run([np.ones(4)], population_size=5, generations=2,
-                        config=CloneConfig(memory_capacity=2),
-                        rng=np.random.default_rng(0), select_n=10)
+        # select_n -1 used to select every member but the worst, and 0 to
+        # run without clones
+        for select_n in (10, 6, 0, -1):
+            with pytest.raises(ConfigurationError, match="select_n"):
+                clonalg_run([np.ones(4)], population_size=5, generations=2,
+                            config=CloneConfig(memory_capacity=2),
+                            select_n=select_n)
 
 
 class TestCloneConfigValidation:
@@ -851,9 +917,9 @@ class TestCloneConfigValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"eta": -1.0}, {"alpha": 0.0}, {"tau": 1.5}, {"sigma": -0.1},
-        {"rate_cap": 0.0}, {"crossover_prob": 2.0}, {"memory_capacity": 0},
+        {"memory_capacity": 0},
         {"eta": float("nan")}, {"alpha": float("nan")},
-        {"sigma": float("nan")}, {"rate_cap": float("nan")},
+        {"sigma": float("nan")},
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -83,8 +83,11 @@ def test_mapping_tau_match_none_falls_back():
 
 
 def test_mapping_rejects_unknown_key():
-    with pytest.raises(ConfigurationError):
-        config_from_mapping({"learninq_rate": "0.1"})
+    # the last three were settings that nothing set to another value
+    for key in ("learninq_rate", "rate_cap", "crossover_prob",
+                "memory_factor"):
+        with pytest.raises(ConfigurationError, match=f"unknown .* '{key}'"):
+            config_from_mapping({key: "1"})
 
 
 @pytest.mark.parametrize("text, value", [
@@ -127,7 +130,6 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"seeds": ()},
     {"epochs": 0},
     {"curve_epochs": 0},
-    {"memory_factor": 0},
     {"two_class_labels": (3, 3)},
     {"third_class": 1},
     {"learning_rate": -0.1},
@@ -140,8 +142,6 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"alpha": 0.0},
     {"tau": 1.5},
     {"sigma": float("nan")},
-    {"crossover_prob": 2.0},
-    {"rate_cap": 0.0},
     {"batch_size": 0},
     {"test_subset": 0},
     {"test_subset": -5},
@@ -163,7 +163,7 @@ def test_matching_tau_override():
 
 
 def test_clone_config_scales_memory_with_class_size():
-    cc = ExperimentConfig(memory_factor=3).clone_config(25, rng_seed=7)
+    cc = ExperimentConfig().clone_config(25, rng_seed=7)
     assert cc.memory_capacity == 75
     assert cc.rng_seed == 7
 

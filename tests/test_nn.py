@@ -215,8 +215,8 @@ def conv_error(p, trace, probs, labels, clones):
     feature_error = np.zeros_like(trace.feature)
     rows = [(prob, label, n)
             for n, (prob, label) in enumerate(zip(probs, labels))]
-    rows += [(nn.forward_output(p, f), label, parent)
-             for f, label, parent in clones]
+    rows += [(nn.forward_output(p, f), labels[parent], parent)
+             for f, parent in clones]
     for prob, label, parent in rows:
         delta = prob.copy()
         delta[label] -= 1.0
@@ -237,16 +237,16 @@ def full_map_conv_gradients(p, trace, probs, labels, clones):
     ``maxpool2_backward(argmax, dpool) * scaled_tanh_prime(conv_pre)``, by
     the same operations in the same order as ``batch_gradients`` otherwise."""
     n = len(trace.feature)
-    clone_features = np.reshape([f for f, _, _ in clones],
+    clone_features = np.reshape([f for f, _ in clones],
                                 (len(clones), p.feature_width))
-    row_labels = np.concatenate([labels, [l for _, l, _ in clones]]).astype(int)
+    parents = np.array([c for _, c in clones], dtype=int)
+    row_labels = np.concatenate([labels, labels[parents]]).astype(int)
     delta = np.concatenate([probs, nn.forward_output(p, clone_features)])
     delta[np.arange(len(delta)), row_labels] -= 1.0
     _, _, drows = dense_backward(
         p.out_weights, np.concatenate([trace.feature, clone_features]), delta)
     feature_error = drows[:n]
-    np.add.at(feature_error, np.array([c for _, _, c in clones], dtype=int),
-              drows[n:])
+    np.add.at(feature_error, parents, drows[n:])
     dz1 = feature_error * nn.scaled_tanh_prime(trace.fc1_pre)
     _, _, dpool = dense_backward(p.fc1_weights, trace.pooled_flat, dz1)
     dconv = (maxpool2_backward(trace.argmax, dpool.reshape(trace.argmax.shape))
@@ -280,7 +280,7 @@ class TestBackward:
         features, trace, probs = forward_batch(p, images)
         clones = [(features[parent]
                    + rng.normal(scale=0.2, size=arch.feature_width),
-                   int(rng.integers(arch.num_classes)), int(parent))
+                   int(parent))
                   for parent in rng.integers(0, n, size=2 * n)
                   ] if with_clones else []
         grads = nn.batch_gradients(p, trace, probs, labels, clones)
@@ -309,7 +309,7 @@ class TestBackward:
         parents = rng.integers(0, n, size=rng.integers(1, 2 * n + 1))
         clones = [(features[parent]
                    + rng.normal(scale=0.2, size=arch.feature_width),
-                   int(rng.integers(arch.num_classes)), int(parent))
+                   int(parent))
                   for parent in parents] if with_clones else []
         grads = nn.batch_gradients(p, trace, probs, labels, clones)
         dconv = conv_error(p, trace, probs, labels, clones)
@@ -371,7 +371,7 @@ class TestBackwardFromFeature:
         features, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
         plain = nn.batch_gradients(p, trace, probs, [1])
         doubled = nn.batch_gradients(p, trace, probs, [1],
-                                     [(features[0].copy(), 1, 0)])
+                                     [(features[0].copy(), 0)])
         for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(2.0 * getattr(plain, name),
                                   getattr(doubled, name))
@@ -381,7 +381,7 @@ class TestBackwardFromFeature:
         rng = np.random.default_rng(8)
         _, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
         with pytest.raises(DimensionError):
-            nn.batch_gradients(p, trace, probs, [0], [(np.zeros(5), 0, 0)])
+            nn.batch_gradients(p, trace, probs, [0], [(np.zeros(5), 0)])
 
     @pytest.mark.parametrize("parent", [-1, 2])
     def test_parent_outside_batch_rejected(self, parent):
@@ -392,7 +392,7 @@ class TestBackwardFromFeature:
         features, trace, probs = forward_batch(p, rng.normal(size=(2, 10, 10)))
         with pytest.raises(ConfigurationError, match=f"parent {parent} "):
             nn.batch_gradients(p, trace, probs, [0, 1],
-                               [(features[1].copy(), 1, parent)])
+                               [(features[1].copy(), parent)])
 
     def test_confident_clone_nearly_zero_gradient(self):
         p = nn.init_params(2, SMALL)
@@ -404,7 +404,7 @@ class TestBackwardFromFeature:
         probs = nn.forward_output(p, trace.feature)
         label = int(np.argmax(probs))
         grads = nn.batch_gradients(p, trace, probs, [label],
-                                   [(feature, label, 0)])
+                                   [(feature, 0)])
         assert np.abs(grads.out_bias).max() < 1e-6
 
 
@@ -503,8 +503,7 @@ class TestTrainEpoch:
             out = []
             for parent, offs in offsets.items():
                 for off in offs:
-                    out.append((features[parent] + off, int(labs[parent]),
-                                parent))
+                    out.append((features[parent] + off, parent))
             return out
 
         p = nn.init_params(13, arch)
