@@ -917,9 +917,9 @@ class TestCloneConfigValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"eta": -1.0}, {"alpha": 0.0}, {"tau": 1.5}, {"sigma": -0.1},
-        {"memory_capacity": 0},
+        {"tau": -0.1}, {"memory_capacity": -1}, {"memory_capacity": 0},
         {"eta": float("nan")}, {"alpha": float("nan")},
-        {"sigma": float("nan")},
+        {"sigma": float("nan")}, {"tau": float("nan")},
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

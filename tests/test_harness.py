@@ -130,6 +130,7 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"seeds": ()},
     {"epochs": 0},
     {"curve_epochs": 0},
+    {"curve_epochs": -1},
     {"two_class_labels": (3, 3)},
     {"third_class": 1},
     {"learning_rate": -0.1},
@@ -142,6 +143,8 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"alpha": 0.0},
     {"tau": 1.5},
     {"sigma": float("nan")},
+    {"eta": float("nan")},
+    {"tau": float("nan")},
     {"batch_size": 0},
     {"test_subset": 0},
     {"test_subset": -5},
