@@ -55,7 +55,7 @@ class MemoryPool:
     stores read-only copies of the arrays it is given, and
     :func:`update_memory` returns a new pool with rows merged in. More
     members than ``capacity``, scores not best first, or a non-finite row
-    raise ConfigurationError. Pools compare and hash by identity.
+    or score raise ConfigurationError. Pools compare and hash by identity.
 
     Compatibility view: a third positional argument of :class:`Antibody`
     objects is converted to the arrays once, and ``members`` shows the
@@ -106,6 +106,10 @@ class MemoryPool:
             raise ConfigurationError(
                 f"pool of class {self.class_label}: member {i + 2} scores "
                 f"{after!r} after {before!r}; scores must not increase")
+        # a lone NaN, or an infinite score, is in order
+        if not np.isfinite(scores).all():
+            raise ConfigurationError(f"pool of class {self.class_label}: "
+                                     f"a member score is not finite")
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -284,8 +288,8 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
     strictly better candidate. The kept rows are gathered from the members
     and the candidates with one index, a copy the new pool keeps. The
     training pools, new-class seeding and ``clonalg_run``'s elite memory
-    all rank through this one policy. A non-finite candidate row raises
-    ConfigurationError.
+    all rank through this one policy. A non-finite candidate row or score
+    raises ConfigurationError.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -294,9 +298,9 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
         raise DimensionError(
             f"candidate rows {features.shape} with scores {scores.shape} do "
             f"not fit a pool of shape {pool.matrix.shape}")
-    if not np.isfinite(features).all():
+    if not (np.isfinite(features).all() and np.isfinite(scores).all()):
         raise ConfigurationError(f"pool of class {pool.class_label}: "
-                                 f"a candidate row is not finite")
+                                 f"a candidate row or score is not finite")
     merged = np.concatenate([pool.scores, scores])
     ranked = np.argsort(-merged, kind="stable")[:pool.capacity]
     rows = np.concatenate([pool.matrix, features]) if len(pool) else features
@@ -365,6 +369,9 @@ class ClonalExpander:
         score. A pool takes its accepted clones, then its originals.
         """
         labels = [int(l) for l in labels]
+        if len(features) != len(labels):
+            raise DimensionError(
+                f"{len(features)} features but {len(labels)} labels")
         peers: dict[int, list[np.ndarray]] = {}
         for feature, label in zip(features, labels):
             peers.setdefault(label, []).append(feature)

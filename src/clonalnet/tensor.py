@@ -7,6 +7,9 @@ pass, and the backward pass is derived consistently from that convention.
 
 The fast kernels take stacks: any leading axes in front of an ``(H, W)``
 map or a vector, each row computed bit for bit as its own call would be.
+:class:`Windows` is the im2col of a stack for one kernel shape; built once,
+it serves any number of ``conv2d_valid`` calls with kernels of that shape,
+each the product that a call on the maps would make from its own copy.
 The one reduction over rows, ``dense_backward``'s weight and bias sums, is
 a matrix product and a numpy sum, equal to the row-by-row sum up to
 rounding.
@@ -36,14 +39,11 @@ def _as_array(x, name: str, ndim: int, stack: bool = False) -> np.ndarray:
     return a
 
 
-def _conv_operands(input, kernel, stack: bool):
-    inp = _as_array(input, "input", 2, stack)
-    ker = _as_array(kernel, "kernel", 2)
-    if ker.shape[0] > inp.shape[-2] or ker.shape[1] > inp.shape[-1]:
+def _check_fits(inp: np.ndarray, kernel_shape) -> None:
+    if kernel_shape[0] > inp.shape[-2] or kernel_shape[1] > inp.shape[-1]:
         raise DimensionError(
-            f"kernel shape {ker.shape} exceeds input shape {inp.shape}"
+            f"kernel shape {kernel_shape} exceeds input shape {inp.shape}"
         )
-    return inp, ker
 
 
 def _dense_operands(weights, bias, x, stack: bool):
@@ -62,28 +62,52 @@ def _dense_operands(weights, bias, x, stack: bool):
 # valid cross-correlation
 # ---------------------------------------------------------------------------
 
-def conv2d_valid(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+class Windows:
+    """The im2col of a ``(..., H, W)`` stack for a ``(kh, kw)`` kernel.
+
+    ``cols`` is a read-only ``(..., kh·kw, oh·ow)`` array with
+    cols[..., i·kw + j, y·ow + x] = input[..., y + i, x + j] (a copy of the
+    input, or a view of it where no two windows overlap), and ``shape`` is
+    the ``(..., oh, ow)`` shape of a convolution over it.
+    """
+
+    def __init__(self, input: np.ndarray, kernel_shape: tuple[int, int]):
+        inp = _as_array(input, "input", 2, stack=True)
+        if len(kernel_shape) != 2:
+            raise DimensionError(f"kernel shape must have 2 axes, got {kernel_shape}")
+        kh, kw = self.kernel_shape = tuple(kernel_shape)
+        _check_fits(inp, self.kernel_shape)
+        *lead, h, w = inp.shape
+        oh, ow = h - kh + 1, w - kw + 1
+        *lead_strides, sy, sx = inp.strides
+        view = as_strided(inp, (*lead, kh, kw, oh, ow),
+                          (*lead_strides, sy, sx, sy, sx), writeable=False)
+        self.cols = view.reshape(*lead, kh * kw, oh * ow)
+        self.cols.flags.writeable = False
+        self.shape = (*lead, oh, ow)
+
+
+def conv2d_valid(input, kernel: np.ndarray) -> np.ndarray:
     """Valid-mode cross-correlation of each map in a ``(..., H, W)`` stack
-    with one 2-D kernel.
+    with one 2-D kernel; ``input`` is the maps or their :class:`Windows`.
 
     out[..., y, x] = sum_{i, j} input[..., y + i, x + j] * kernel[i, j]
     """
-    inp, ker = _conv_operands(input, kernel, stack=True)
-    *lead, h, w = inp.shape
-    kh, kw = ker.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    *lead_strides, sy, sx = inp.strides
-    # cols[..., i, j, y, x] = input[..., y + i, x + j]; the matmul
-    # broadcasts the kernel row, so each map gets its own product
-    cols = as_strided(inp, (*lead, kh, kw, oh, ow),
-                      (*lead_strides, sy, sx, sy, sx), writeable=False)
-    out = ker.reshape(1, kh * kw) @ cols.reshape(*lead, kh * kw, oh * ow)
-    return out.reshape(*lead, oh, ow)
+    ker = _as_array(kernel, "kernel", 2)
+    windows = input if isinstance(input, Windows) else Windows(input, ker.shape)
+    if ker.shape != windows.kernel_shape:
+        raise DimensionError(f"kernel shape {ker.shape} does not match "
+                             f"windows of {windows.kernel_shape}")
+    # the matmul broadcasts the kernel row, so each map gets its own product
+    out = ker.reshape(1, ker.size) @ windows.cols
+    return out.reshape(windows.shape)
 
 
 def conv2d_valid_naive(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Quadruple-loop reference for :func:`conv2d_valid` on one map."""
-    inp, ker = _conv_operands(input, kernel, stack=False)
+    inp = _as_array(input, "input", 2)
+    ker = _as_array(kernel, "kernel", 2)
+    _check_fits(inp, ker.shape)
     h, w = inp.shape
     kh, kw = ker.shape
     out = np.zeros((h - kh + 1, w - kw + 1))
@@ -179,20 +203,6 @@ def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     grad_input = np.zeros((*lead, 2 * ph, 2 * pw))
     grad_input.reshape(-1)[index] = g
     return grad_input
-
-
-def maxpool2_gather(input: np.ndarray, argmax: np.ndarray) -> np.ndarray:
-    """The entries of an ``(..., H, W)`` stack at the argmax positions of
-    :func:`maxpool2`, shape ``(..., H/2, W/2)``: the reverse of
-    :func:`maxpool2_backward`'s scatter."""
-    inp = _as_array(input, "input", 2, stack=True)
-    am = np.asarray(argmax)
-    if (am.shape[:-2] != inp.shape[:-2]
-            or inp.shape[-2:] != tuple(2 * n for n in am.shape[-2:])):
-        raise DimensionError(
-            f"argmax shape {am.shape} does not pool input shape {inp.shape}"
-        )
-    return inp.reshape(-1)[_winner_index(am)]
 
 
 # ---------------------------------------------------------------------------

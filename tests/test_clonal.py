@@ -432,6 +432,25 @@ class TestUpdateMemory:
                 update_memory(pool_of([np.ones(4)], label=5, capacity=3),
                               np.stack([np.zeros(4), row]), [0.4, 0.3])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("build", ["matrix", "antibodies",
+                                       "update_memory", "update_full_pool"])
+    def test_non_finite_scores_rejected(self, build, value):
+        # a lone NaN score used to make a pool, and the next update_memory
+        # blamed the ordering; a full pool dropped a NaN candidate silently
+        with pytest.raises(ConfigurationError,
+                           match="pool of class 5: .* score is not finite"):
+            if build == "matrix":
+                MemoryPool(5, 2, matrix=np.ones((1, 4)), scores=[value])
+            elif build == "antibodies":
+                MemoryPool(5, 2, [Antibody(np.ones(4), 5, value)])
+            elif build == "update_memory":
+                update_memory(MemoryPool(5, 3), np.ones((1, 4)), [value])
+            else:
+                update_memory(pool_of([np.ones(4)], label=5, capacity=1),
+                              np.zeros((1, 4)), [value])
+
     def test_empty_candidates_no_change(self):
         pool = pool_of([[1.0, 0.0], [0.0, 1.0]], capacity=4)
         updated = update_memory(pool, np.empty((0, 2)), [])
@@ -642,6 +661,15 @@ class TestClonalExpander:
                                    for c, _ in clones)
                         clones_checked += 1
         assert originals > 0 and clones_checked > 0
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_feature_and_label_counts_must_agree(self, count):
+        # 3 features with 2 labels used to pool the first 2 and drop the third
+        feats = list(np.random.default_rng(16).normal(size=(3, 4)))
+        expander = ClonalExpander(CloneConfig(memory_capacity=3, rng_seed=1))
+        with pytest.raises(DimensionError, match="3 features but"):
+            expander(feats, [0, 1, 0, 1][:count])
+        assert expander.pools == {}
 
     def test_eta_zero_builds_pools_but_no_clones(self):
         rng = np.random.default_rng(16)

@@ -13,7 +13,7 @@ from clonalnet.errors import (ConfigurationError, CorruptionError,
                               DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
 from clonalnet.tensor import (conv2d_valid_naive, dense_backward, dense_naive,
-                              maxpool2_backward, maxpool2_naive)
+                              maxpool2, maxpool2_backward, maxpool2_naive)
 
 SMALL = nn.ArchConfig(image_size=10, num_maps=2, kernel_size=3,
                       feature_width=6, num_classes=3)
@@ -132,6 +132,29 @@ class TestForward:
             for m in range(SMALL.num_maps):
                 act = nn.scaled_tanh(trace.conv_pre[m])
                 assert np.array_equal(trace.argmax[m], maxpool2_naive(act)[1])
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([None, 0, 1, 5]),
+           st.sampled_from([0.1, 1.0, 30.0, 1e3]))
+    @settings(max_examples=30, deadline=None)
+    def test_pooling_before_tanh_keeps_the_pooled_values(self, seed, n,
+                                                         scale):
+        # tanh is monotone, so tanh of the pooled pre-activations is, bit for
+        # bit, the pool of the activations; large scales saturate tanh, and
+        # constant image rows tie whole pooling blocks
+        rng = np.random.default_rng(seed)
+        p = nn.init_params(seed, SMALL)
+        p.conv_kernels *= scale
+        p.conv_bias[:] = rng.normal(scale=scale, size=SMALL.num_maps)
+        images = rng.normal(size=(1 if n is None else n, 10, 10))
+        images[:, :5] = rng.choice([-1.0, 0.0, 1.0])
+        _, trace = nn.forward_features(p, images[0] if n is None else images)
+        pool_pre, argmax = maxpool2(trace.conv_pre)
+        assert trace.pool_pre.tobytes() == pool_pre.tobytes()
+        assert np.array_equal(trace.argmax, argmax)
+        pooled = nn.scaled_tanh(trace.pool_pre)
+        assert pooled.tobytes() == \
+            maxpool2(nn.scaled_tanh(trace.conv_pre))[0].tobytes()
+        assert pooled.tobytes() == trace.pooled_flat.tobytes()
 
     def test_disconnected_map_is_bias_only(self):
         # a zero kernel disconnects its map from the image
@@ -280,6 +303,34 @@ class TestBackward:
         features, trace, probs = forward_batch(p, images)
         clones = [(features[parent]
                    + rng.normal(scale=0.2, size=arch.feature_width),
+                   int(parent))
+                  for parent in rng.integers(0, n, size=2 * n)
+                  ] if with_clones else []
+        grads = nn.batch_gradients(p, trace, probs, labels, clones)
+        kernels, bias = full_map_conv_gradients(p, trace, probs, labels, clones)
+        assert grads.conv_kernels.tobytes() == kernels.tobytes()
+        assert grads.conv_bias.tobytes() == bias.tobytes()
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_saturated_and_tied_gradients_equal_the_full_map_formula(
+            self, seed, n, with_clones):
+        # pre-activations beyond +-30, where tanh rounds to +-1 and tanh' is
+        # 0, and constant image rows whose pooling blocks tie: the winners
+        # of the pre-activations still give the full-map gradients
+        rng = np.random.default_rng(seed)
+        p = nn.init_params(seed, SMALL)
+        p.conv_kernels *= 100.0
+        p.conv_bias[:] = rng.choice([-40.0, 0.0, 40.0], size=SMALL.num_maps)
+        images = rng.normal(size=(n, 10, 10))
+        images[:, :5] = rng.choice([-1.0, 1.0], size=(n, 1, 1))
+        labels = rng.integers(0, SMALL.num_classes, size=n)
+        features, trace, probs = forward_batch(p, images)
+        assert (np.abs(trace.pool_pre) > 30).any()
+        assert (trace.conv_pre[:, :, 0, 0] == trace.conv_pre[:, :, 1, 1]).all()
+        clones = [(features[parent]
+                   + rng.normal(scale=0.2, size=SMALL.feature_width),
                    int(parent))
                   for parent in rng.integers(0, n, size=2 * n)
                   ] if with_clones else []

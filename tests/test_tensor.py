@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from clonalnet.errors import CorruptionError, DimensionError
 from clonalnet.tensor import (
+    Windows,
     conv2d_valid,
     conv2d_valid_naive,
     dense,
@@ -12,7 +13,6 @@ from clonalnet.tensor import (
     dense_naive,
     maxpool2,
     maxpool2_backward,
-    maxpool2_gather,
     maxpool2_naive,
 )
 
@@ -62,6 +62,14 @@ class TestConv2dValid:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError, match=r"\(4, 4\).*\(3, 3\)"):
             conv2d_valid(np.ones((3, 3)), np.ones((4, 4)))
+
+    def test_windows_reject_bad_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(4, 4\).*\(3, 3\)"):
+            Windows(np.ones((3, 3)), (4, 4))
+        with pytest.raises(DimensionError):
+            Windows(np.ones(3), (1, 1))
+        with pytest.raises(DimensionError):
+            Windows(np.ones((3, 3)), (2,))
 
     @given(st.integers(0, 2**31 - 1), st.floats(-3, 3))
     @settings(max_examples=30, deadline=None)
@@ -241,30 +249,6 @@ class TestMaxpool2Stack:
         with pytest.raises(CorruptionError):
             maxpool2_backward(argmax.astype(np.float64), np.ones((2, 2, 2)))
 
-    @given(st.integers(0, 2**31 - 1), LEADS)
-    @settings(max_examples=30, deadline=None)
-    def test_gather_reads_each_maps_winners(self, seed, lead):
-        rng = np.random.default_rng(seed)
-        stack = random_stack(rng, lead)
-        out, argmax = maxpool2(stack)
-        other = rng.normal(size=stack.shape)
-        h, w = stack.shape[-2:]
-        expected = [m.ravel()[am.ravel()] for m, am in
-                    zip(other.reshape(-1, h, w), rows(argmax, 2))]
-        assert maxpool2_gather(stack, argmax).tobytes() == out.tobytes()
-        assert maxpool2_gather(other, argmax).tobytes() == \
-            np.reshape(expected, argmax.shape).tobytes()
-
-    def test_gather_rejects_bad_shapes_and_indices(self):
-        _, argmax = maxpool2(np.ones((2, 4, 4)))
-        for bad_input in (np.ones((3, 4, 4)), np.ones((2, 4, 6)), np.ones(4)):
-            with pytest.raises(DimensionError):
-                maxpool2_gather(bad_input, argmax)
-        bad = argmax.copy()
-        bad[1, 0, 0] = 16
-        with pytest.raises(CorruptionError):
-            maxpool2_gather(np.ones((2, 4, 4)), bad)
-
 
 def rows(stack, tail):
     """The rows of a stack as a list, each with the trailing ``tail`` axes."""
@@ -294,6 +278,39 @@ class TestStackedKernels:
             assert row.tobytes() == conv2d_valid(image, ker).tobytes()
             assert_rounding_close(row, conv2d_valid_naive(image, ker),
                                   conv2d_valid_naive(abs(image), abs(ker)))
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_conv_over_windows_matches_conv_over_maps(self, seed, lead):
+        # one Windows serves several kernels of its shape, each product
+        # bit for bit the call on the maps and on each map alone
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(1, 13, size=2)
+        shape = (rng.integers(1, h + 1), rng.integers(1, w + 1))
+        stack = rng.normal(size=(*lead, h, w))
+        windows = Windows(stack, shape)
+        assert not windows.cols.flags.writeable
+        for ker in rng.normal(size=(3, *shape)):
+            out = conv2d_valid(windows, ker)
+            assert out.shape == windows.shape
+            assert out.tobytes() == conv2d_valid(stack, ker).tobytes()
+            for row, image in zip(rows(out, 2), rows(stack, 2)):
+                assert row.tobytes() == conv2d_valid(image, ker).tobytes()
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_not_of_the_windows_shape_rejected(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(2, 13, size=2)
+        shape = (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+        windows = Windows(rng.normal(size=(*lead, h, w)), shape)
+        for other in ((shape[0] % h + 1, shape[1]), (shape[0], shape[1] % w + 1),
+                      (shape[1], shape[0])):
+            if other != shape:
+                with pytest.raises(DimensionError, match="does not match"):
+                    conv2d_valid(windows, np.ones(other))
+        with pytest.raises(DimensionError):
+            conv2d_valid(windows, np.ones(shape[0] * shape[1]))
 
     @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
