@@ -301,10 +301,11 @@ def predict(params: LayerStack, image: np.ndarray) -> int | np.ndarray:
 
 
 # images per ``predict`` call in ``evaluate``. On a 2-core x86 VM with one
-# BLAS thread, evaluating 1500 images took 0.22-0.24 s (median of 5) at
-# every chunk from 8 to 100, against 0.29 s at 200 and 0.40 s one image at a
-# time; a chunk's forward pass copies one chunk x k² x oh·ow im2col, 5.8 MB
-# at 50 for the default stack, so larger chunks only cost memory.
+# BLAS thread, evaluating 1500 images took 0.17-0.19 s (median of 7) at
+# every chunk from 8 to 100, against 0.28-0.32 s at 200 and 0.37-0.43 s one
+# image at a time; a chunk's forward pass copies one chunk x k² x oh·ow
+# im2col, 5.8 MB at 50 for the default stack, so larger chunks only cost
+# memory.
 EVAL_CHUNK = 50
 
 

@@ -10,9 +10,12 @@ map or a vector, each row computed bit for bit as its own call would be.
 :class:`Windows` is the im2col of a stack for one kernel shape; built once,
 it serves any number of ``conv2d_valid`` calls with kernels of that shape,
 each the product that a call on the maps would make from its own copy.
-The one reduction over rows, ``dense_backward``'s weight and bias sums, is
-a matrix product and a numpy sum, equal to the row-by-row sum up to
-rounding.
+``maxpool2`` picks each block's winner with strict comparisons over
+contiguous copies of the block corners and reads the output from the
+winner, so ties keep the first element and its bits, and a block holding a
+NaN pools to its first NaN. The one reduction over rows, ``dense_backward``'s
+weight and bias sums, is a matrix product and a numpy sum, equal to the
+row-by-row sum up to rounding.
 
 Each fast kernel has a brute-force twin (``*_naive``) for one map or vector,
 written as the most literal loop possible. The naive versions are the
@@ -129,24 +132,44 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max over disjoint 2x2 blocks of each map in a ``(..., H, W)`` stack.
 
     Returns ``(output, argmax)`` of shape ``(..., H/2, W/2)``, where argmax
-    holds, per block, the flat row-major index into the winning element's
-    own ``(H, W)`` map. Ties go to the first element in row-major order
-    within the block.
+    holds, per block, the flat row-major index (int64) into the winning
+    element's own ``(H, W)`` map. Ties go to the first element in row-major
+    order within the block; a block that holds a NaN pools to NaN, with its
+    argmax at its first NaN in row-major order.
+
+    The block corners are copied into contiguous pairs, and three strict
+    comparisons pick the winner: right over left in the upper row, the same
+    in the lower row, and the lower row's maximum over the upper row's. A
+    later entry wins only when it is greater, or NaN against a number, so
+    the earlier of tied entries stays the winner whatever the sign of a
+    zero. Each output is then read from its winning element, which keeps
+    its bits, sign of zero included.
     """
     inp = _as_array(input, "input", 2, stack=True)
     *lead, h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
-    # visit the block corners in row-major order; a later corner wins only
-    # when strictly greater, which keeps the first of tied maxima
-    out, corner = inp[..., 0::2, 0::2], 0
-    for offset, dy, dx in ((1, 0, 1), (w, 1, 0), (w + 1, 1, 1)):
-        candidate = inp[..., dy::2, dx::2]
-        later = candidate > out
-        out = np.where(later, candidate, out)
-        corner = np.where(later, offset, corner)
-    corner += 2 * w * np.arange(h // 2)[:, None] + 2 * np.arange(w // 2)
-    return out, corner
+    maps, ph, pw = math.prod(lead), h // 2, w // 2
+    if not inp.size:
+        return np.zeros((*lead, ph, pw)), np.zeros((*lead, ph, pw), np.int64)
+    # pairs[0, p] and pairs[1, p] are the earlier and later entries of pair p
+    # in every block, each a contiguous run: p = 0 the upper row, p = 1 the
+    # lower row, p = 2 the maxima of those two rows (NaN where one holds NaN)
+    pairs = np.empty((2, 3, maps, ph, pw))
+    np.copyto(pairs[:, :2], inp.reshape(maps, ph, 2, pw, 2).transpose(4, 2, 0, 1, 3))
+    earlier, later = pairs
+    np.maximum(earlier[:2], later[:2], out=pairs[:, 2])
+    # the earlier entry is a number and the later one is not at most it
+    later_wins = ((earlier == earlier) > (later <= earlier)).view(np.uint8)
+    # bit 2 picks the row, and that row's own bit picks the column
+    code = later_wins[2] << 2
+    code |= later_wins[1] << 1
+    code |= later_wins[0]
+    argmax = np.array((0, 1, 0, 1, w, w, w + 1, w + 1)).take(code)
+    argmax += np.arange(0, h * w, 2 * w)[:, None] + np.arange(0, w, 2)
+    map_starts = np.arange(0, maps * h * w, h * w).reshape(maps, 1, 1)
+    out = inp.reshape(-1).take(argmax + map_starts)
+    return out.reshape(*lead, ph, pw), argmax.reshape(*lead, ph, pw)
 
 
 def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,12 +182,15 @@ def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     argmax = np.zeros((h // 2, w // 2), dtype=np.int64)
     for by in range(h // 2):
         for bx in range(w // 2):
-            best = -np.inf
-            best_idx = -1
+            best = inp[2 * by, 2 * bx]
+            best_idx = 2 * by * w + 2 * bx
             for dy in range(2):
                 for dx in range(2):
                     r, c = 2 * by + dy, 2 * bx + dx
-                    if inp[r, c] > best:
+                    # a later element wins when it is greater, or when it
+                    # is NaN and the best so far is not
+                    if not math.isnan(best) and (inp[r, c] > best
+                                                 or math.isnan(inp[r, c])):
                         best = inp[r, c]
                         best_idx = r * w + c
             out[by, bx] = best

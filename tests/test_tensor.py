@@ -133,6 +133,31 @@ class TestMaxpool2:
         with pytest.raises(DimensionError):
             maxpool2(np.ones((5, 4)))
 
+    # (map, pooled value, argmax) with the block's first NaN, or first of the
+    # tied infinities, winning
+    NON_FINITE_BLOCKS = {
+        "nan_upper_left": ([[np.nan, 1.0], [2.0, 0.0]], [np.nan], [0]),
+        "nan_upper_right": ([[1.0, np.nan], [2.0, 0.0]], [np.nan], [1]),
+        "nan_lower_left": ([[1.0, 3.0], [np.nan, 0.0]], [np.nan], [2]),
+        "nan_lower_right": ([[1.0, 3.0], [2.0, np.nan]], [np.nan], [3]),
+        "nan_after_the_max": ([[np.inf, 1.0], [np.nan, np.nan]], [np.nan], [2]),
+        "all_nan": ([[np.nan, np.nan], [np.nan, np.nan]], [np.nan], [0]),
+        "all_minus_inf": ([[-np.inf, -np.inf], [-np.inf, -np.inf]], [-np.inf], [0]),
+        "all_inf_then_all_minus_inf": ([[np.inf, np.inf, -np.inf, -np.inf],
+                                        [np.inf, np.inf, -np.inf, -np.inf]],
+                                       [np.inf, -np.inf], [0, 2]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_BLOCKS))
+    def test_non_finite_blocks_on_both_kernels(self, case):
+        image, value, index = self.NON_FINITE_BLOCKS[case]
+        for kernel in (maxpool2, maxpool2_naive):
+            out, argmax = kernel(np.array(image))
+            np.testing.assert_array_equal(out, [value], err_msg=kernel.__name__)
+            np.testing.assert_array_equal(argmax, [index], err_msg=kernel.__name__)
+            # the argmax is one that the backward pass takes
+            maxpool2_backward(argmax, np.ones(argmax.shape))
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_outputs_are_input_entries(self, seed):
@@ -181,13 +206,26 @@ LEADS = st.sampled_from([(1,), (8,), (2, 3)])
 
 def random_stack(rng, lead):
     """A map stack of small integers, half of them jittered, so many 2x2
-    blocks hold ties; its first map is constant, so all its blocks do."""
+    blocks hold ties; a third of the entries are 0.0, -0.0, inf or -inf, so
+    zeros of either sign and equal infinities tie too; its first map is
+    constant, so all its blocks tie."""
     h, w = 2 * rng.integers(1, 7), 2 * rng.integers(1, 7)
     stack = rng.integers(-2, 2, size=(*lead, h, w)).astype(np.float64)
     jitter = rng.random(stack.shape) < 0.5
     stack[jitter] += rng.normal(scale=0.1, size=jitter.sum())
+    special = rng.random(stack.shape) < 1 / 3
+    stack[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=special.sum())
     stack.reshape(-1, h, w)[0] = 1.5
     return stack
+
+
+# non-contiguous views equal to a stack, one per way a layout can differ
+VIEWS = {
+    "transposed": lambda s: np.swapaxes(s, -1, -2),
+    "reversed_rows": lambda s: s[..., ::-1, :],
+    "every_other_column": lambda s: np.repeat(s, 2, axis=-1)[..., ::2],
+    "fortran_order": np.asfortranarray,
+}
 
 
 def naive_per_map(stack):
@@ -223,6 +261,39 @@ class TestMaxpool2Stack:
             row[am] = gm
         gi = maxpool2_backward(maxpool2(stack)[1], g)
         assert gi.tobytes() == expected.reshape(stack.shape).tobytes()
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_nan_blocks_match_naive_per_map(self, seed, lead):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, lead)
+        nan = rng.random(stack.shape) < 0.2
+        stack[nan] = rng.choice([np.nan, -np.nan], size=nan.sum())
+        out, argmax = maxpool2(stack)
+        out_n, argmax_n = naive_per_map(stack)
+        assert out.tobytes() == out_n.tobytes()
+        np.testing.assert_array_equal(argmax, argmax_n)
+        blocks = np.isnan(stack).reshape(*argmax.shape[:-1], 2, argmax.shape[-1], 2)
+        np.testing.assert_array_equal(np.isnan(out), blocks.any(axis=(-3, -1)))
+
+    @given(st.integers(0, 2**31 - 1), LEADS, st.sampled_from(sorted(VIEWS)))
+    @settings(max_examples=30, deadline=None)
+    def test_non_contiguous_input_pools_as_its_copy(self, seed, lead, view):
+        stack = VIEWS[view](random_stack(np.random.default_rng(seed), lead))
+        one_map = stack[(0,) * (stack.ndim - 2)]
+        for maps in (stack, one_map):
+            assert not maps.flags.c_contiguous
+            out, argmax = maxpool2(maps)
+            out_c, argmax_c = maxpool2(np.ascontiguousarray(maps))
+            assert out.tobytes() == out_c.tobytes()
+            assert argmax.tobytes() == argmax_c.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 4, 6), (4, 0), (0, 4), (3, 0, 0)])
+    def test_empty_stacks_pool_to_empty_arrays(self, shape):
+        out, argmax = maxpool2(np.ones(shape))
+        expected = (*shape[:-2], shape[-2] // 2, shape[-1] // 2)
+        assert out.shape == argmax.shape == expected
+        assert out.dtype == np.float64 and argmax.dtype == np.int64
 
     @pytest.mark.parametrize("shape", [(4,), (3, 5, 4), (2, 4, 3)])
     def test_bad_input_shape_rejected(self, shape):
