@@ -4,9 +4,10 @@ Phase 1 counts, per class, the pool antibodies whose affinity to the test
 feature clears a match threshold. Phase 2 scores each class that produced
 enough matches by avidity, the mean affinity of its matching antibodies.
 Both phases read one affinity block per batch of test features, from one
-``affinity_matrix`` call against the non-empty pools stacked in label
-order; a single feature is a batch of one. The stack is kept until the
-pools change. The combined score
+matrix product against the non-empty pools stacked in label order; a
+single feature is a batch of one. The stack, its rows' squared norms and
+the per-class sizes and offsets are kept until the pools change, so a
+batch computes only its own rows' norms. The combined score
 is count (normalized by pool size by default) plus avidity; the class with
 the highest score wins, ties going to the lowest class id. A test feature
 that matches nothing is flagged instead of being forced into a class, and a
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +58,8 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     """Score every class pool against each row of ``features`` (n, d).
 
     The non-empty pools are stacked in label order into one (M, d) matrix,
-    and one ``affinity_matrix`` call gives both phases for every row: a
+    and one affinity block against it, equal to ``affinity_matrix`` of the
+    features and the stack, gives both phases for every row: a
     class's count is the number of its pool's entries >= ``tau_match`` (0
     for an empty pool), and a class with at least ``c_min`` matches gets
     their mean affinity as avidity. Score = count / pool_size + avidity (or
@@ -72,31 +75,25 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     if x.ndim != 2:
         raise DimensionError(
             f"test features must be (n, d) rows, got shape {x.shape}")
-    labels = sorted(pools)
-    filled = [label for label in labels if len(pools[label])]
-    for label in filled:
-        width = pools[label].matrix.shape[1]
+    stack = _stacked(tuple(sorted(pools.items())))
+    for label, width in zip(stack.filled, stack.widths):
         if width != x.shape[1]:
             raise DimensionError(
                 f"pool of class {label} holds width-{width} features, the "
                 f"test features have width {x.shape[1]}")
-    sizes = [len(pools[label]) for label in filled]
-    counts = np.zeros((len(x), len(filled)), dtype=np.intp)
-    sums = np.zeros((len(x), len(filled)))
-    if filled:
-        offsets = list(accumulate(sizes[:-1], initial=0))
-        aff = clonal.affinity_matrix(
-            x, _stacked(tuple(pools[label] for label in filled)))
+    counts = sums = np.zeros((len(x), 0))
+    if stack.filled:
+        aff = clonal._affinity(clonal._rescaled(x), stack.rescaled)
         hit = aff >= tau_match
-        counts = np.add.reduceat(hit, offsets, axis=1, dtype=np.intp)
-        sums = np.add.reduceat(np.where(hit, aff, 0.0), offsets, axis=1)
+        counts = np.add.reduceat(hit, stack.offsets, axis=1, dtype=np.intp)
+        sums = np.add.reduceat(np.where(hit, aff, 0.0), stack.offsets, axis=1)
 
     decisions = []
     for row_counts, row_sums in zip(counts.tolist(), sums.tolist()):
         decision = Decision(predicted_class=None, no_match=True,
-                            counts=dict.fromkeys(labels, 0))
-        for label, size, count, total in zip(filled, sizes, row_counts,
-                                             row_sums):
+                            counts=dict.fromkeys(stack.labels, 0))
+        for label, size, count, total in zip(stack.filled, stack.sizes,
+                                             row_counts, row_sums):
             decision.counts[label] = count
             if count < c_min:
                 continue
@@ -114,14 +111,39 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     return decisions
 
 
+class _Stack(NamedTuple):
+    """What :func:`classify_batch` reads of one set of pools."""
+
+    labels: list[int]           # every class, in label order
+    filled: list[int]           # the classes whose pool is not empty
+    widths: list[int]           # their pools' feature widths
+    sizes: list[int]            # their pools' member counts
+    offsets: np.ndarray         # where each of them starts in the stack
+    rescaled: tuple | None      # clonal._rescaled of the stacked matrices
+
+
 @functools.lru_cache(maxsize=1)
-def _stacked(pools: tuple[MemoryPool, ...]) -> np.ndarray:
-    """The pools' matrices stacked in order, kept for the next call with the
-    same pools; pools hash by identity and their arrays are read-only, so a
-    kept stack cannot go stale."""
-    stack = np.concatenate([pool.matrix for pool in pools])
-    stack.flags.writeable = False
-    return stack
+def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
+    """The (label, pool) pairs in label order as ``classify_batch`` reads
+    them, kept for the next call with the same pools; pools hash by
+    identity and their arrays are read-only, so a kept stack cannot go
+    stale. There are no rescaled rows when no pool holds a member or the
+    pools' widths differ."""
+    filled = [(label, pool) for label, pool in pools if len(pool)]
+    widths = [pool.matrix.shape[1] for _, pool in filled]
+    sizes = [len(pool) for _, pool in filled]
+    rescaled = None
+    if len(set(widths)) == 1:
+        rows, sq, zero = clonal._rescaled(
+            np.concatenate([pool.matrix for _, pool in filled]))
+        rows.flags.writeable = sq.flags.writeable = False
+        rescaled = rows, sq, zero
+    return _Stack(labels=[label for label, _ in pools],
+                  filled=[label for label, _ in filled], widths=widths,
+                  sizes=sizes,
+                  offsets=np.array(list(accumulate(sizes[:-1], initial=0)),
+                                   dtype=np.intp),
+                  rescaled=rescaled)
 
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,

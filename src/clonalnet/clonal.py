@@ -7,7 +7,10 @@ pattern-recognition demo.
 Affinity maps cosine similarity into [0, 1] via (1 + cos) / 2 so that the
 clone-count and mutation-rate formulas receive a bounded positive quantity.
 ``affinity_matrix`` is the one implementation, one GEMM per call;
-``affinity_naive`` is its per-pair test oracle.
+``affinity_naive`` is its per-pair test oracle. The GEMM needs each row's
+squared norm, and a matrix that is scored again and again computes its
+norms once: a pool on its first ``pool_affinities`` call, the classifier's
+stack of pools when it is built. Only the query side is computed per call.
 
 A pool stores its members as two read-only arrays, features (m, d) and
 scores (m,). ``Antibody`` and ``MemoryPool.members`` are a read-only
@@ -113,6 +116,14 @@ class MemoryPool:
 
     def __len__(self) -> int:
         return len(self.scores)
+
+    @cached_property
+    def rescaled(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``matrix`` as every affinity against this pool reads it:
+        :func:`_rescaled` of it, computed on first use and then shared."""
+        rows, sq, zero = _rescaled(self.matrix)
+        rows.flags.writeable = sq.flags.writeable = False
+        return rows, sq, zero
 
     @cached_property
     def members(self) -> tuple[Antibody, ...]:
@@ -229,22 +240,18 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     rows, or a row with a non-finite component, raise
     UndefinedAffinityError. :func:`affinity_naive` is the per-pair oracle.
     """
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     r = np.atleast_2d(np.asarray(references, dtype=np.float64))
+    return _affinity(_rescaled(_query_rows(queries, r)), _rescaled(r))
+
+
+def _query_rows(queries, r: np.ndarray) -> np.ndarray:
+    """``queries`` as float64 rows of the width of the reference rows ``r``."""
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
         raise DimensionError(
             f"affinity needs equal-width rows, got {q.shape} and {r.shape}"
         )
-    q, query_sq, q_zero = _rescaled(q)
-    r, ref_sq, r_zero = _rescaled(r)
-    if q_zero and r_zero:
-        raise UndefinedAffinityError("affinity of two zero vectors is undefined")
-    dot = q @ r.T
-    dot /= np.sqrt(query_sq[:, None] * ref_sq)
-    np.clip(dot, -1.0, 1.0, out=dot)
-    dot += 1.0
-    dot /= 2.0
-    return dot
+    return q
 
 
 def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -269,14 +276,36 @@ def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return x, sq, bool(zero.any())
 
 
+def _affinity(queries: tuple[np.ndarray, np.ndarray, bool],
+              references: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
+    """The affinity table of two sides that :func:`_rescaled` prepared.
+
+    Both sides' squared norms lie in [2^-510, 2^510] or [1, d], so the
+    cosines are finite and clipping them with ``minimum`` and ``maximum``
+    gives the bits ``np.clip`` would."""
+    q, query_sq, q_zero = queries
+    r, ref_sq, r_zero = references
+    if q_zero and r_zero:
+        raise UndefinedAffinityError("affinity of two zero vectors is undefined")
+    dot = q @ r.T
+    dot /= np.sqrt(query_sq[:, None] * ref_sq)
+    np.minimum(dot, 1.0, out=dot)
+    np.maximum(dot, -1.0, out=dot)
+    dot += 1.0
+    dot /= 2.0
+    return dot
+
+
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
     """Affinity of each row of ``features`` against every pool member,
-    shape (n, len(pool))."""
+    shape (n, len(pool)): :func:`affinity_matrix` with the pool side read
+    from :attr:`MemoryPool.rescaled`."""
     if not len(pool):
         raise ConfigurationError(
             f"memory pool for class {pool.class_label} is empty"
         )
-    return affinity_matrix(features, pool.matrix)
+    return _affinity(_rescaled(_query_rows(features, pool.matrix)),
+                     pool.rescaled)
 
 
 def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:

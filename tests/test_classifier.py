@@ -336,13 +336,13 @@ class TestClassifyBatch:
                  for c in range(4)}
         pools[4] = MemoryPool(class_label=4, capacity=5)
         calls = []
-        real = clonal.affinity_matrix
+        real = clonal._affinity
 
         def counting(queries, references):
-            calls.append((np.shape(queries), np.shape(references)))
+            calls.append((queries[0].shape, references[0].shape))
             return real(queries, references)
 
-        monkeypatch.setattr(clonal, "affinity_matrix", counting)
+        monkeypatch.setattr(clonal, "_affinity", counting)
         features = rng.normal(size=(rows, 6))
         if rows == 1:
             classify(features[0], pools, tau_match=0.5)
@@ -385,6 +385,90 @@ class TestStackedPoolCache:
                             classifier._stacked.__wrapped__)
         uncached = classify_batch(features, pools, 0.5)
         assert cached[0] == cached[1] == uncached
+
+
+# row scales whose squared norms are normal, below 2^-510, above 2^510, zero
+ROW_SCALES = {"normal": 1.0, "tiny": 1e-200, "huge": 1e200, "zero": 0.0}
+
+
+class TestCachedNorms:
+    """``pool_affinities`` and ``classify_batch`` read the reference side's
+    squared norms from a cache; their tables are ``affinity_matrix``'s."""
+
+    @staticmethod
+    def same(cached, uncached):
+        """Both raise the same error, or give the same bits; returns the
+        error type or None."""
+        try:
+            want = uncached()
+        except (UndefinedAffinityError, DimensionError) as err:
+            with pytest.raises(type(err)):
+                cached()
+            return type(err)
+        got = cached()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return None
+
+    @pytest.mark.parametrize("query", ["drawn", "zero", "wide"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cached_paths_equal_affinity_matrix(self, query, data):
+        width = data.draw(st.integers(1, 6), label="width")
+        kinds = st.lists(st.sampled_from(sorted(ROW_SCALES)), min_size=1,
+                         max_size=5)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+        def rows(names):
+            return np.stack([ROW_SCALES[name] * rng.normal(size=width)
+                             for name in names])
+
+        pool_kinds = [data.draw(kinds, label="pool rows")
+                      for _ in range(data.draw(st.integers(1, 3)))]
+        expected = None
+        if query == "zero":
+            # pool 0 holds a zero row, so an all-zero query cannot score it
+            pool_kinds[0].append("zero")
+            features, expected = np.zeros((2, width)), UndefinedAffinityError
+        elif query == "wide":
+            features = rng.normal(size=(2, width + 1))
+            expected = DimensionError
+        else:
+            features = rows(data.draw(kinds, label="queries"))
+        pools = {label: pool_from(rows(names), label=label)
+                 for label, names in enumerate(pool_kinds)}
+
+        for label, pool in pools.items():
+            # the first call fills the pool's cache, the second reads it
+            for _ in range(2):
+                error = self.same(lambda: pool_affinities(features, pool),
+                                  lambda: clonal.affinity_matrix(features,
+                                                                 pool.matrix))
+                if label == 0 and expected:
+                    assert error is expected
+
+        blocks = []
+        real = clonal._affinity
+
+        def recording(queries, references):
+            blocks.append(real(queries, references))
+            return blocks[-1]
+
+        def classify_block():
+            blocks.clear()
+            classify_batch(features, pools, tau_match=0.5)
+            (block,) = blocks
+            return block
+
+        stack = np.concatenate([pool.matrix for pool in pools.values()])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clonal, "_affinity", recording)
+            # the first call builds the classifier's stack, the second reads it
+            for _ in range(2):
+                error = self.same(classify_block,
+                                  lambda: clonal.affinity_matrix(features,
+                                                                 stack))
+                if expected:
+                    assert error is expected
 
 
 class TestInitNewClass:

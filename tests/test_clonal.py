@@ -245,6 +245,42 @@ class TestPoolAffinities:
             pool_affinities(np.ones((1, 2)), empty)
 
 
+class TestPoolNorms:
+    def test_reference_side_rescaled_once_per_pool(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        pool = pool_of(rng.normal(size=(4, 3)))
+        seen = []
+        real = clonal._rescaled
+
+        def counting(x):
+            seen.append(x)
+            return real(x)
+
+        monkeypatch.setattr(clonal, "_rescaled", counting)
+
+        def reference_calls(p):
+            return sum(x is p.matrix for x in seen)
+
+        pool_affinities(rng.normal(size=(2, 3)), pool)
+        pool_affinities(rng.normal(size=(1, 3)), pool)
+        feature = pool.matrix[0].copy()
+        config = CloneConfig(eta=3.0, tau=0.0, memory_capacity=6)
+        assert generate_clones(feature, 1.0, pool, [feature], config,
+                               np.random.default_rng(0))
+        assert (reference_calls(pool), len(seen)) == (1, 4)
+        grown = update_memory(pool, rng.normal(size=(2, 3)), [0.5, 0.4])
+        pool_affinities(rng.normal(size=(1, 3)), grown)
+        pool_affinities(rng.normal(size=(1, 3)), grown)
+        assert (reference_calls(pool), reference_calls(grown)) == (1, 1)
+        assert len(seen) == 7
+
+    def test_cached_norms_are_read_only(self):
+        pool = pool_of([[1e-200, 0.0], [0.0, 0.0], [1.0, 2.0]])
+        rows, sq, zero = pool.rescaled
+        assert zero and not rows.flags.writeable and not sq.flags.writeable
+        assert pool.rescaled is pool.rescaled
+
+
 class TestAffinityMatrix:
     @pytest.mark.parametrize("special", [("zero", "tiny", "huge"), ("zero",),
                                          ("tiny",), ("huge",)])
