@@ -20,9 +20,11 @@ clone, a (feature, parent_index) pair that takes its parent's label, adds
 its error to its parent's row with the mutation offset treated as an
 additive constant (identity Jacobian), so clone gradients reach the
 convolution kernels. Each weight gradient is one matrix product over the
-batch; the kernel gradient multiplies the convolution error by the im2col
-of the batch's images, and tanh' of the convolution is read at the pool
-winners' pre-activations only, since only they receive error.
+batch. The backward reads the forward's ``Windows`` and tanh values from
+the trace and makes no im2col of its own: the kernel gradient multiplies
+the convolution error by the rows of that ``Windows``, and tanh' at fc1
+and at the pool winners (only they receive error) is formed from the kept
+tanh values with ``scaled_tanh_prime``'s arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
                      DivergenceError)
@@ -48,6 +49,11 @@ def scaled_tanh(x):
 
 def scaled_tanh_prime(x):
     t = np.tanh(TANH_SLOPE * np.asarray(x, dtype=np.float64))
+    return tanh_prime_from(t)
+
+
+def tanh_prime_from(t):
+    """``scaled_tanh_prime(x)`` from ``t = tanh(TANH_SLOPE * x)``."""
     return TANH_SCALE * TANH_SLOPE * (1.0 - t * t)
 
 
@@ -124,15 +130,17 @@ class LayerStack:
 @dataclass
 class ForwardTrace:
     """Everything backprop needs to replay the stack, per image of an
-    ``(N, H, W)`` batch; a single ``(H, W)`` image has no leading axis."""
+    ``(N, H, W)`` batch; a single ``(H, W)`` image has no leading axis.
+    The backward reads the forward's unfolding and tanh values from here
+    and recomputes neither."""
 
-    image: np.ndarray        # (N, H, W)
+    windows: Windows         # the images' im2col, kernel-gradient operand
     conv_pre: np.ndarray     # (N, f, oh, ow), pre-activation
     argmax: np.ndarray       # (N, f, oh/2, ow/2), flat winners per map
-    pool_pre: np.ndarray     # (N, f, oh/2, ow/2), pre-activation at winners
-    pooled_flat: np.ndarray  # (N, p)
-    fc1_pre: np.ndarray      # (N, d)
-    feature: np.ndarray      # (N, d)
+    pool_tanh: np.ndarray    # (N, f, oh/2, ow/2), tanh(TANH_SLOPE * winner)
+    pooled_flat: np.ndarray  # (N, p), TANH_SCALE * pool_tanh, flattened
+    fc1_tanh: np.ndarray     # (N, d), tanh(TANH_SLOPE * fc1 pre-activation)
+    feature: np.ndarray      # (N, d), TANH_SCALE * fc1_tanh
 
 
 def init_params(seed: int, dims: ArchConfig) -> LayerStack:
@@ -172,7 +180,9 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     # rounds distinct pre-activations to one value, the winner is the
     # largest of them rather than the first
     pool_pre, argmax = maxpool2(conv_pre)
-    pooled = scaled_tanh(pool_pre)
+    # scaled_tanh in two steps, keeping the tanh for the backward's tanh'
+    pool_tanh = np.tanh(TANH_SLOPE * pool_pre)
+    pooled = TANH_SCALE * pool_tanh
     # the width spelled out, so that an empty batch reshapes too
     pooled_flat = pooled.reshape(*img.shape[:-2], np.prod(pooled.shape[-3:]))
     if pooled_flat.shape[-1] != params.fc1_weights.shape[1]:
@@ -180,15 +190,16 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
             f"flattened pool size {pooled_flat.shape[-1]} does not match "
             f"fc1 input width {params.fc1_weights.shape[1]}"
         )
-    fc1_pre = dense(params.fc1_weights, params.fc1_bias, pooled_flat)
-    feature = scaled_tanh(fc1_pre)
+    fc1_tanh = np.tanh(TANH_SLOPE * dense(params.fc1_weights, params.fc1_bias,
+                                          pooled_flat))
+    feature = TANH_SCALE * fc1_tanh
     trace = ForwardTrace(
-        image=img,
+        windows=windows,
         conv_pre=conv_pre,
         argmax=argmax,
-        pool_pre=pool_pre,
+        pool_tanh=pool_tanh,
         pooled_flat=pooled_flat,
-        fc1_pre=fc1_pre,
+        fc1_tanh=fc1_tanh,
         feature=feature,
     )
     return feature, trace
@@ -263,31 +274,34 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
 
     # fc1, pooling and convolution over the batch trace; the error is linear
     # in feature_error, which is what lets clones be summed per parent first
-    dz1 = feature_error * scaled_tanh_prime(trace.fc1_pre)
+    dz1 = feature_error * tanh_prime_from(trace.fc1_tanh)
     grad_fc1_w, grad_fc1_b, dpool_flat = dense_backward(
         params.fc1_weights, trace.pooled_flat, dz1
     )
     # only the pool winners get error, so tanh' is needed at them only
     dpool = dpool_flat.reshape(trace.argmax.shape)
     dconv_pre = maxpool2_backward(trace.argmax,
-                                  dpool * scaled_tanh_prime(trace.pool_pre))
+                                  dpool * tanh_prime_from(trace.pool_tanh))
     # kernel gradient as one GEMM: (f, N·oh·ow) error against the
-    # (N·oh·ow, k²) im2col of the images
-    k = params.conv_kernels.shape[-1]
-    cols = sliding_window_view(trace.image, (k, k), axis=(-2, -1))
+    # (N·oh·ow, k²) rows of the forward's Windows. Products over other
+    # operand shapes or layouts, such as one (k², N·oh·ow) product per
+    # kernel or the copy-free product with the transposed cols, differ in
+    # the last bits
     grad_conv_k = (np.moveaxis(dconv_pre, 1, 0).reshape(params.num_maps, -1)
-                   @ cols.reshape(-1, k * k))
+                   @ trace.windows.rows())
     return LayerStack(grad_conv_k.reshape(params.conv_kernels.shape),
                       dconv_pre.sum(axis=(2, 3)).sum(axis=0),
                       grad_fc1_w, grad_fc1_b, grad_out_w, grad_out_b)
 
 
 def sgd_step(params: LayerStack, gradients: LayerStack, learning_rate: float) -> LayerStack:
-    """theta <- theta - lr * g, returning a fresh parameter set."""
-    updated = {
-        name: getattr(params, name) - learning_rate * getattr(gradients, name)
-        for name in LayerStack.ARRAYS
-    }
+    """theta <- theta - lr * g, returning a fresh parameter set; neither
+    input is modified."""
+    updated = {}
+    for name in LayerStack.ARRAYS:
+        # one temporary per array: the step, overwritten by the result
+        step = np.multiply(learning_rate, getattr(gradients, name))
+        updated[name] = np.subtract(getattr(params, name), step, out=step)
     return LayerStack(**updated)
 
 

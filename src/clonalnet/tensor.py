@@ -71,7 +71,11 @@ class Windows:
     ``cols`` is a read-only ``(..., kh·kw, oh·ow)`` array with
     cols[..., i·kw + j, y·ow + x] = input[..., y + i, x + j] (a copy of the
     input, or a view of it where no two windows overlap), and ``shape`` is
-    the ``(..., oh, ow)`` shape of a convolution over it.
+    the ``(..., oh, ow)`` shape of a convolution over it. The network's
+    forward pass unfolds its images once into a ``Windows`` for every
+    kernel's ``conv2d_valid``, and its trace keeps it: the backward pass
+    reads the kernel gradient's operand from :meth:`rows` and makes no
+    im2col of its own.
     """
 
     def __init__(self, input: np.ndarray, kernel_shape: tuple[int, int]):
@@ -88,6 +92,15 @@ class Windows:
         self.cols = view.reshape(*lead, kh * kw, oh * ow)
         self.cols.flags.writeable = False
         self.shape = (*lead, oh, ow)
+
+    def rows(self) -> np.ndarray:
+        """The windows as a C-ordered ``(M·oh·ow, kh·kw)`` matrix, M maps in
+        the stack: row (m·oh + y)·ow + x is map m's window at (y, x),
+        flattened row-major. ``cols`` transposed into one contiguous copy,
+        or a view of it where it needs none."""
+        kh, kw = self.kernel_shape
+        rows = np.ascontiguousarray(np.swapaxes(self.cols, -1, -2))
+        return rows.reshape(-1, kh * kw)
 
 
 def conv2d_valid(input, kernel: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ from clonalnet.clonal import CloneConfig, ClonalExpander
 from clonalnet.errors import (ConfigurationError, CorruptionError,
                               DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
-from clonalnet.tensor import (conv2d_valid_naive, dense_backward, dense_naive,
-                              maxpool2, maxpool2_backward, maxpool2_naive)
+from clonalnet.tensor import (conv2d_valid_naive, dense, dense_backward,
+                              dense_naive, maxpool2, maxpool2_backward,
+                              maxpool2_naive)
 
 SMALL = nn.ArchConfig(image_size=10, num_maps=2, kernel_size=3,
                       feature_width=6, num_classes=3)
@@ -147,14 +148,21 @@ class TestForward:
         p.conv_bias[:] = rng.normal(scale=scale, size=SMALL.num_maps)
         images = rng.normal(size=(1 if n is None else n, 10, 10))
         images[:, :5] = rng.choice([-1.0, 0.0, 1.0])
-        _, trace = nn.forward_features(p, images[0] if n is None else images)
+        feature, trace = nn.forward_features(p, images[0] if n is None
+                                             else images)
         pool_pre, argmax = maxpool2(trace.conv_pre)
-        assert trace.pool_pre.tobytes() == pool_pre.tobytes()
         assert np.array_equal(trace.argmax, argmax)
-        pooled = nn.scaled_tanh(trace.pool_pre)
+        pooled = nn.scaled_tanh(pool_pre)
         assert pooled.tobytes() == \
             maxpool2(nn.scaled_tanh(trace.conv_pre))[0].tobytes()
         assert pooled.tobytes() == trace.pooled_flat.tobytes()
+        # the kept tanh values are those the activations are scaled from
+        assert trace.pool_tanh.tobytes() == \
+            np.tanh(nn.TANH_SLOPE * pool_pre).tobytes()
+        fc1_pre = dense(p.fc1_weights, p.fc1_bias, trace.pooled_flat)
+        assert trace.fc1_tanh.tobytes() == \
+            np.tanh(nn.TANH_SLOPE * fc1_pre).tobytes()
+        assert feature.tobytes() == nn.scaled_tanh(fc1_pre).tobytes()
 
     def test_disconnected_map_is_bias_only(self):
         # a zero kernel disconnects its map from the image
@@ -178,6 +186,12 @@ class TestForward:
             feature, row = nn.forward_features(p, image)
             assert np.array_equal(features[i], feature)
             for field in dataclasses.fields(nn.ForwardTrace):
+                if field.name == "windows":
+                    assert (trace.windows.kernel_shape
+                            == row.windows.kernel_shape)
+                    assert np.array_equal(trace.windows.cols[i],
+                                          row.windows.cols)
+                    continue
                 assert np.array_equal(getattr(trace, field.name)[i],
                                       getattr(row, field.name)), field.name
             assert np.array_equal(nn.forward_output(p, features)[i],
@@ -247,7 +261,8 @@ def conv_error(p, trace, probs, labels, clones):
                                              np.zeros(p.feature_width), delta)
     dconv = np.zeros_like(trace.conv_pre)
     for n, error in enumerate(feature_error):
-        dz1 = error * nn.scaled_tanh_prime(trace.fc1_pre[n])
+        fc1_pre = dense_naive(p.fc1_weights, p.fc1_bias, trace.pooled_flat[n])
+        dz1 = error * nn.scaled_tanh_prime(fc1_pre)
         dpool = dense_naive(p.fc1_weights.T, np.zeros(p.fc1_weights.shape[1]),
                             dz1).reshape(trace.argmax.shape[1:])
         for (m, y, x), winner in np.ndenumerate(trace.argmax[n]):
@@ -255,10 +270,12 @@ def conv_error(p, trace, probs, labels, clones):
     return dconv * nn.scaled_tanh_prime(trace.conv_pre)
 
 
-def full_map_conv_gradients(p, trace, probs, labels, clones):
-    """Kernel and bias gradients with tanh' taken over the whole conv map,
-    ``maxpool2_backward(argmax, dpool) * scaled_tanh_prime(conv_pre)``, by
-    the same operations in the same order as ``batch_gradients`` otherwise."""
+def full_map_gradients(p, images, trace, probs, labels, clones):
+    """All six gradients with tanh' taken by ``scaled_tanh_prime`` of the
+    pre-activations, over the whole conv map
+    (``maxpool2_backward(argmax, dpool) * scaled_tanh_prime(conv_pre)``),
+    and the kernel gradient's im2col rebuilt from ``images``; otherwise by
+    the same operations in the same order as ``batch_gradients``."""
     n = len(trace.feature)
     clone_features = np.reshape([f for f, _ in clones],
                                 (len(clones), p.feature_width))
@@ -266,20 +283,28 @@ def full_map_conv_gradients(p, trace, probs, labels, clones):
     row_labels = np.concatenate([labels, labels[parents]]).astype(int)
     delta = np.concatenate([probs, nn.forward_output(p, clone_features)])
     delta[np.arange(len(delta)), row_labels] -= 1.0
-    _, _, drows = dense_backward(
+    out_w, out_b, drows = dense_backward(
         p.out_weights, np.concatenate([trace.feature, clone_features]), delta)
     feature_error = drows[:n]
     np.add.at(feature_error, parents, drows[n:])
-    dz1 = feature_error * nn.scaled_tanh_prime(trace.fc1_pre)
-    _, _, dpool = dense_backward(p.fc1_weights, trace.pooled_flat, dz1)
+    fc1_pre = dense(p.fc1_weights, p.fc1_bias, trace.pooled_flat)
+    dz1 = feature_error * nn.scaled_tanh_prime(fc1_pre)
+    fc1_w, fc1_b, dpool = dense_backward(p.fc1_weights, trace.pooled_flat, dz1)
     dconv = (maxpool2_backward(trace.argmax, dpool.reshape(trace.argmax.shape))
              * nn.scaled_tanh_prime(trace.conv_pre))
     k = p.conv_kernels.shape[-1]
-    cols = sliding_window_view(trace.image, (k, k), axis=(-2, -1))
+    cols = sliding_window_view(images, (k, k), axis=(-2, -1))
     kernels = (np.moveaxis(dconv, 1, 0).reshape(p.num_maps, -1)
                @ cols.reshape(-1, k * k))
-    return (kernels.reshape(p.conv_kernels.shape),
-            dconv.sum(axis=(2, 3)).sum(axis=0))
+    return nn.LayerStack(kernels.reshape(p.conv_kernels.shape),
+                         dconv.sum(axis=(2, 3)).sum(axis=0),
+                         fc1_w, fc1_b, out_w, out_b)
+
+
+def assert_same_bytes(got, want):
+    for name in nn.LayerStack.ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+            name
 
 
 class TestBackward:
@@ -288,8 +313,9 @@ class TestBackward:
     @settings(max_examples=25, deadline=None)
     def test_conv_gradients_equal_the_full_map_formula(self, seed, n,
                                                        with_clones):
-        # tanh' at the pool winners only must change no bit of the
-        # kernel and bias gradients
+        # tanh' at the pool winners only, formed from the forward's tanh
+        # values, and the forward's Windows as the im2col must change no
+        # bit of any gradient
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 5))
         arch = nn.ArchConfig(
@@ -306,10 +332,9 @@ class TestBackward:
                    int(parent))
                   for parent in rng.integers(0, n, size=2 * n)
                   ] if with_clones else []
-        grads = nn.batch_gradients(p, trace, probs, labels, clones)
-        kernels, bias = full_map_conv_gradients(p, trace, probs, labels, clones)
-        assert grads.conv_kernels.tobytes() == kernels.tobytes()
-        assert grads.conv_bias.tobytes() == bias.tobytes()
+        assert_same_bytes(
+            nn.batch_gradients(p, trace, probs, labels, clones),
+            full_map_gradients(p, images, trace, probs, labels, clones))
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
            st.booleans())
@@ -327,17 +352,16 @@ class TestBackward:
         images[:, :5] = rng.choice([-1.0, 1.0], size=(n, 1, 1))
         labels = rng.integers(0, SMALL.num_classes, size=n)
         features, trace, probs = forward_batch(p, images)
-        assert (np.abs(trace.pool_pre) > 30).any()
+        assert (np.abs(maxpool2(trace.conv_pre)[0]) > 30).any()
         assert (trace.conv_pre[:, :, 0, 0] == trace.conv_pre[:, :, 1, 1]).all()
         clones = [(features[parent]
                    + rng.normal(scale=0.2, size=SMALL.feature_width),
                    int(parent))
                   for parent in rng.integers(0, n, size=2 * n)
                   ] if with_clones else []
-        grads = nn.batch_gradients(p, trace, probs, labels, clones)
-        kernels, bias = full_map_conv_gradients(p, trace, probs, labels, clones)
-        assert grads.conv_kernels.tobytes() == kernels.tobytes()
-        assert grads.conv_bias.tobytes() == bias.tobytes()
+        assert_same_bytes(
+            nn.batch_gradients(p, trace, probs, labels, clones),
+            full_map_gradients(p, images, trace, probs, labels, clones))
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
            st.booleans())
@@ -478,11 +502,29 @@ class TestSgdStep:
 
     def test_does_not_mutate_input(self):
         p = nn.init_params(4, SMALL)
-        before = p.fc1_weights.copy()
-        g = zeros_like(p)
-        g.fc1_weights += 3.0
+        rng = np.random.default_rng(4)
+        g = nn.LayerStack(*(rng.normal(size=getattr(p, name).shape)
+                            for name in nn.LayerStack.ARRAYS))
+        before = [getattr(s, name).copy() for s in (p, g)
+                  for name in nn.LayerStack.ARRAYS]
         nn.sgd_step(p, g, 0.5)
-        assert np.array_equal(p.fc1_weights, before)
+        after = [getattr(s, name) for s in (p, g)
+                 for name in nn.LayerStack.ARRAYS]
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+
+    @given(st.integers(0, 2**31 - 1),
+           st.sampled_from([0.0, 0.1, 0.37, 1e-3, -2.5]))
+    @settings(max_examples=20, deadline=None)
+    def test_equals_the_formula_bit_for_bit(self, seed, rate):
+        rng = np.random.default_rng(seed)
+        p = nn.init_params(seed, SMALL)
+        g = nn.LayerStack(*(rng.normal(scale=10.0, size=getattr(p, name).shape)
+                            for name in nn.LayerStack.ARRAYS))
+        q = nn.sgd_step(p, g, rate)
+        for name in nn.LayerStack.ARRAYS:
+            want = getattr(p, name) - rate * getattr(g, name)
+            assert getattr(q, name).tobytes() == want.tobytes(), name
 
     def test_descends_quadratic(self):
         # repeated steps on loss 0.5*||w||^2 must shrink the parameters

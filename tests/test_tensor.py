@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from clonalnet.errors import CorruptionError, DimensionError
 from clonalnet.tensor import (
@@ -367,6 +368,31 @@ class TestStackedKernels:
             assert out.tobytes() == conv2d_valid(stack, ker).tobytes()
             for row, image in zip(rows(out, 2), rows(stack, 2)):
                 assert row.tobytes() == conv2d_valid(image, ker).tobytes()
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
+           st.sampled_from(["any", "1x1", "strided"]))
+    @settings(max_examples=40, deadline=None)
+    def test_window_rows_equal_the_sliding_window_im2col(self, seed, n, case):
+        # the backward's kernel-gradient operand: the same values in the
+        # same C layout as an im2col built from the images, for non-square
+        # kernels, 1x1 kernels (whose cols are a view of the images) and
+        # images that are a strided view themselves
+        rng = np.random.default_rng(seed)
+        h, w = (int(e) for e in rng.integers(1, 13, size=2))
+        images = rng.normal(size=(n, h, w))
+        if case == "strided":
+            images = rng.normal(size=(n, h, 2 * w))[..., ::2]
+        shape = ((1, 1) if case == "1x1" else
+                 (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))))
+        windows = Windows(images, shape)
+        if case == "1x1":
+            assert np.shares_memory(windows.cols, images)
+        want = sliding_window_view(images, shape, axis=(-2, -1))
+        got = windows.rows()
+        assert got.flags.c_contiguous
+        assert got.shape == (n * windows.shape[-2] * windows.shape[-1],
+                             shape[0] * shape[1])
+        assert got.tobytes() == want.reshape(-1, shape[0] * shape[1]).tobytes()
 
     @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
