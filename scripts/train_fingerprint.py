@@ -7,11 +7,11 @@ the per-epoch error rows and the ``save_pools`` file. For the
 ``cnn-ais per_class=25`` cell it also digests ``classify``'s decisions on
 every test image against that cell's ten pools, and again with the
 configured third class withheld as perfbench's ``immune_classify`` does.
-It also digests the two-class application's decisions and the
-clonal-selection demo for seeds 1-3. Two trees that print the same lines
-train bit-identically on these cells. BLAS is limited to one thread before
-numpy loads, so summation order does not depend on the machine's core
-count.
+It also digests the two-class application's decisions, the
+clonal-selection demo for seeds 1-3 and the four IDX files of the default
+synthetic corpus. Two trees that print the same lines train
+bit-identically on these cells. BLAS is limited to one thread before numpy
+loads, so summation order does not depend on the machine's core count.
 
     PYTHONPATH=src python scripts/train_fingerprint.py > before.txt
     # ... change the tree, then:
@@ -115,6 +115,13 @@ def main() -> int:
         state = digest(demo.population.tobytes(), demo.memory_vectors.tobytes(),
                        demo.memory_scores.tobytes(), demo.history)
         print(f"clonalg-demo seed={seed} {state}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = synthdigits.write_corpus(tmp)
+        files = (synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS,
+                 synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)
+        corpus_bytes = ((corpus / name).read_bytes() for name in files)
+        print(f"default corpus files {digest(*corpus_bytes)}")
     return 0
 
 

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IdxFormatError, IdxTruncationError
+from .errors import (
+    ConfigurationError, DimensionError, IdxFormatError, IdxTruncationError,
+)
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -86,17 +88,45 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
                          offset=offset).astype(np.int64)
 
 
+def quantize_pixels(images) -> np.ndarray:
+    """Pixels in [0, 1] as IDX bytes: ``rint(x * 255)`` clipped to
+    [0, 255], as uint8. Values outside [0, 1], infinities included, clip;
+    a NaN raises ConfigurationError. The float work runs in one temporary
+    of the input's size."""
+    scaled = np.multiply(images, 255.0)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    if np.isnan(scaled).any():
+        raise ConfigurationError(
+            f"{np.count_nonzero(np.isnan(scaled))} NaN pixels cannot be quantized")
+    return scaled.astype(np.uint8)
+
+
+def idx_image_header(count: int, rows: int, cols: int) -> bytes:
+    return struct.pack(">4I", IMAGE_MAGIC, count, rows, cols)
+
+
 def serialize_idx_images(images: np.ndarray) -> bytes:
-    """Inverse of :func:`parse_idx_images`; pixels re-quantized by *255."""
+    """Inverse of :func:`parse_idx_images`; pixels re-quantized by
+    :func:`quantize_pixels`. ``images`` must be (count, rows, cols)."""
     arr = np.asarray(images)
-    n, rows, cols = arr.shape
-    header = struct.pack(">4I", IMAGE_MAGIC, n, rows, cols)
-    pixels = np.rint(arr * 255.0).clip(0, 255).astype(np.uint8)
-    return header + pixels.tobytes()
+    if arr.ndim != 3:
+        raise DimensionError(
+            f"IDX images need shape (count, rows, cols), got {arr.shape}")
+    return idx_image_header(*arr.shape) + quantize_pixels(arr).tobytes()
 
 
 def serialize_idx_labels(labels: np.ndarray) -> bytes:
+    """Labels as IDX bytes; each must be an integer in [0, 255]."""
     arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise DimensionError(f"IDX labels need shape (count,), got {arr.shape}")
+    valid = (arr >= 0) & (arr <= 255) & (arr % 1 == 0)
+    if not valid.all():
+        bad = arr[~valid][0]
+        raise ConfigurationError(
+            f"label {bad} at index {np.flatnonzero(~valid)[0]} is not an "
+            "integer in [0, 255]")
     header = struct.pack(">2I", LABEL_MAGIC, len(arr))
     return header + arr.astype(np.uint8).tobytes()
 

@@ -5,6 +5,11 @@ per-segment intensity jitter, endpoint jitter, random shifts, and pixel
 noise. Serves as a self-contained stand-in corpus wherever real MNIST IDX
 files are not on disk; the rest of the package only ever sees IDX bytes, so
 the two are interchangeable at the interface.
+
+The writer renders each split into one reused float64 block of
+``_BLOCK`` digits and quantizes it to uint8 pixels block by block, so no
+whole-corpus float array exists on its path. Its files hold the same bytes
+as serializing :func:`make_dataset`'s images.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mnist import Dataset, serialize_idx_images, serialize_idx_labels
+from .errors import ConfigurationError
+from .mnist import Dataset, idx_image_header, quantize_pixels, serialize_idx_labels
 
 # canvas geometry: digit box rows 5..22, cols 9..18, stroke thickness 2
 _R0, _R1, _RM = 5, 21, 13
@@ -49,48 +55,88 @@ TRAIN_LABELS = "train-labels-idx1-ubyte"
 TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
 
+# digits per float64 block the writer renders before quantizing (0.8 MB)
+_BLOCK = 128
 
-def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
-    """One 28x28 sample of ``digit`` with randomized appearance."""
-    canvas = np.zeros((28, 28))
+
+def render_digit(digit: int, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """One 28x28 sample of ``digit`` with randomized appearance, written
+    into ``out`` (a (28, 28) float64 array, every pixel overwritten) if
+    given, else into a new array; returns it.
+
+    Every stroke's jitter and intensity is drawn, then the shift, and each
+    stroke is painted at its shifted position. With all jitter and shifts
+    the strokes stay inside rows [2, 26) and columns [6, 22), so this
+    equals painting them unshifted and rolling the canvas by the shift.
+    """
+    if out is None:
+        out = np.zeros((28, 28))
+    else:
+        out.fill(0.0)
+    strokes = []
     for name in _DIGIT_SEGMENTS[digit]:
         horizontal, fixed, lo, hi = _SEGMENTS[name]
         fixed = fixed + int(rng.integers(-1, 2))
         lo = lo + int(rng.integers(-1, 2))
         hi = hi + int(rng.integers(-1, 2))
-        intensity = rng.uniform(0.55, 1.0)
+        strokes.append((horizontal, fixed, lo, hi, rng.uniform(0.55, 1.0)))
+    dy, dx = rng.integers(-2, 3, size=2).tolist()  # up to 2 pixels each way
+    for horizontal, fixed, lo, hi, intensity in strokes:
         if horizontal:
-            canvas[fixed:fixed + _T, lo:hi] = intensity
+            out[fixed + dy:fixed + dy + _T, lo + dx:hi + dx] = intensity
         else:
-            canvas[lo:hi, fixed:fixed + _T] = intensity
-    dy, dx = rng.integers(-2, 3, size=2)   # shift up to 2 pixels each way
-    canvas = np.roll(np.roll(canvas, dy, axis=0), dx, axis=1)
-    canvas += rng.normal(scale=0.18, size=canvas.shape)
-    return canvas.clip(0.0, 1.0)
+            out[lo + dy:hi + dy, fixed + dx:fixed + dx + _T] = intensity
+    out += rng.normal(scale=0.18, size=out.shape)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _digit_labels(per_class: int) -> np.ndarray:
+    if per_class < 1:
+        raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
+    return np.repeat(np.arange(10, dtype=np.int64), per_class)
 
 
 def make_dataset(per_class: int, seed: int) -> Dataset:
+    """``per_class`` samples of each digit, rendered in digit order and
+    returned in one seeded random order."""
+    labels = _digit_labels(per_class)
     rng = np.random.default_rng(seed)
-    images, labels = [], []
-    for digit in range(10):
-        for _ in range(per_class):
-            images.append(render_digit(digit, rng))
-            labels.append(digit)
+    images = np.empty((len(labels), 28, 28))
+    for canvas, digit in zip(images, labels.tolist()):
+        render_digit(digit, rng, out=canvas)
     order = rng.permutation(len(labels))
-    return Dataset(images=np.stack(images)[order],
-                   labels=np.asarray(labels, dtype=np.int64)[order])
+    return Dataset(images=images[order], labels=labels[order])
+
+
+def _corpus_split(per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`make_dataset`'s samples as quantized uint8 pixels, with their
+    labels, rendered and quantized ``_BLOCK`` digits at a time."""
+    labels = _digit_labels(per_class)
+    rng = np.random.default_rng(seed)
+    pixels = np.empty((len(labels), 28, 28), dtype=np.uint8)
+    block = np.empty((min(_BLOCK, len(labels)), 28, 28))
+    for start in range(0, len(labels), len(block)):
+        digits = labels[start:start + len(block)].tolist()
+        for canvas, digit in zip(block, digits):
+            render_digit(digit, rng, out=canvas)
+        pixels[start:start + len(digits)] = quantize_pixels(block[:len(digits)])
+    order = rng.permutation(len(labels))
+    return pixels[order], labels[order]
 
 
 def write_corpus(out_dir, train_per_class: int = 600, test_per_class: int = 150,
                  seed: int = 2024) -> Path:
     """Write train/test IDX files under ``out_dir`` with the standard
-    MNIST file names. Returns the directory path."""
+    MNIST file names. Returns the directory path. Both splits are rendered
+    before any file is written."""
+    splits = {(TRAIN_IMAGES, TRAIN_LABELS): _corpus_split(train_per_class, seed),
+              (TEST_IMAGES, TEST_LABELS): _corpus_split(test_per_class, seed + 1)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train = make_dataset(train_per_class, seed)
-    test = make_dataset(test_per_class, seed + 1)
-    (out / TRAIN_IMAGES).write_bytes(serialize_idx_images(train.images))
-    (out / TRAIN_LABELS).write_bytes(serialize_idx_labels(train.labels))
-    (out / TEST_IMAGES).write_bytes(serialize_idx_images(test.images))
-    (out / TEST_LABELS).write_bytes(serialize_idx_labels(test.labels))
+    for (images_name, labels_name), (pixels, labels) in splits.items():
+        with open(out / images_name, "wb") as f:
+            f.write(idx_image_header(*pixels.shape))
+            f.write(pixels)
+        (out / labels_name).write_bytes(serialize_idx_labels(labels))
     return out

@@ -1,14 +1,20 @@
+import hashlib
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clonalnet.errors import ConfigurationError, IdxFormatError, IdxTruncationError
+from clonalnet import synthdigits
+from clonalnet.errors import (
+    ConfigurationError, DimensionError, IdxFormatError, IdxTruncationError,
+)
 from clonalnet.mnist import (
     IMAGE_MAGIC, LABEL_MAGIC, Dataset, batches, load_dataset,
-    parse_idx_images, parse_idx_labels, serialize_idx_images,
+    parse_idx_images, parse_idx_labels, quantize_pixels, serialize_idx_images,
     serialize_idx_labels, stratified_subset,
 )
 
@@ -243,7 +249,84 @@ class TestBatches:
             batches(ds, 0, seed=0)
 
 
+class TestSerializationErrors:
+    def test_quantize_matches_rint_clip_cast(self):
+        # half-way points of every level, out-of-range values and infinities
+        x = np.concatenate([(np.arange(-2, 258) + 0.5) / 255.0,
+                            np.linspace(-1.0, 2.0, 301),
+                            [np.inf, -np.inf, 0.0, -0.0, 1.0]])
+        expected = np.rint(x * 255.0).clip(0, 255).astype(np.uint8)
+        assert quantize_pixels(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 2, 2), ()])
+    def test_images_not_three_dimensional(self, shape):
+        with pytest.raises(DimensionError):
+            serialize_idx_images(np.zeros(shape))
+
+    def test_nan_pixel(self):
+        images = np.zeros((2, 3, 3))
+        images[1, 2, 0] = np.nan
+        with pytest.raises(ConfigurationError):
+            serialize_idx_images(images)
+
+    @pytest.mark.parametrize("bad", [256, -1, 2.5, np.nan])
+    def test_label_not_a_byte(self, bad):
+        with pytest.raises(ConfigurationError):
+            serialize_idx_labels(np.array([0, 9, bad]))
+
+    def test_labels_not_one_dimensional(self):
+        # a 2-D array would write rows * cols bytes under a count of rows
+        with pytest.raises(DimensionError):
+            serialize_idx_labels(np.zeros((2, 3), dtype=np.int64))
+
+    def test_byte_range_labels_round_trip(self):
+        labels = np.array([0, 1, 254, 255])
+        assert np.array_equal(parse_idx_labels(serialize_idx_labels(labels)), labels)
+
+
+def render_digit_naive(digit, rng):
+    """The reference renderer: paint every stroke on a blank canvas, roll
+    the canvas by the shift, add noise and clip."""
+    canvas = np.zeros((28, 28))
+    for name in synthdigits._DIGIT_SEGMENTS[digit]:
+        horizontal, fixed, lo, hi = synthdigits._SEGMENTS[name]
+        fixed = fixed + int(rng.integers(-1, 2))
+        lo = lo + int(rng.integers(-1, 2))
+        hi = hi + int(rng.integers(-1, 2))
+        intensity = rng.uniform(0.55, 1.0)
+        if horizontal:
+            canvas[fixed:fixed + synthdigits._T, lo:hi] = intensity
+        else:
+            canvas[lo:hi, fixed:fixed + synthdigits._T] = intensity
+    dy, dx = rng.integers(-2, 3, size=2)
+    canvas = np.roll(np.roll(canvas, dy, axis=0), dx, axis=1)
+    canvas += rng.normal(scale=0.18, size=canvas.shape)
+    return canvas.clip(0.0, 1.0)
+
+
+def file_digests(directory):
+    return [hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in (synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS,
+                         synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)]
+
+
 class TestSyntheticCorpus:
+    # SHA-256 of the four IDX files (train images, train labels, test
+    # images, test labels), as written by the per-digit renderer that
+    # stacked, permuted and serialized the whole corpus in float64
+    DEFAULT_FILES = [
+        "1d47b057960d0c6e04d77374ec2035731ec782cf95736aa6de9bb3cd94ab8289",
+        "99d87c398db99b126919b7ee747acb90205b27a6b23831d99a8cab24b8be38d4",
+        "d78b94659b6d427274a3c1a09ffc44694858f9fda946abf5fcfe957b1398dd9a",
+        "bcfaa92f2e8b8c5c3e7b4df8c9a4900d3209a7b53c743c2e66c599ac530c75c3",
+    ]
+    SMALL_FILES = [  # write_corpus(dir, 3, 2, seed=7)
+        "9d91471fce4e9cf5991dba41bce9f83f377154120eaf43b6b03b0d92bd2a4ec2",
+        "d9f1cc182b9c5453ca02eab2b50fe1a1c8b1756286315216c9421a317031d766",
+        "bfbabcfd768ef3dfef9208e44f884faa85a37e8236e3038d72679a98e51d9900",
+        "fdcc877a024a4b90769d975dd996e35edd699b4399fc6bb17210c46bcaa14927",
+    ]
+
     def test_corpus_files_load(self, corpus):
         train, test = corpus
         assert len(train) == 6000
@@ -259,3 +342,82 @@ class TestSyntheticCorpus:
                      synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS):
             assert (tmp_path / name).read_bytes() == \
                 (corpus_dir / name).read_bytes()
+
+    def test_default_corpus_bytes_pinned(self, corpus_dir):
+        assert file_digests(corpus_dir) == self.DEFAULT_FILES
+
+    def test_small_corpus_bytes_pinned(self, tmp_path):
+        synthdigits.write_corpus(tmp_path, 3, 2, seed=7)
+        assert file_digests(tmp_path) == self.SMALL_FILES
+
+    def test_make_dataset_pinned(self):
+        ds = synthdigits.make_dataset(30, seed=2024)
+        assert ds.images.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == \
+            "1a6749c355abbea0e58e903a1e15129cba6ca0a445224027b166248ade188c17"
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == \
+            "ec0f09ce9acb39eed040df77848788d7c160f7f918606db2fe3a84873eac5827"
+
+    @given(st.integers(0, 9), st.integers(0, 2**63))
+    def test_render_matches_naive(self, digit, seed):
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = render_digit_naive(digit, expected_rng)
+        assert synthdigits.render_digit(digit, rng).tobytes() == expected.tobytes()
+        # into a used buffer, from the same stream position
+        rng = np.random.default_rng(seed)
+        out = np.full((28, 28), np.nan)
+        assert synthdigits.render_digit(digit, rng, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_shifted_strokes_stay_on_canvas(self):
+        # every stroke box, with every endpoint jitter and shift, lies in
+        # rows [2, 26) and columns [6, 22), so painting at the shifted
+        # position never needs to wrap round the 28 x 28 canvas
+        rows, cols = [], []
+        jitter, shift = (-1, 0, 1), range(-2, 3)
+        for horizontal, fixed, lo, hi in synthdigits._SEGMENTS.values():
+            for jf, jl, jh, dy, dx in itertools.product(jitter, jitter, jitter,
+                                                        shift, shift):
+                across = (fixed + jf, fixed + jf + synthdigits._T)
+                along = (lo + jl, hi + jh)
+                assert along[0] < along[1]
+                r, c = (across, along) if horizontal else (along, across)
+                rows.append((r[0] + dy, r[1] + dy))
+                cols.append((c[0] + dx, c[1] + dx))
+        assert min(r[0] for r in rows) == 2 and max(r[1] for r in rows) == 26
+        assert min(c[0] for c in cols) == 6 and max(c[1] for c in cols) == 22
+
+    @pytest.mark.parametrize("per_class", [0, -3])
+    def test_empty_class_rejected(self, tmp_path, per_class):
+        with pytest.raises(ConfigurationError):
+            synthdigits.make_dataset(per_class, seed=1)
+        with pytest.raises(ConfigurationError):
+            synthdigits.write_corpus(tmp_path / "a", per_class, 2)
+        with pytest.raises(ConfigurationError):
+            synthdigits.write_corpus(tmp_path / "b", 2, per_class)
+        assert list(tmp_path.iterdir()) == []
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestCorpusMemory:
+    # tracemalloc counts numpy's data buffers, so a traced peak is the
+    # largest set of live arrays during the call
+
+    def test_writer_peak_below_float_train_split(self, tmp_path):
+        peak, _ = traced_peak(synthdigits.write_corpus, tmp_path, 200, 50, 3)
+        assert peak <= 1.0 * 2000 * 28 * 28 * 8
+
+    def test_loader_peak_is_its_output(self, tmp_path):
+        synthdigits.write_corpus(tmp_path, 20, 2, seed=3)
+        data = (tmp_path / synthdigits.TRAIN_IMAGES).read_bytes()
+        peak, images = traced_peak(parse_idx_images, data)
+        assert peak <= 1.05 * images.nbytes
