@@ -9,9 +9,13 @@ every test image against that cell's ten pools, and again with the
 configured third class withheld as perfbench's ``immune_classify`` does.
 It also digests the two-class application's decisions, the
 clonal-selection demo for seeds 1-3 and the four IDX files of the default
-synthetic corpus. Two trees that print the same lines train
-bit-identically on these cells. BLAS is limited to one thread before numpy
-loads, so summation order does not depend on the machine's core count.
+synthetic corpus. Last, it runs tiny ``size-sweep``, ``epoch-curve``,
+``two-class`` and ``clonalg-demo`` commands through ``cli.main`` into a
+temporary directory and digests every file each writes, and its stdout
+with that directory's path taken out. Two trees that print the same lines
+train bit-identically on these cells and write the same artifacts. BLAS
+is limited to one thread before numpy loads, so summation order does not
+depend on the machine's core count.
 
     PYTHONPATH=src python scripts/train_fingerprint.py > before.txt
     # ... change the tree, then:
@@ -24,13 +28,15 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from clonalnet import harness, synthdigits  # noqa: E402
+from clonalnet import cli, harness, synthdigits  # noqa: E402
 from clonalnet.classifier import classify, init_new_class  # noqa: E402
 from clonalnet.clonal import save_pools  # noqa: E402
 from clonalnet.mnist import stratified_subset  # noqa: E402
@@ -40,6 +46,16 @@ from clonalnet.nn import ArchConfig, forward_features  # noqa: E402
 CELLS = [(variant, per_class, seed, epochs)
          for variant in harness.VARIANTS
          for per_class, seed, epochs in ((10, 1, 3), (25, 2, 2))]
+# tiny runs of every experiment subcommand, each into its own directory
+COMMANDS = [
+    ["size-sweep", "--sizes", "2,3", "--seeds", "2,1", "--epochs", "2"],
+    ["epoch-curve", "--seeds", "2,1", "--epochs", "2", "--per-class", "3"],
+    ["two-class", "--epochs", "2", "--seeds", "1"],
+    ["clonalg-demo", "--seeds", "3,1", "--pop", "12", "--generations", "8",
+     "--select-n", "4"],
+]
+TINY_CONFIG = ("test_subset = 20\nbatch_size = 4\n"
+               "two_class_train = 3\ntwo_class_test = 10\n")
 # spelled out rather than read from the program, so that trees whose
 # parameter type lists its arrays differently print comparable digests
 PARAM_ARRAYS = ("conv_kernels", "conv_bias", "fc1_weights", "fc1_bias",
@@ -122,6 +138,23 @@ def main() -> int:
                  synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)
         corpus_bytes = ((corpus / name).read_bytes() for name in files)
         print(f"default corpus files {digest(*corpus_bytes)}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = synthdigits.write_corpus(tmp / "data", 30, 10)
+        (tmp / "tiny.cfg").write_text(TINY_CONFIG)
+        for argv in COMMANDS:
+            out = tmp / argv[0]
+            if argv[0] != "clonalg-demo":
+                argv = argv + ["--config", str(tmp / "tiny.cfg"),
+                               "--data-dir", str(data)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                cli.main(argv + ["--out", str(out)])
+            text = stdout.getvalue().replace(str(out), "OUT")
+            print(f"cli {argv[0]} stdout {digest(text)}")
+            for path in sorted(out.iterdir()):
+                print(f"cli {argv[0]} {path.name} {digest(path.read_bytes())}")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import harness
@@ -29,38 +30,32 @@ def _add_common(parser) -> None:
                         help="directory with the index-format image/label "
                              "files; a synthetic corpus is generated there "
                              "when they are missing")
-    parser.add_argument("--out", metavar="DIR",
+    parser.add_argument("--out", metavar="DIR", dest="out_dir",
                         help="output directory (default: out)")
 
 
-def _add_train_flags(parser) -> None:
+def _add_train_flags(parser, epochs_dest: str = "epochs") -> None:
     parser.add_argument("--sizes",
                         help="comma-separated per-class sizes, e.g. 10,25,50,100")
     parser.add_argument("--seeds", help="comma-separated seeds, e.g. 1,2,3")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--variant", choices=("cnn", "cnn-ais", "both"))
+    parser.add_argument("--epochs", type=int, dest=epochs_dest,
+                        metavar="EPOCHS")
+    parser.add_argument("--lr", type=float, dest="learning_rate",
+                        metavar="LR", help="learning rate")
+    parser.add_argument("--variant", choices=harness.VARIANTS + ("both",))
     parser.add_argument("--eta", type=float, help="cloning constant")
     parser.add_argument("--alpha", type=float, help="mutation constant")
     parser.add_argument("--tau", type=float, help="acceptance threshold")
     parser.add_argument("--batch-size", type=int, dest="batch_size")
 
 
-def _experiment_config(args, epochs_key: str = "epochs") -> harness.ExperimentConfig:
-    overrides: dict[str, str] = {}
-    direct = (("data_dir", "data_dir"), ("out", "out_dir"),
-              ("sizes", "sizes"), ("seeds", "seeds"),
-              ("lr", "learning_rate"), ("variant", "variant"),
-              ("eta", "eta"), ("alpha", "alpha"), ("tau", "tau"),
-              ("batch_size", "batch_size"),
-              ("per_class", "curve_per_class"))
-    for arg_name, key in direct:
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if getattr(args, "epochs", None) is not None:
-        overrides[epochs_key] = str(args.epochs)
-    return harness.load_config(getattr(args, "config", None), overrides)
+def _experiment_config(args) -> harness.ExperimentConfig:
+    """The --config file overridden by every flag given; a flag's dest is
+    the ExperimentConfig key it sets."""
+    keys = {f.name for f in fields(harness.ExperimentConfig)}
+    return harness.load_config(getattr(args, "config", None), {
+        key: str(value) for key, value in vars(args).items()
+        if key in keys and value is not None})
 
 
 def _out_dir(cfg: harness.ExperimentConfig) -> Path:
@@ -86,7 +81,7 @@ def cmd_size_sweep(args) -> int:
 
 
 def cmd_epoch_curve(args) -> int:
-    cfg = _experiment_config(args, epochs_key="curve_epochs")
+    cfg = _experiment_config(args)
     out = _out_dir(cfg)
     rows, pools_by_seed = harness.run_epoch_curve(cfg)
     harness.emit_csv(out / "epoch_curve.csv", rows)
@@ -95,12 +90,9 @@ def cmd_epoch_curve(args) -> int:
                               "Test error vs epoch", "epoch", "test error")
     for seed, pools in sorted(pools_by_seed.items()):
         save_pools(pools, out / f"pools_seed{seed}.txt")
-    by_seed: dict[int, list] = {}
-    for r in rows:
-        by_seed.setdefault(r.seed, []).append(r)
-    for seed, seed_rows in sorted(by_seed.items()):
-        last = max(seed_rows, key=lambda r: r.epoch)
-        print(f"seed {seed}: epoch {last.epoch} "
+    for last in sorted((r for r in rows if r.epoch == cfg.curve_epochs),
+                       key=lambda r: r.seed):
+        print(f"seed {last.seed}: epoch {last.epoch} "
               f"train {last.train_error:.4f} test {last.test_error:.4f}")
     print(f"wrote {out / 'epoch_curve.csv'} and {out / 'epoch_curve.svg'}")
     return 0
@@ -136,31 +128,26 @@ def cmd_two_class(args) -> int:
 
 
 def cmd_clonalg_demo(args) -> int:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = harness.config_from_mapping({"seeds": args.seeds}).seeds
+    cfg = _experiment_config(args)
+    out = _out_dir(cfg)
     lines = ["seed,generation,best_affinity"]
     series = []
-    final = {}
-    for seed in seeds:
+    for seed in cfg.seeds:
         result = harness.run_clonalg_demo(
             population_size=args.pop, generations=args.generations,
             eta=args.eta, alpha=args.alpha, sigma=args.sigma,
             select_n=args.select_n, seed=seed,
         )
-        for gen, best in enumerate(result.history, start=1):
-            lines.append(f"{seed},{gen},{best!r}")
+        history = list(enumerate(result.history, start=1))
+        lines += [f"{seed},{gen},{best!r}" for gen, best in history]
         series.append((f"seed {seed}",
-                       [(float(g), float(b))
-                        for g, b in enumerate(result.history, start=1)]))
-        final[seed] = result.history[-1]
+                       [(float(g), float(b)) for g, b in history]))
+        print(f"seed {seed}: best affinity {result.history[-1]:.4f} "
+              f"after {args.generations} generations")
     (out / "clonalg_history.csv").write_text("\n".join(lines) + "\n")
     harness.emit_svg_lineplot(out / "clonalg_history.svg", series,
                               "Best affinity vs generation", "generation",
                               "best affinity")
-    for seed in seeds:
-        print(f"seed {seed}: best affinity {final[seed]:.4f} "
-              f"after {args.generations} generations")
     print(f"wrote {out / 'clonalg_history.csv'} and "
           f"{out / 'clonalg_history.svg'}")
     return 0
@@ -199,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epoch-curve",
                        help="per-epoch error curve at a fixed per-class size")
     _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--per-class", type=int, dest="per_class",
+    _add_train_flags(p, epochs_dest="curve_epochs")
+    p.add_argument("--per-class", type=int, dest="curve_per_class",
+                   metavar="PER_CLASS",
                    help="training samples per class for the curve")
     p.set_defaults(func=cmd_epoch_curve)
 
@@ -212,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clonalg-demo",
                        help="standalone clonal selection on a binary glyph")
-    p.add_argument("--out", metavar="DIR")
+    p.add_argument("--out", metavar="DIR", dest="out_dir")
     p.add_argument("--pop", type=int, default=50, help="population size")
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--eta", type=float, default=10.0)

@@ -521,49 +521,47 @@ class ClonalgResult:
     history: list[float]          # best memory score per generation
 
 
-def clonalg_run(patterns, population_size: int, generations: int,
+def clonalg_run(pattern, population_size: int, generations: int,
                 config: CloneConfig, select_n: int = 10) -> ClonalgResult:
-    """Population-based clonal selection against a set of target patterns,
-    seeded by ``config.rng_seed``.
+    """Population-based clonal selection against one target pattern, seeded
+    by ``config.rng_seed``.
 
-    Per generation and pattern: score the whole population, select the
-    ``select_n`` best, clone each proportionally to affinity, mutate all
-    clones in one draw at their parents' inverse-affinity rates, reinsert,
-    and refresh an elitist top-m memory set. The history records the best
-    memory score per generation and is non-decreasing by construction.
+    Per generation: score the whole population, select the ``select_n``
+    best, clone each proportionally to affinity, mutate all clones in one
+    draw at their parents' inverse-affinity rates, reinsert, and refresh an
+    elitist top-m memory set. The history records the best memory score per
+    generation and is non-decreasing by construction.
     """
-    patterns = [np.asarray(p, dtype=np.float64).ravel() for p in patterns]
-    if not patterns:
-        raise ConfigurationError("clonalg_run requires at least one pattern")
+    pattern = np.asarray(pattern, dtype=np.float64).ravel()
+    if not pattern.size:
+        raise ConfigurationError("clonalg_run requires a non-empty pattern")
     if not 1 <= select_n <= population_size:
         raise ConfigurationError(f"select_n {select_n} is not in "
                                  f"[1, population_size {population_size}]")
     if generations < 1:
         raise ConfigurationError(f"generations must be >= 1, got {generations}")
     rng = np.random.default_rng(config.rng_seed)
-    dim = patterns[0].shape[0]
-    population = rng.uniform(0.0, 1.0, size=(population_size, dim))
+    population = rng.uniform(0.0, 1.0, size=(population_size, pattern.size))
 
     memory = MemoryPool(class_label=0, capacity=config.memory_capacity)
     history: list[float] = []
 
     for _ in range(generations):
-        for pattern in patterns:
-            scores = affinity_matrix(population, pattern)[:, 0]
-            best = np.argsort(-scores)[:select_n]
-            parent_scores = scores[best].tolist()
-            counts = [clone_count(a, config.eta, 0.0) for a in parent_scores]
-            rates = [mutation_rate(a, config.alpha) for a in parent_scores]
-            offspring = mutate(np.repeat(population[best], counts, axis=0),
-                               np.repeat(rates, counts)[:, None],
-                               config.sigma, rng)
-            merged = np.vstack([population, offspring])
-            merged_scores = np.concatenate(
-                [scores, affinity_matrix(offspring, pattern)[:, 0]])
-            keep = np.argsort(-merged_scores)[:population_size]
-            population = merged[keep]
-            top = keep[:1]
-            memory = update_memory(memory, merged[top], merged_scores[top])
+        scores = affinity_matrix(population, pattern)[:, 0]
+        best = np.argsort(-scores)[:select_n]
+        parent_scores = scores[best].tolist()
+        counts = [clone_count(a, config.eta, 0.0) for a in parent_scores]
+        rates = [mutation_rate(a, config.alpha) for a in parent_scores]
+        offspring = mutate(np.repeat(population[best], counts, axis=0),
+                           np.repeat(rates, counts)[:, None],
+                           config.sigma, rng)
+        merged = np.vstack([population, offspring])
+        merged_scores = np.concatenate(
+            [scores, affinity_matrix(offspring, pattern)[:, 0]])
+        keep = np.argsort(-merged_scores)[:population_size]
+        population = merged[keep]
+        top = keep[:1]
+        memory = update_memory(memory, merged[top], merged_scores[top])
         history.append(float(memory.scores[0]))
 
     return ClonalgResult(

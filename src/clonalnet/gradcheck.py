@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import CorruptionError
+from .errors import ConfigurationError, CorruptionError
 
 STEP = 1e-5
 REL_FLOOR = 1e-6
@@ -96,8 +96,11 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
     Checks ``batch_gradients`` on a one-row batch against the sample
     loss, and on that sample plus one clone against the sum of both losses,
     by central finite differences on sampled coordinates of every parameter
-    array.
+    array. A ``coords_per_array`` below 1 raises ConfigurationError.
     """
+    if coords_per_array < 1:
+        raise ConfigurationError(
+            f"coords_per_array must be >= 1, got {coords_per_array}")
     arch = arch or nn.ArchConfig()
     rng = np.random.default_rng(seed)
     params = nn.init_params(int(rng.integers(2**31)), arch)
@@ -124,5 +127,10 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
 
 def run_gradient_audit(num_instances: int = 20, arch: nn.ArchConfig | None = None,
                        coords_per_array: int = 6) -> list[CheckResult]:
+    """``check_instance`` on seeds 0 .. num_instances - 1; a count below 1
+    raises ConfigurationError before any instance is checked."""
+    if num_instances < 1:
+        raise ConfigurationError(
+            f"num_instances must be >= 1, got {num_instances}")
     return [check_instance(seed, arch, coords_per_array)
             for seed in range(num_instances)]

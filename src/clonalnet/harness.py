@@ -13,6 +13,7 @@ subset; only the clonal hook differs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -111,8 +112,6 @@ class ExperimentConfig:
         )
 
 
-_TUPLE_FIELDS = {"sizes", "seeds", "two_class_labels"}
-_BOOL_FIELDS = {"raw_count"}
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
@@ -132,23 +131,24 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    # each field's kind is its annotation, a string under postponed evaluation
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in mapping.items():
-        if key not in known:
+        if key not in kinds:
             raise ConfigurationError(f"unknown configuration key {key!r}")
-        text = str(value).strip()
+        kind, text = kinds[key], str(value).strip()
         try:
-            if key in _TUPLE_FIELDS:
+            if kind == "tuple":
                 kwargs[key] = tuple(int(x) for x in text.split(","))
-            elif key in _BOOL_FIELDS:
+            elif kind == "bool":
                 kwargs[key] = _BOOL_WORDS[text.lower()]
-            elif key == "tau_match":
+            elif kind == "float | None":
                 kwargs[key] = (None if text.lower() in ("", "none")
                                else float(text))
-            elif known[key].type in ("int", int):
+            elif kind == "int":
                 kwargs[key] = int(text)
-            elif known[key].type in ("float", float):
+            elif kind == "float":
                 kwargs[key] = float(text)
             else:
                 kwargs[key] = str(value)
@@ -179,13 +179,20 @@ def derived_seed(*parts) -> int:
 # ---------------------------------------------------------------------------
 
 def ensure_corpus(data_dir) -> tuple[Dataset, Dataset]:
-    """Load the four standard-named index files from ``data_dir``; if any is
-    missing, generate the bundled synthetic digit corpus there first."""
+    """Load the four standard-named index files from ``data_dir``; if all
+    four are missing, generate the bundled synthetic digit corpus there
+    first. A directory holding some but not all of them raises
+    ConfigurationError naming the missing ones, and nothing is written."""
     d = Path(data_dir)
     names = (synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS,
              synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)
-    if not all((d / n).exists() for n in names):
+    missing = [n for n in names if not (d / n).exists()]
+    if len(missing) == len(names):
         synthdigits.write_corpus(d)
+    elif missing:
+        raise ConfigurationError(
+            f"{d} lacks {', '.join(missing)}; the synthetic corpus is "
+            f"written only where all four index files are missing")
     train = load_dataset(d / names[0], d / names[1])
     test = load_dataset(d / names[2], d / names[3])
     return train, test
@@ -263,6 +270,25 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
     return rows, params, expander
 
 
+def _train_cells(cfg: ExperimentConfig, data, cells, epochs: int,
+                 record_epochs: bool):
+    """Train each (variant, size, seed) cell on its stratified subset. Returns
+    the rows in cell order and each clonal cell's pools keyed by seed."""
+    train, test = data if data is not None else ensure_corpus(cfg.data_dir)
+    arch = ArchConfig(num_classes=len(train.class_ids))
+    test_fixed = fixed_test_subset(test, cfg.test_subset)
+    rows, pools_by_seed = [], {}
+    for variant, size, seed in cells:
+        subset = stratified_subset(train, size, seed=derived_seed(seed, size, 5))
+        cell_rows, _, expander = train_variant(
+            subset, test_fixed, variant, size, seed, cfg, arch,
+            epochs=epochs, record_epochs=record_epochs)
+        rows.extend(cell_rows)
+        if expander is not None:
+            pools_by_seed[seed] = expander.pools
+    return rows, pools_by_seed
+
+
 def run_size_sweep(cfg: ExperimentConfig,
                    data: tuple[Dataset, Dataset] | None = None
                    ) -> list[SweepResult]:
@@ -271,22 +297,9 @@ def run_size_sweep(cfg: ExperimentConfig,
     Paired design: both variants of a cell see the same training subset,
     initial parameters, and batch order.
     """
-    train, test = data if data is not None else ensure_corpus(cfg.data_dir)
-    arch = ArchConfig(num_classes=len(train.class_ids))
-    test_fixed = fixed_test_subset(test, cfg.test_subset)
     variants = VARIANTS if cfg.variant == "both" else (cfg.variant,)
-    rows = []
-    for variant in variants:
-        for size in cfg.sizes:
-            for seed in cfg.seeds:
-                subset = stratified_subset(train, size,
-                                           seed=derived_seed(seed, size, 5))
-                cell_rows, _, _ = train_variant(
-                    subset, test_fixed, variant, size, seed, cfg, arch,
-                    epochs=cfg.epochs, record_epochs=False,
-                )
-                rows.extend(cell_rows)
-    return rows
+    cells = itertools.product(variants, cfg.sizes, cfg.seeds)
+    return _train_cells(cfg, data, cells, cfg.epochs, record_epochs=False)[0]
 
 
 def run_epoch_curve(cfg: ExperimentConfig,
@@ -296,23 +309,9 @@ def run_epoch_curve(cfg: ExperimentConfig,
     Returns (rows, pools_by_seed); pools are kept for the clonal variant so
     the caller can serialize them.
     """
-    train, test = data if data is not None else ensure_corpus(cfg.data_dir)
-    arch = ArchConfig(num_classes=len(train.class_ids))
-    test_fixed = fixed_test_subset(test, cfg.test_subset)
     variant = "cnn-ais" if cfg.variant == "both" else cfg.variant
-    size = cfg.curve_per_class
-    rows = []
-    pools_by_seed = {}
-    for seed in cfg.seeds:
-        subset = stratified_subset(train, size, seed=derived_seed(seed, size, 5))
-        cell_rows, _, expander = train_variant(
-            subset, test_fixed, variant, size, seed, cfg, arch,
-            epochs=cfg.curve_epochs, record_epochs=True,
-        )
-        rows.extend(cell_rows)
-        if expander is not None:
-            pools_by_seed[seed] = expander.pools
-    return rows, pools_by_seed
+    cells = [(variant, cfg.curve_per_class, seed) for seed in cfg.seeds]
+    return _train_cells(cfg, data, cells, cfg.curve_epochs, record_epochs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +437,7 @@ def run_clonalg_demo(population_size: int = 50, generations: int = 200,
                      seed: int = 1) -> ClonalgResult:
     config = CloneConfig(eta=eta, alpha=alpha, tau=0.0, sigma=sigma,
                          memory_capacity=10, rng_seed=seed)
-    return clonalg_run([DEMO_PATTERN], population_size, generations, config,
+    return clonalg_run(DEMO_PATTERN, population_size, generations, config,
                        select_n=select_n)
 
 

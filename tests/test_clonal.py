@@ -915,7 +915,7 @@ class TestClonalgRun:
         pattern = np.eye(4).ravel()
         config = CloneConfig(eta=eta, alpha=alpha, tau=0.0, sigma=sigma,
                              memory_capacity=3, rng_seed=41)
-        result = clonalg_run([pattern], population, 6, config, select_n)
+        result = clonalg_run(pattern, population, 6, config, select_n)
         want, memory, history = clonalg_naive(pattern, population, 6, config,
                                               select_n)
         assert result.population.tobytes() == want.tobytes()
@@ -931,7 +931,7 @@ class TestClonalgRun:
         expected = clonal.affinity_matrix(initial, pattern).max()
         assert abs(expected - max(affinity_naive(row, pattern)
                                   for row in initial)) < 1e-15
-        result = clonalg_run([pattern], population_size=20, generations=1,
+        result = clonalg_run(pattern, population_size=20, generations=1,
                              config=config, select_n=5)
         assert result.history[0] == expected
 
@@ -939,7 +939,7 @@ class TestClonalgRun:
         pattern = np.eye(3).ravel()
         config = CloneConfig(eta=6.0, alpha=0.3, tau=0.0, sigma=0.2,
                              memory_capacity=4, rng_seed=2)
-        result = clonalg_run([pattern], population_size=30, generations=40,
+        result = clonalg_run(pattern, population_size=30, generations=40,
                              config=config, select_n=8)
         hist = result.history
         assert len(hist) == 40
@@ -949,28 +949,28 @@ class TestClonalgRun:
         pattern = np.array([[1, 0], [0, 1]], dtype=np.float64)
         config = CloneConfig(eta=8.0, alpha=0.2, tau=0.0, sigma=0.15,
                              memory_capacity=5, rng_seed=3)
-        result = clonalg_run([pattern], population_size=25, generations=60,
+        result = clonalg_run(pattern, population_size=25, generations=60,
                              config=config, select_n=6)
         assert result.history[-1] > result.history[0]
 
     def test_memory_respects_capacity(self):
         pattern = np.ones(5)
         config = CloneConfig(memory_capacity=4, tau=0.0, rng_seed=4)
-        result = clonalg_run([pattern], population_size=15, generations=5,
+        result = clonalg_run(pattern, population_size=15, generations=5,
                              config=config, select_n=5)
         assert result.memory_vectors.shape[0] <= 4
         assert result.population.shape == (15, 5)
 
     def test_empty_patterns_rejected(self):
         with pytest.raises(ConfigurationError):
-            clonalg_run([], 10, 5, CloneConfig(memory_capacity=2))
+            clonalg_run(np.zeros(0), 10, 5, CloneConfig(memory_capacity=2))
 
     def test_population_smaller_than_selection_rejected(self):
         # select_n -1 used to select every member but the worst, and 0 to
         # run without clones
         for select_n in (10, 6, 0, -1):
             with pytest.raises(ConfigurationError, match="select_n"):
-                clonalg_run([np.ones(4)], population_size=5, generations=2,
+                clonalg_run(np.ones(4), population_size=5, generations=2,
                             config=CloneConfig(memory_capacity=2),
                             select_n=select_n)
 

@@ -1,6 +1,7 @@
 """Experiment harness: configuration plumbing, deterministic artifacts,
 and small end-to-end runs of each experiment shape."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clonalnet import cli
+from clonalnet import cli, harness, synthdigits
+from clonalnet.clonal import ClonalgResult
 from clonalnet.errors import ConfigurationError, DivergenceError
+from clonalnet.gradcheck import check_instance, run_gradient_audit
 from clonalnet.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,6 +22,7 @@ from clonalnet.harness import (
     derived_seed,
     emit_csv,
     emit_svg_lineplot,
+    ensure_corpus,
     fixed_test_subset,
     load_config,
     parse_config_file,
@@ -29,7 +33,7 @@ from clonalnet.harness import (
     sweep_summary_series,
     train_variant,
 )
-from clonalnet.mnist import Dataset, stratified_subset
+from clonalnet.mnist import Dataset, serialize_idx_images, stratified_subset
 from clonalnet.nn import ArchConfig
 
 # settings small enough that a full training cell takes well under a second
@@ -177,6 +181,31 @@ def test_derived_seed_is_stable():
     assert derived_seed(3, 2, 7) == 796109925
     assert derived_seed(1, 10, 5) != derived_seed(2, 10, 5)
     assert derived_seed(1, 10, 5) != derived_seed(1, 10, 6)
+
+
+def test_ensure_corpus_refuses_a_partial_directory(tmp_path):
+    # a directory with some of the four files is not overwritten
+    images = tmp_path / synthdigits.TRAIN_IMAGES
+    images.write_bytes(serialize_idx_images(np.zeros((5, 28, 28))))
+    assert images.stat().st_size == 3936
+    with pytest.raises(ConfigurationError, match=synthdigits.TEST_LABELS):
+        ensure_corpus(tmp_path)
+    assert images.stat().st_size == 3936
+    assert sorted(p.name for p in tmp_path.iterdir()) == [images.name]
+
+
+def test_ensure_corpus_writes_only_into_an_empty_directory(tmp_path,
+                                                           corpus_dir):
+    names = (synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS,
+             synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)
+    ensure_corpus(tmp_path)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (corpus_dir / name).read_bytes()
+    # with all four present it loads them and writes nothing
+    stamps = [(tmp_path / name).stat().st_mtime_ns for name in names]
+    train, test = ensure_corpus(tmp_path)
+    assert (len(train), len(test)) == (6000, 1500)
+    assert [(tmp_path / name).stat().st_mtime_ns for name in names] == stamps
 
 
 def test_fixed_test_subset_is_deterministic(corpus):
@@ -444,6 +473,73 @@ def test_two_class_label_without_images_rejected(corpus, labels, drop_from):
 # command line
 # ---------------------------------------------------------------------------
 
+class _Captured(Exception):
+    pass
+
+
+def _capture(*args, **kwargs):
+    raise _Captured(args, kwargs)
+
+
+# every train flag with a value other than its default, and the
+# ExperimentConfig field it sets
+_TRAIN_FLAGS = [
+    ("--sizes", "4,7", "sizes", (4, 7)),
+    ("--seeds", "5,6", "seeds", (5, 6)),
+    ("--lr", "0.25", "learning_rate", 0.25),
+    ("--variant", "cnn", "variant", "cnn"),
+    ("--eta", "2.5", "eta", 2.5),
+    ("--alpha", "0.3", "alpha", 0.3),
+    ("--tau", "0.45", "tau", 0.45),
+    ("--batch-size", "6", "batch_size", 6),
+]
+
+
+@pytest.mark.parametrize("command, runner, extra", [
+    ("size-sweep", "run_size_sweep", [("--epochs", "3", "epochs", 3)]),
+    ("epoch-curve", "run_epoch_curve",
+     [("--epochs", "3", "curve_epochs", 3),
+      ("--per-class", "9", "curve_per_class", 9)]),
+    ("two-class", "run_two_class_application",
+     [("--epochs", "3", "epochs", 3)]),
+])
+def test_cli_train_flags_set_their_config_fields(tmp_path, monkeypatch,
+                                                 command, runner, extra):
+    monkeypatch.setattr(harness, runner, _capture)
+    flags = _TRAIN_FLAGS + extra + [
+        ("--data-dir", str(tmp_path / "d"), "data_dir", str(tmp_path / "d")),
+        ("--out", str(tmp_path / "o"), "out_dir", str(tmp_path / "o")),
+    ]
+    argv = [command] + [text for flag, value, _, _ in flags
+                        for text in (flag, value)]
+    with pytest.raises(_Captured) as caught:
+        cli.main(argv)
+    (cfg,), _ = caught.value.args
+    # every field a flag does not name keeps its default
+    expected = {field: value for _, _, field, value in flags}
+    assert cfg == dataclasses.replace(ExperimentConfig(), **expected)
+    assert (tmp_path / "o").is_dir()
+
+
+def test_cli_clonalg_demo_flags_reach_the_runs(tmp_path, monkeypatch):
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return ClonalgResult(None, None, None, [0.5])
+
+    monkeypatch.setattr(harness, "run_clonalg_demo", fake)
+    assert cli.main(["clonalg-demo", "--out", str(tmp_path / "o"),
+                     "--seeds", "3,1", "--pop", "7", "--generations", "1",
+                     "--eta", "2.0", "--alpha", "0.4", "--sigma", "0.3",
+                     "--select-n", "2"]) == 0
+    common = dict(population_size=7, generations=1, eta=2.0, alpha=0.4,
+                  sigma=0.3, select_n=2)
+    assert calls == [dict(common, seed=3), dict(common, seed=1)]
+    assert (tmp_path / "o" / "clonalg_history.csv").read_text() == \
+        "seed,generation,best_affinity\n3,1,0.5\n1,1,0.5\n"
+
+
 def test_cli_clonalg_demo_writes_artifacts(tmp_path, capsys):
     rc = cli.main(["clonalg-demo", "--out", str(tmp_path), "--pop", "12",
                    "--generations", "5", "--select-n", "4", "--seeds", "3"])
@@ -502,6 +598,28 @@ def test_cli_two_class_smoke(tmp_path, corpus_dir, capsys):
     assert (tmp_path / "o" / "two_class_decisions.csv").exists()
     assert (tmp_path / "o" / "two_class_pools.txt").exists()
     assert "two-class accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--instances", "0"], ["--instances", "-3"], ["--coords", "0"],
+], ids=["instances=0", "instances=-3", "coords=0"])
+def test_cli_gradcheck_rejects_counts_below_one(argv, capsys):
+    with pytest.raises(ConfigurationError, match=">= 1"):
+        cli.main(["gradcheck"] + argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("audit, kwargs", [
+    (run_gradient_audit, {"num_instances": 0}),
+    (run_gradient_audit, {"num_instances": -3}),
+    (run_gradient_audit, {"num_instances": 1, "coords_per_array": 0}),
+    (check_instance, {"seed": 0, "coords_per_array": 0}),
+    (check_instance, {"seed": 0, "coords_per_array": -1}),
+], ids=["instances=0", "instances=-3", "audit-coords=0", "instance-coords=0",
+        "instance-coords=-1"])
+def test_gradcheck_rejects_counts_below_one(audit, kwargs):
+    with pytest.raises(ConfigurationError, match=">= 1"):
+        audit(**kwargs)
 
 
 def test_cli_gradcheck_reports_pass(capsys):
