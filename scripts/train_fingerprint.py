@@ -7,6 +7,9 @@ the per-epoch error rows and the ``save_pools`` file. For the
 ``cnn-ais per_class=25`` cell it also digests ``classify``'s decisions on
 every test image against that cell's ten pools, and again with the
 configured third class withheld as perfbench's ``immune_classify`` does.
+One more ``cnn-ais`` cell trains at the scale of perfbench's ``train_ais``
+(50 images per class for 3 epochs, 189 batches) and gets one digest of
+its parameters, rows and pools.
 It also digests the two-class application's decisions, the
 clonal-selection demo for seeds 1-3 and the four IDX files of the default
 synthetic corpus. Last, it runs tiny ``size-sweep``, ``epoch-curve``,
@@ -46,6 +49,8 @@ from clonalnet.nn import ArchConfig, forward_features  # noqa: E402
 CELLS = [(variant, per_class, seed, epochs)
          for variant in harness.VARIANTS
          for per_class, seed, epochs in ((10, 1, 3), (25, 2, 2))]
+# (per-class size, seed, epochs) of the cnn-ais cell at train_ais's scale
+BENCH_CELL = (50, 4, 3)
 # tiny runs of every experiment subcommand, each into its own directory
 COMMANDS = [
     ["size-sweep", "--sizes", "2,3", "--seeds", "2,1", "--epochs", "2"],
@@ -118,6 +123,14 @@ def main() -> int:
             runs = [pool_decisions(params, pools, test, cfg, per_class, seed)
                     for pools in (expander.pools, withheld)]
             print(f"{name} ten-pool decisions {digest(runs)}")
+
+    per_class, seed, epochs = BENCH_CELL
+    rows, params, expander = harness.train_variant(
+        synthdigits.make_dataset(per_class, seed=2026), test, "cnn-ais",
+        per_class, seed, cfg, arch, epochs=epochs, record_epochs=True)
+    arrays = [getattr(params, a).tobytes() for a in PARAM_ARRAYS]
+    print(f"cnn-ais per_class={per_class} seed={seed} epochs={epochs} state "
+          f"{digest(*arrays, rows, pools_bytes(expander.pools))}")
 
     two = harness.run_two_class_application(
         harness.ExperimentConfig(two_class_test=20), data=(train, test))

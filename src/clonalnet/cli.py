@@ -18,6 +18,7 @@ from pathlib import Path
 from . import harness
 from .classifier import write_decision_records
 from .clonal import save_pools
+from .errors import ConfigurationError
 from .gradcheck import run_gradient_audit
 
 GRAD_TOLERANCE = 1e-4
@@ -34,15 +35,19 @@ def _add_common(parser) -> None:
                         help="output directory (default: out)")
 
 
-def _add_train_flags(parser, epochs_dest: str = "epochs") -> None:
+def _add_grid_flags(parser) -> None:
+    """The flags that choose the cells of a sweep."""
     parser.add_argument("--sizes",
                         help="comma-separated per-class sizes, e.g. 10,25,50,100")
+    parser.add_argument("--variant", choices=harness.VARIANTS + ("both",))
+
+
+def _add_train_flags(parser, epochs_dest: str = "epochs") -> None:
     parser.add_argument("--seeds", help="comma-separated seeds, e.g. 1,2,3")
     parser.add_argument("--epochs", type=int, dest=epochs_dest,
                         metavar="EPOCHS")
     parser.add_argument("--lr", type=float, dest="learning_rate",
                         metavar="LR", help="learning rate")
-    parser.add_argument("--variant", choices=harness.VARIANTS + ("both",))
     parser.add_argument("--eta", type=float, help="cloning constant")
     parser.add_argument("--alpha", type=float, help="mutation constant")
     parser.add_argument("--tau", type=float, help="acceptance threshold")
@@ -100,6 +105,11 @@ def cmd_epoch_curve(args) -> int:
 
 def cmd_two_class(args) -> int:
     cfg = _experiment_config(args)
+    # one cnn-ais network is trained, on the first configured seed
+    if args.seeds is not None and len(cfg.seeds) > 1:
+        raise ConfigurationError(
+            f"two-class trains one network: --seeds takes one seed, "
+            f"got {args.seeds!r}")
     out = _out_dir(cfg)
     result = harness.run_two_class_application(cfg)
     write_decision_records(out / "two_class_decisions.csv", result.decisions,
@@ -180,12 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train both variants over a grid of per-class "
                             "sizes and seeds")
     _add_common(p)
+    _add_grid_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_size_sweep)
 
     p = sub.add_parser("epoch-curve",
                        help="per-epoch error curve at a fixed per-class size")
     _add_common(p)
+    _add_grid_flags(p)
     _add_train_flags(p, epochs_dest="curve_epochs")
     p.add_argument("--per-class", type=int, dest="curve_per_class",
                    metavar="PER_CLASS",

@@ -9,8 +9,15 @@ clone-count and mutation-rate formulas receive a bounded positive quantity.
 ``affinity_matrix`` is the one implementation, one GEMM per call;
 ``affinity_naive`` is its per-pair test oracle. The GEMM needs each row's
 squared norm, and a matrix that is scored again and again computes its
-norms once: a pool on its first ``pool_affinities`` call, the classifier's
-stack of pools when it is built. Only the query side is computed per call.
+norms once: a pool on first use, the classifier's stack of pools when it
+is built. Only the query side is computed per call.
+
+The training hook scores a batch in two tables: its originals against
+their class pools, then every clone proposal against its parent's pool.
+A BLAS product's bits depend on its shape, so each row block keeps the
+product shape a per-original (1, d) or per-parent (n_i, d) call would
+have, and is written into its rows of the table; the elementwise rest of
+the affinity then runs once over the whole table.
 
 A pool stores its members as two read-only arrays, features (m, d) and
 scores (m,). ``Antibody`` and ``MemoryPool.members`` are a read-only
@@ -278,22 +285,58 @@ def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
 
 def _affinity(queries: tuple[np.ndarray, np.ndarray, bool],
               references: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
-    """The affinity table of two sides that :func:`_rescaled` prepared.
-
-    Both sides' squared norms lie in [2^-510, 2^510] or [1, d], so the
-    cosines are finite and clipping them with ``minimum`` and ``maximum``
-    gives the bits ``np.clip`` would."""
+    """The affinity table of two sides that :func:`_rescaled` prepared."""
     q, query_sq, q_zero = queries
     r, ref_sq, r_zero = references
     if q_zero and r_zero:
         raise UndefinedAffinityError("affinity of two zero vectors is undefined")
-    dot = q @ r.T
-    dot /= np.sqrt(query_sq[:, None] * ref_sq)
+    return _finished(q @ r.T, query_sq[:, None] * ref_sq)
+
+
+def _finished(dot: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Affinities, in place in ``dot``, from dot products and the products
+    ``sq`` of the two rows' squared norms.
+
+    Both squared norms lie in [2^-510, 2^510] or [1, d], so the cosines
+    are finite and clipping them with ``minimum`` and ``maximum`` gives
+    the bits ``np.clip`` would. A dot product of -inf gives affinity 0."""
+    dot /= np.sqrt(sq)
     np.minimum(dot, 1.0, out=dot)
     np.maximum(dot, -1.0, out=dot)
     dot += 1.0
     dot /= 2.0
     return dot
+
+
+def _best_affinities(queries: tuple[np.ndarray, np.ndarray, bool],
+                     blocks: list[tuple[int, int, MemoryPool]]) -> np.ndarray:
+    """Best affinity of each prepared query row against its own pool.
+
+    ``queries`` is a :func:`_rescaled` triple, and each (start, stop,
+    pool) of ``blocks`` scores rows start:stop against ``pool``. A block
+    is one product of the shape ``pool_affinities`` of those rows would
+    make, written into its rows of one table. Entries beyond a pool's
+    size stay -inf, which finishes to affinity 0, so they never raise a
+    row's best above its own pool's. A pool of another width raises
+    DimensionError, and a zero query row in a block whose pool holds a
+    zero row UndefinedAffinityError.
+    """
+    q, query_sq, q_zero = queries
+    width = max(len(pool) for _, _, pool in blocks)
+    dot = np.full((len(q), width), -np.inf)
+    ref_sq = np.ones((len(q), width))
+    for start, stop, pool in blocks:
+        r, r_sq, r_zero = pool.rescaled
+        if r.shape[1] != q.shape[1]:
+            raise DimensionError(
+                f"rows of width {q.shape[1]} do not fit the pool of class "
+                f"{pool.class_label}, of shape {r.shape}")
+        if q_zero and r_zero and not q[start:stop].any(axis=1).all():
+            raise UndefinedAffinityError(
+                "affinity of two zero vectors is undefined")
+        np.matmul(q[start:stop], r.T, out=dot[start:stop, :len(r)])
+        ref_sq[start:stop, :len(r)] = r_sq
+    return _finished(dot, query_sq[:, None] * ref_sq).max(axis=1)
 
 
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
@@ -341,31 +384,63 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
 # clone generation over a training batch
 # ---------------------------------------------------------------------------
 
-def generate_clones(feature: np.ndarray, a: float, pool: MemoryPool,
-                    peers: list[np.ndarray], config: CloneConfig,
-                    rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
-    """Clone one parent whose best match in its class pool has affinity ``a``.
+@dataclass(frozen=True)
+class Clones:
+    """A batch's accepted clones in batch order: their features (k, d),
+    their parents' batch indices (k,) and their memory scores (k,)."""
 
-    ``a`` sets the clone count and the mutation rate; with probability
-    ``CROSSOVER_PROB`` a clone is first crossed with a random same-class
-    batch feature from ``peers``. Returns (clone_feature, affinity) pairs for
-    the clones whose best match back in the pool clears the acceptance
-    threshold; that affinity is the clone's memory score.
+    features: np.ndarray
+    parents: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+
+def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
+                    pools: dict[int, MemoryPool], config: CloneConfig,
+                    rng: np.random.Generator) -> Clones:
+    """Clone every row of the batch ``features`` (n, d), whose best match
+    in its class pool ``pools[labels[i]]`` has affinity ``scores[i]``.
+
+    The originals are walked in batch order. An original's score sets its
+    clone count and mutation rate; with probability ``CROSSOVER_PROB`` a
+    clone is first crossed with a random same-class batch feature. The
+    proposals are scored in one table, a block per parent against its
+    class pool, and the clones whose best match there clears the
+    acceptance threshold are returned; that affinity is the clone's
+    memory score.
     """
-    n_clones = clone_count(a, config.eta, config.tau)
-    if n_clones == 0:
-        return []
-    rate = mutation_rate(a, config.alpha)
-    proposals = []
-    for _ in range(n_clones):
-        base = feature
-        if rng.random() < CROSSOVER_PROB:
-            partner = peers[int(rng.integers(len(peers)))]
-            base = crossover(base, partner, rng)
-        proposals.append(mutate(base, rate, config.sigma, rng))
-    scores = pool_affinities(np.stack(proposals), pool).max(axis=1)
-    return [(clone, float(s)) for clone, s in zip(proposals, scores)
-            if s >= config.tau]
+    if not len(features) == len(scores) == len(labels):
+        raise DimensionError(f"{len(features)} features, {len(scores)} "
+                             f"scores and {len(labels)} labels")
+    affinities = scores.tolist()
+    counts = [clone_count(a, config.eta, config.tau) for a in affinities]
+    peers: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        peers.setdefault(label, []).append(i)
+    proposals = np.empty((sum(counts), features.shape[1]))
+    blocks = []
+    k = 0
+    for i, (n_clones, a, label) in enumerate(zip(counts, affinities, labels)):
+        if n_clones == 0:
+            continue
+        rate = mutation_rate(a, config.alpha)
+        blocks.append((k, k + n_clones, pools[label]))
+        for _ in range(n_clones):
+            base = features[i]
+            if rng.random() < CROSSOVER_PROB:
+                group = peers[label]
+                partner = features[group[int(rng.integers(len(group)))]]
+                base = crossover(base, partner, rng)
+            proposals[k] = mutate(base, rate, config.sigma, rng)
+            k += 1
+    parents = np.repeat(np.arange(len(counts)), counts)
+    if not blocks:
+        return Clones(proposals, parents, np.empty(0))
+    best = _best_affinities(_rescaled(proposals), blocks)
+    keep = best >= config.tau
+    return Clones(proposals[keep], parents[keep], best[keep])
 
 
 class ClonalExpander:
@@ -378,15 +453,16 @@ class ClonalExpander:
         self.pools: dict[int, MemoryPool] = {}
         self.rng = np.random.default_rng(config.rng_seed)
 
-    def _bootstrap(self, peers: dict[int, list[np.ndarray]]) -> None:
-        for label in sorted(peers):
-            if label in self.pools and len(self.pools[label]):
+    def _bootstrap(self, pools: dict[int, MemoryPool], features: np.ndarray,
+                   groups: dict[int, np.ndarray]) -> None:
+        for label in sorted(groups):
+            if label in pools and len(pools[label]):
                 continue
-            seeds = np.stack(peers[label])
+            seeds = features[groups[label]]
             centroid = seeds.mean(axis=0)
             empty = MemoryPool(class_label=label,
                                capacity=self.config.memory_capacity)
-            self.pools[label] = update_memory(
+            pools[label] = update_memory(
                 empty, seeds, affinity_matrix(seeds, centroid)[:, 0])
 
     def __call__(self, features, labels):
@@ -394,36 +470,47 @@ class ClonalExpander:
         clone's class is its parent's.
 
         Each original is scored once against its class pool as it stood
-        before the call; that score sets its clone count and is its memory
-        score. A pool takes its accepted clones, then its originals.
+        before the call, in one table with a row per original; that score
+        sets its clone count and is its memory score. One
+        :func:`generate_clones` call expands the batch. A pool takes its
+        accepted clones, then its originals, each in batch order. A batch
+        whose counts, shape, width or values do not fit raises before any
+        pool changes or any draw.
         """
         labels = [int(l) for l in labels]
         if len(features) != len(labels):
             raise DimensionError(
                 f"{len(features)} features but {len(labels)} labels")
-        peers: dict[int, list[np.ndarray]] = {}
-        for feature, label in zip(features, labels):
-            peers.setdefault(label, []).append(feature)
-        self._bootstrap(peers)
-        # (row, score) candidates per class: accepted clones, then originals
-        accepted = {label: [] for label in peers}
-        originals = {label: [] for label in peers}
-        clones = []
-        for i, (feature, label) in enumerate(zip(features, labels)):
-            pool = self.pools[label]
-            # one row per call, so that a feature's score (and with it the
-            # clone draws) does not depend on the rest of its batch
-            a = float(pool_affinities(np.asarray(feature)[None, :], pool).max())
-            for clone, score in generate_clones(feature, a, pool, peers[label],
-                                                self.config, self.rng):
-                clones.append((clone, i))
-                accepted[label].append((clone, score))
-            originals[label].append((feature, a))
-        for label in sorted(peers):
-            rows, scores = zip(*accepted[label], *originals[label])
-            self.pools[label] = update_memory(self.pools[label],
-                                              np.stack(rows), scores)
-        return clones
+        if not labels:
+            return []
+        try:
+            x = np.asarray(features, dtype=np.float64)
+        except ValueError:
+            raise DimensionError("batch rows of different widths") from None
+        if x.ndim != 2:
+            raise DimensionError(f"a batch must be (n, d) rows, got {x.shape}")
+        queries = _rescaled(x)
+        label_of = np.array(labels)
+        groups = {l: np.flatnonzero(label_of == l)
+                  for l in sorted(set(labels))}
+        # bootstrapped into a copy, so that an error below changes no pool
+        pools = dict(self.pools)
+        self._bootstrap(pools, x, groups)
+        # a block per original, so that a feature's score (and with it the
+        # clone draws) does not depend on the rest of its batch
+        scores = _best_affinities(
+            queries, [(i, i + 1, pools[l]) for i, l in enumerate(labels)])
+        clones = generate_clones(x, scores, labels, pools, self.config,
+                                 self.rng)
+        clone_labels = label_of[clones.parents]
+        for label, members in groups.items():
+            mine = clone_labels == label
+            pools[label] = update_memory(
+                pools[label],
+                np.concatenate([clones.features[mine], x[members]]),
+                np.concatenate([clones.scores[mine], scores[members]]))
+        self.pools.update(pools)
+        return list(zip(clones.features, clones.parents.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonalnet import clonal
@@ -263,9 +263,9 @@ class TestPoolNorms:
 
         pool_affinities(rng.normal(size=(2, 3)), pool)
         pool_affinities(rng.normal(size=(1, 3)), pool)
-        feature = pool.matrix[0].copy()
+        feature = pool.matrix[:1].copy()
         config = CloneConfig(eta=3.0, tau=0.0, memory_capacity=6)
-        assert generate_clones(feature, 1.0, pool, [feature], config,
+        assert generate_clones(feature, np.ones(1), [0], {0: pool}, config,
                                np.random.default_rng(0))
         assert (reference_calls(pool), len(seen)) == (1, 4)
         grown = update_memory(pool, rng.normal(size=(2, 3)), [0.5, 0.4])
@@ -355,24 +355,34 @@ def best_match(feature, pool):
     return max(affinity_naive(feature, row) for row in pool.matrix)
 
 
+def one_class(pool, features, scores, config, rng):
+    """``generate_clones`` of a batch whose rows all have ``pool``'s class."""
+    features = np.asarray(features, dtype=np.float64)
+    return generate_clones(features, np.asarray(scores, dtype=np.float64),
+                           [pool.class_label] * len(features),
+                           {pool.class_label: pool}, config, rng)
+
+
 class TestGenerateClones:
     def test_all_below_threshold_empty(self):
         pool = pool_of([[1.0, 0.0, 0.0, 0.0]])
         feature = np.array([-1.0, 0.0, 0.0, 0.0])   # affinity 0.0
         config = CloneConfig(tau=0.6, memory_capacity=5)
-        clones = generate_clones(feature, 0.0, pool, [feature], config,
-                                 np.random.default_rng(0))
-        assert clones == []
+        clones = one_class(pool, [feature], [0.0], config,
+                           np.random.default_rng(0))
+        assert len(clones) == 0
+        assert clones.features.shape == (0, 4)
 
     def test_degenerate_operators_copy_parent(self):
         feature = np.array([0.5, -0.25, 1.0])
         pool = pool_of([feature])
         # crossover with the parent itself as the only peer is the parent
         config = CloneConfig(eta=5.0, sigma=0.0, tau=0.6, memory_capacity=5)
-        clones = generate_clones(feature.copy(), 1.0, pool, [feature], config,
-                                 np.random.default_rng(0))
+        clones = one_class(pool, [feature], [1.0], config,
+                           np.random.default_rng(0))
         assert len(clones) == 5
-        for clone_feature, score in clones:
+        assert clones.parents.tolist() == [0] * 5
+        for clone_feature, score in zip(clones.features, clones.scores):
             assert np.array_equal(clone_feature, feature)
             assert score == 1.0
 
@@ -380,48 +390,58 @@ class TestGenerateClones:
         rng = np.random.default_rng(8)
         pool_feats = rng.normal(size=(3, 6))
         pool = pool_of(pool_feats)
-        peers = [rng.normal(size=6) for _ in range(4)]
+        peers = rng.normal(size=(4, 6))
         config = CloneConfig(eta=5.0, tau=0.0, memory_capacity=5)
-        clone_rng = np.random.default_rng(9)
-        emitted = expected = 0
-        for feature in peers:
-            a = max(affinity_naive(feature, f) for f in pool_feats)
-            emitted += len(generate_clones(feature, a, pool, peers, config,
-                                           clone_rng))
-            expected += clone_count(a, config.eta, config.tau)
-        assert emitted == expected
+        scores = [max(affinity_naive(feature, f) for f in pool_feats)
+                  for feature in peers]
+        clones = one_class(pool, peers, scores, config,
+                           np.random.default_rng(9))
+        expected = [clone_count(a, config.eta, config.tau) for a in scores]
+        assert len(clones) == sum(expected)
+        assert np.bincount(clones.parents, minlength=4).tolist() == expected
 
     def test_output_bounded_and_accepted(self):
         rng = np.random.default_rng(10)
         pool = pool_of(rng.normal(size=(4, 5)))
-        peers = [rng.normal(size=5) for _ in range(6)]
+        peers = rng.normal(size=(6, 5))
         config = CloneConfig(eta=4.0, tau=0.55, memory_capacity=5)
-        clone_rng = np.random.default_rng(11)
-        total = 0
-        for feature in peers:
-            a = best_match(feature, pool)
-            clones = generate_clones(feature, a, pool, peers, config, clone_rng)
-            assert len(clones) <= clone_count(a, config.eta, config.tau)
-            for clone_feature, score in clones:
-                assert clone_feature.shape == (5,)
-                assert score >= config.tau
-                assert abs(score - best_match(clone_feature, pool)) < 1e-12
-            total += len(clones)
-        assert total > 0
+        scores = [best_match(feature, pool) for feature in peers]
+        clones = one_class(pool, peers, scores, config,
+                           np.random.default_rng(11))
+        per_parent = np.bincount(clones.parents, minlength=len(peers))
+        for a, emitted in zip(scores, per_parent.tolist()):
+            assert emitted <= clone_count(a, config.eta, config.tau)
+        assert clones.parents.tolist() == sorted(clones.parents.tolist())
+        for clone_feature, score in zip(clones.features, clones.scores):
+            assert clone_feature.shape == (5,)
+            assert score >= config.tau
+            assert abs(score - best_match(clone_feature, pool)) < 1e-12
+        assert len(clones) > 0
+
+    @pytest.mark.parametrize("rows, scores, width", [
+        (3, 2, 4), (2, 2, 5)], ids=["count", "width"])
+    def test_batch_that_does_not_fit_rejected(self, rows, scores, width):
+        rng = np.random.default_rng(13)
+        pool = pool_of(rng.normal(size=(3, 4)))
+        config = CloneConfig(tau=0.0, memory_capacity=5)
+        with pytest.raises(DimensionError):
+            generate_clones(rng.normal(size=(rows, width)), np.ones(scores),
+                            [0] * rows, {0: pool}, config, rng)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(12)
         pool = pool_of(rng.normal(size=(3, 4)))
-        peers = [rng.normal(size=4) for _ in range(3)]
+        peers = rng.normal(size=(3, 4))
         config = CloneConfig(memory_capacity=5)
-        a = best_match(peers[0], pool)
-        first = generate_clones(peers[0], a, pool, peers, config,
-                                np.random.default_rng(7))
-        second = generate_clones(peers[0], a, pool, peers, config,
-                                 np.random.default_rng(7))
+        scores = [best_match(peers[0], pool), 0.0, 0.0]
+        first = one_class(pool, peers, scores, config,
+                          np.random.default_rng(7))
+        second = one_class(pool, peers, scores, config,
+                           np.random.default_rng(7))
         assert len(first) == len(second) > 0
-        for (fa, sa), (fb, sb) in zip(first, second):
-            assert np.array_equal(fa, fb) and sa == sb
+        for name in ("features", "parents", "scores"):
+            assert getattr(first, name).tobytes() == \
+                getattr(second, name).tobytes()
 
 
 # few distinct values, so that ties between scores are common
@@ -633,6 +653,184 @@ class TestUpdateMemory:
         for array in (updated.matrix, updated.scores):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+
+def generate_clones_naive(feature, a, pool, peers, config, rng):
+    """One parent's clones, proposed one ``mutate`` call at a time and
+    scored in one ``pool_affinities`` call: the per-parent step of
+    :func:`expand_naive`. Returns (clone, score) pairs of the accepted."""
+    n_clones = clone_count(a, config.eta, config.tau)
+    if n_clones == 0:
+        return []
+    rate = mutation_rate(a, config.alpha)
+    proposals = []
+    for _ in range(n_clones):
+        base = feature
+        if rng.random() < clonal.CROSSOVER_PROB:
+            partner = peers[int(rng.integers(len(peers)))]
+            base = crossover(base, partner, rng)
+        proposals.append(mutate(base, rate, config.sigma, rng))
+    scores = pool_affinities(np.stack(proposals), pool).max(axis=1)
+    return [(clone, float(s)) for clone, s in zip(proposals, scores)
+            if s >= config.tau]
+
+
+def expand_naive(expander, features, labels):
+    """``ClonalExpander.__call__`` one original at a time: one
+    ``pool_affinities`` call per original and one
+    :func:`generate_clones_naive` call per parent. The reference for the
+    batched hook, which must return and store the same bytes and leave
+    the generator in the same state."""
+    labels = [int(l) for l in labels]
+    peers = {}
+    for feature, label in zip(features, labels):
+        peers.setdefault(label, []).append(feature)
+    config = expander.config
+    for label in sorted(peers):
+        if label in expander.pools and len(expander.pools[label]):
+            continue
+        seeds = np.stack(peers[label])
+        centroid = seeds.mean(axis=0)
+        expander.pools[label] = update_memory(
+            MemoryPool(label, config.memory_capacity), seeds,
+            clonal.affinity_matrix(seeds, centroid)[:, 0])
+    accepted = {label: [] for label in peers}
+    originals = {label: [] for label in peers}
+    clones = []
+    for i, (feature, label) in enumerate(zip(features, labels)):
+        pool = expander.pools[label]
+        a = float(pool_affinities(np.asarray(feature)[None, :], pool).max())
+        for clone, score in generate_clones_naive(
+                feature, a, pool, peers[label], config, expander.rng):
+            clones.append((clone, i))
+            accepted[label].append((clone, score))
+        originals[label].append((feature, a))
+    for label in sorted(peers):
+        rows, scores = zip(*accepted[label], *originals[label])
+        expander.pools[label] = update_memory(expander.pools[label],
+                                              np.stack(rows), scores)
+    return clones
+
+
+def pools_with_sizes(sizes, width, zero_row, rng):
+    """Pools of the given sizes, best first; with ``zero_row`` the first
+    pool's last member is a zero row."""
+    pools = {}
+    for label, size in sorted(sizes.items()):
+        matrix = rng.normal(size=(size, width))
+        if zero_row and not pools:
+            matrix[-1] = 0.0
+        pools[label] = MemoryPool(label, 6, matrix=matrix,
+                                  scores=np.sort(rng.random(size))[::-1])
+    return pools
+
+
+def assert_same_state(a, b):
+    assert a.pools.keys() == b.pools.keys()
+    for label, pool in a.pools.items():
+        assert pool.matrix.tobytes() == b.pools[label].matrix.tobytes()
+        assert pool.scores.tobytes() == b.pools[label].scores.tobytes()
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+# one batch row: its label and the magnitude of its components; 1e-200
+# and 1e200 put its squared norm outside [2^-510, 2^510]
+batch_rows = st.tuples(st.integers(0, 3),
+                       st.sampled_from([1.0, 1e-200, 1e200]))
+
+
+class TestExpandMatchesNaive:
+    @given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 5),
+           sizes=st.dictionaries(st.integers(0, 2), st.integers(1, 5),
+                                 max_size=3),
+           zero_row=st.booleans(),
+           batch_list=st.lists(st.lists(batch_rows, min_size=1, max_size=8),
+                               min_size=1, max_size=2),
+           eta=st.sampled_from([0.0, 1.0, 5.0]),
+           tau=st.sampled_from([0.0, 0.6, 1.0]),
+           sigma=st.sampled_from([0.1, 1.0]))
+    # pools of different sizes in one batch
+    @example(seed=1, width=4, sizes={0: 1, 1: 5, 2: 3}, zero_row=False,
+             batch_list=[[(0, 1.0), (1, 1.0), (2, 1.0), (1, 1.0)] * 2],
+             eta=5.0, tau=0.6, sigma=0.1)
+    # one class, against an existing pool and then a bootstrapped one
+    @example(seed=2, width=3, sizes={1: 4}, zero_row=False,
+             batch_list=[[(1, 1.0)] * 6, [(3, 1.0)] * 5],
+             eta=5.0, tau=0.0, sigma=1.0)
+    @example(seed=3, width=4, sizes={0: 2, 1: 3}, zero_row=False,
+             batch_list=[[(0, 1.0), (1, 1.0), (3, 1.0)] * 2],
+             eta=0.0, tau=0.6, sigma=0.1)
+    @example(seed=4, width=2, sizes={0: 3}, zero_row=False,
+             batch_list=[[(0, 1.0), (0, 1.0)], [(0, 1.0)]],
+             eta=5.0, tau=1.0, sigma=0.1)
+    @example(seed=5, width=3, sizes={0: 4, 2: 2}, zero_row=True,
+             batch_list=[[(0, 1.0), (2, 1.0), (0, 1.0)]],
+             eta=5.0, tau=0.0, sigma=0.1)
+    @example(seed=6, width=5, sizes={0: 3, 1: 3}, zero_row=True,
+             batch_list=[[(0, 1e-200), (1, 1e200), (0, 1.0), (3, 1e200),
+                          (3, 1e-200), (1, 1.0)]],
+             eta=5.0, tau=0.0, sigma=0.1)
+    def test_same_clones_pools_and_draws(self, seed, width, sizes, zero_row,
+                                         batch_list, eta, tau, sigma):
+        rng = np.random.default_rng(seed)
+        config = CloneConfig(eta=eta, tau=tau, sigma=sigma,
+                             memory_capacity=6, rng_seed=seed)
+        batched, naive = ClonalExpander(config), ClonalExpander(config)
+        batched.pools = pools_with_sizes(sizes, width, zero_row, rng)
+        naive.pools = dict(batched.pools)
+        for rows in batch_list:
+            labels = [label for label, _ in rows]
+            scale = np.array([magnitude for _, magnitude in rows])
+            features = rng.normal(size=(len(rows), width)) * scale[:, None]
+            got = batched(features, labels)
+            want = expand_naive(naive, features, labels)
+            assert len(got) == len(want)
+            for (fa, pa), (fb, pb) in zip(got, want):
+                assert fa.tobytes() == fb.tobytes() and pa == pb
+            assert_same_state(batched, naive)
+
+
+class TestBadBatchChangesNothing:
+    """A batch that cannot be scored raises before it bootstraps a pool,
+    scores an original or draws a clone."""
+
+    def trained(self):
+        rng = np.random.default_rng(30)
+        expander = ClonalExpander(CloneConfig(eta=5.0, tau=0.0,
+                                              memory_capacity=10, rng_seed=3))
+        expander(rng.normal(size=(6, 4)), [0, 1, 0, 1, 0, 1])
+        return expander, rng
+
+    def assert_refused(self, expander, features, labels, error):
+        pools = dict(expander.pools)
+        state = expander.rng.bit_generator.state
+        with pytest.raises(error):
+            expander(features, labels)
+        assert expander.pools.keys() == pools.keys()
+        assert all(expander.pools[l] is pools[l] for l in pools)
+        assert expander.rng.bit_generator.state == state
+
+    def test_non_finite_late_row(self):
+        expander, rng = self.trained()
+        features = rng.normal(size=(6, 4))
+        features[4, 0] = np.nan
+        self.assert_refused(expander, features, [0, 1, 0, 1, 0, 1],
+                            UndefinedAffinityError)
+
+    def test_non_finite_row_in_bootstrap_batch(self):
+        expander = ClonalExpander(CloneConfig(memory_capacity=10))
+        features = np.random.default_rng(31).normal(size=(4, 4))
+        features[3, 1] = np.nan
+        self.assert_refused(expander, features, [0, 0, 1, 1],
+                            UndefinedAffinityError)
+        assert expander.pools == {}
+
+    def test_wrong_width(self):
+        expander, rng = self.trained()
+        self.assert_refused(expander, rng.normal(size=(4, 5)), [2, 0, 1, 2],
+                            DimensionError)
+        self.assert_refused(expander, rng.normal(size=4), [2, 0, 1, 2],
+                            DimensionError)
 
 
 class TestClonalExpander:

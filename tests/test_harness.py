@@ -501,12 +501,15 @@ _TRAIN_FLAGS = [
      [("--epochs", "3", "curve_epochs", 3),
       ("--per-class", "9", "curve_per_class", 9)]),
     ("two-class", "run_two_class_application",
-     [("--epochs", "3", "epochs", 3)]),
+     [("--epochs", "3", "epochs", 3), ("--seeds", "5", "seeds", (5,))]),
 ])
 def test_cli_train_flags_set_their_config_fields(tmp_path, monkeypatch,
                                                  command, runner, extra):
     monkeypatch.setattr(harness, runner, _capture)
-    flags = _TRAIN_FLAGS + extra + [
+    # two-class trains one network: no grid flags, one seed
+    train_flags = [f for f in _TRAIN_FLAGS if command != "two-class"
+                   or f[0] not in ("--sizes", "--variant", "--seeds")]
+    flags = train_flags + extra + [
         ("--data-dir", str(tmp_path / "d"), "data_dir", str(tmp_path / "d")),
         ("--out", str(tmp_path / "o"), "out_dir", str(tmp_path / "o")),
     ]
@@ -519,6 +522,29 @@ def test_cli_train_flags_set_their_config_fields(tmp_path, monkeypatch,
     expected = {field: value for _, _, field, value in flags}
     assert cfg == dataclasses.replace(ExperimentConfig(), **expected)
     assert (tmp_path / "o").is_dir()
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "7"], ["--variant", "cnn"]],
+                         ids=["sizes", "variant"])
+def test_cli_two_class_offers_no_grid_flags(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(harness, "run_two_class_application", _capture)
+    with pytest.raises(SystemExit):
+        cli.main(["two-class", "--out", str(tmp_path / "o")] + argv)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_two_class_rejects_several_seeds(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "run_two_class_application", _capture)
+    with pytest.raises(ConfigurationError, match="one seed"):
+        cli.main(["two-class", "--out", str(tmp_path / "o"),
+                  "--seeds", "1,2,3"])
+    assert not (tmp_path / "o").exists()
+    # one seed, or the configured default, reaches the run
+    for argv, seeds in ([["--seeds", "4"], (4,)], [[], (1, 2, 3)]):
+        with pytest.raises(_Captured) as caught:
+            cli.main(["two-class", "--out", str(tmp_path / "o")] + argv)
+        (cfg,), _ = caught.value.args
+        assert cfg.seeds == seeds
 
 
 def test_cli_clonalg_demo_flags_reach_the_runs(tmp_path, monkeypatch):
