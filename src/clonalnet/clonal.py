@@ -455,10 +455,11 @@ class ClonalExpander:
 
     def _bootstrap(self, pools: dict[int, MemoryPool], features: np.ndarray,
                    groups: dict[int, np.ndarray]) -> None:
-        for label in sorted(groups):
+        """Seed the empty pools of ``groups``' labels, in label order."""
+        for label, members in groups.items():
             if label in pools and len(pools[label]):
                 continue
-            seeds = features[groups[label]]
+            seeds = features[members]
             centroid = seeds.mean(axis=0)
             empty = MemoryPool(class_label=label,
                                capacity=self.config.memory_capacity)
