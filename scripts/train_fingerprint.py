@@ -9,7 +9,9 @@ every test image against that cell's ten pools, and again with the
 configured third class withheld as perfbench's ``immune_classify`` does.
 One more ``cnn-ais`` cell trains at the scale of perfbench's ``train_ais``
 (50 images per class for 3 epochs, 189 batches) and gets one digest of
-its parameters, rows and pools.
+its parameters, rows and pools, and one more of that cell's
+``forward_features`` bytes for each test image alone and for the whole
+test set as one stack, with ``evaluate``'s error on it.
 It also digests the two-class application's decisions, the
 clonal-selection demo for seeds 1-3 and the four IDX files of the default
 synthetic corpus. Last, it runs tiny ``size-sweep``, ``epoch-curve``,
@@ -43,7 +45,7 @@ from clonalnet import cli, harness, synthdigits  # noqa: E402
 from clonalnet.classifier import classify, init_new_class  # noqa: E402
 from clonalnet.clonal import save_pools  # noqa: E402
 from clonalnet.mnist import stratified_subset  # noqa: E402
-from clonalnet.nn import ArchConfig, forward_features  # noqa: E402
+from clonalnet.nn import ArchConfig, evaluate, forward_features  # noqa: E402
 
 # (variant, per-class size, seed, epochs)
 CELLS = [(variant, per_class, seed, epochs)
@@ -129,8 +131,14 @@ def main() -> int:
         synthdigits.make_dataset(per_class, seed=2026), test, "cnn-ais",
         per_class, seed, cfg, arch, epochs=epochs, record_epochs=True)
     arrays = [getattr(params, a).tobytes() for a in PARAM_ARRAYS]
-    print(f"cnn-ais per_class={per_class} seed={seed} epochs={epochs} state "
+    name = f"cnn-ais per_class={per_class} seed={seed} epochs={epochs}"
+    print(f"{name} state "
           f"{digest(*arrays, rows, pools_bytes(expander.pools))}")
+    alone = [forward_features(params, image)[0].tobytes()
+             for image in test.images]
+    stacked, _ = forward_features(params, test.images)
+    error = evaluate(params, test.images, test.labels)
+    print(f"{name} features {digest(*alone, stacked.tobytes(), error)}")
 
     two = harness.run_two_class_application(
         harness.ExperimentConfig(two_class_test=20), data=(train, test))

@@ -35,10 +35,8 @@ def _add_common(parser) -> None:
                         help="output directory (default: out)")
 
 
-def _add_grid_flags(parser) -> None:
-    """The flags that choose the cells of a sweep."""
-    parser.add_argument("--sizes",
-                        help="comma-separated per-class sizes, e.g. 10,25,50,100")
+def _add_variant_flag(parser) -> None:
+    """The variants a sweep or curve trains."""
     parser.add_argument("--variant", choices=harness.VARIANTS + ("both",))
 
 
@@ -190,14 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train both variants over a grid of per-class "
                             "sizes and seeds")
     _add_common(p)
-    _add_grid_flags(p)
+    p.add_argument("--sizes",
+                   help="comma-separated per-class sizes, e.g. 10,25,50,100")
+    _add_variant_flag(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_size_sweep)
 
     p = sub.add_parser("epoch-curve",
                        help="per-epoch error curve at a fixed per-class size")
+    # the curve trains at --per-class only, so it takes no --sizes
     _add_common(p)
-    _add_grid_flags(p)
+    _add_variant_flag(p)
     _add_train_flags(p, epochs_dest="curve_epochs")
     p.add_argument("--per-class", type=int, dest="curve_per_class",
                    metavar="PER_CLASS",

@@ -267,7 +267,8 @@ def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     squared norm 1, so that its dot products of 0 give cosine 0."""
     sq = np.einsum("ij,ij->i", x, x)
     # written so that a NaN norm fails it
-    if not sq.size or sq.min() >= _SQ_LOW and sq.max() <= _SQ_HIGH:
+    if not sq.size or (np.minimum.reduce(sq) >= _SQ_LOW
+                       and np.maximum.reduce(sq) <= _SQ_HIGH):
         return x, sq, False
     extreme = np.flatnonzero(~((sq >= _SQ_LOW) & (sq <= _SQ_HIGH)))
     rows = x[extreme]

@@ -29,6 +29,7 @@ tanh values with ``scaled_tanh_prime``'s arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,7 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     pool_tanh = np.tanh(TANH_SLOPE * pool_pre)
     pooled = TANH_SCALE * pool_tanh
     # the width spelled out, so that an empty batch reshapes too
-    pooled_flat = pooled.reshape(*img.shape[:-2], np.prod(pooled.shape[-3:]))
+    pooled_flat = pooled.reshape(*img.shape[:-2], math.prod(pooled.shape[-3:]))
     if pooled_flat.shape[-1] != params.fc1_weights.shape[1]:
         raise DimensionError(
             f"flattened pool size {pooled_flat.shape[-1]} does not match "

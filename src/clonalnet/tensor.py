@@ -25,10 +25,10 @@ path.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import CorruptionError, DimensionError
 
@@ -69,9 +69,10 @@ class Windows:
     """The im2col of a ``(..., H, W)`` stack for a ``(kh, kw)`` kernel.
 
     ``cols`` is a read-only ``(..., kh·kw, oh·ow)`` array with
-    cols[..., i·kw + j, y·ow + x] = input[..., y + i, x + j] (a copy of the
-    input, or a view of it where no two windows overlap), and ``shape`` is
-    the ``(..., oh, ow)`` shape of a convolution over it. The network's
+    cols[..., i·kw + j, y·ow + x] = input[..., y + i, x + j], and ``shape``
+    is the ``(..., oh, ow)`` shape of a convolution over it. ``cols`` is a
+    view of the input only where the input is C-contiguous and no two
+    windows overlap; otherwise it is a copy. The network's
     forward pass unfolds its images once into a ``Windows`` for every
     kernel's ``conv2d_valid``, and its trace keeps it: the backward pass
     reads the kernel gradient's operand from :meth:`rows` and makes no
@@ -84,11 +85,14 @@ class Windows:
             raise DimensionError(f"kernel shape must have 2 axes, got {kernel_shape}")
         kh, kw = self.kernel_shape = tuple(kernel_shape)
         _check_fits(inp, self.kernel_shape)
+        # the ndarray constructor makes the strided view without
+        # as_strided's Python-level wrapping; it needs a C-contiguous buffer
+        inp = np.ascontiguousarray(inp)
         *lead, h, w = inp.shape
         oh, ow = h - kh + 1, w - kw + 1
         *lead_strides, sy, sx = inp.strides
-        view = as_strided(inp, (*lead, kh, kw, oh, ow),
-                          (*lead_strides, sy, sx, sy, sx), writeable=False)
+        view = np.ndarray((*lead, kh, kw, oh, ow), inp.dtype, inp, 0,
+                          (*lead_strides, sy, sx, sy, sx))
         self.cols = view.reshape(*lead, kh * kw, oh * ow)
         self.cols.flags.writeable = False
         self.shape = (*lead, oh, ow)
@@ -178,11 +182,26 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code = later_wins[2] << 2
     code |= later_wins[1] << 1
     code |= later_wins[0]
-    argmax = np.array((0, 1, 0, 1, w, w, w + 1, w + 1)).take(code)
-    argmax += np.arange(0, h * w, 2 * w)[:, None] + np.arange(0, w, 2)
-    map_starts = np.arange(0, maps * h * w, h * w).reshape(maps, 1, 1)
+    winners, corners, map_starts = _pool_tables(maps, h, w)
+    argmax = winners.take(code)
+    argmax += corners
     out = inp.reshape(-1).take(argmax + map_starts)
     return out.reshape(*lead, ph, pw), argmax.reshape(*lead, ph, pw)
+
+
+@functools.lru_cache(maxsize=32)
+def _pool_tables(maps: int, h: int, w: int) -> tuple[np.ndarray, ...]:
+    """The read-only constants of :func:`maxpool2` for ``maps`` maps of
+    ``(h, w)``, kept for the next call of that shape: the winner's offset in
+    its block for each winner code, each block's upper-left corner in its
+    map (``(h/2, w/2)``), and each map's start in the stack
+    (``(maps, 1, 1)``)."""
+    winners = np.array((0, 1, 0, 1, w, w, w + 1, w + 1))
+    corners = 2 * w * np.arange(h // 2)[:, None] + 2 * np.arange(w // 2)
+    map_starts = h * w * np.arange(maps).reshape(maps, 1, 1)
+    for table in (winners, corners, map_starts):
+        table.flags.writeable = False
+    return winners, corners, map_starts
 
 
 def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +241,8 @@ def _winner_index(argmax) -> np.ndarray:
         raise CorruptionError(
             f"argmax must hold integer indices into maps of shape {(2 * ph, 2 * pw)}"
         )
-    maps = np.arange(0, math.prod(lead) * size, size)
-    return am + maps.reshape(*lead, 1, 1)
+    map_starts = _pool_tables(math.prod(lead), 2 * ph, 2 * pw)[2]
+    return am + map_starts.reshape(*lead, 1, 1)
 
 
 def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

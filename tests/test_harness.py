@@ -506,9 +506,11 @@ _TRAIN_FLAGS = [
 def test_cli_train_flags_set_their_config_fields(tmp_path, monkeypatch,
                                                  command, runner, extra):
     monkeypatch.setattr(harness, runner, _capture)
-    # two-class trains one network: no grid flags, one seed
-    train_flags = [f for f in _TRAIN_FLAGS if command != "two-class"
-                   or f[0] not in ("--sizes", "--variant", "--seeds")]
+    # the curve trains at --per-class only: no --sizes; two-class trains
+    # one network: no grid flags, one seed
+    skipped = {"size-sweep": (), "epoch-curve": ("--sizes",),
+               "two-class": ("--sizes", "--variant", "--seeds")}[command]
+    train_flags = [f for f in _TRAIN_FLAGS if f[0] not in skipped]
     flags = train_flags + extra + [
         ("--data-dir", str(tmp_path / "d"), "data_dir", str(tmp_path / "d")),
         ("--out", str(tmp_path / "o"), "out_dir", str(tmp_path / "o")),
@@ -530,6 +532,16 @@ def test_cli_two_class_offers_no_grid_flags(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(harness, "run_two_class_application", _capture)
     with pytest.raises(SystemExit):
         cli.main(["two-class", "--out", str(tmp_path / "o")] + argv)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_epoch_curve_offers_no_sizes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "run_epoch_curve", _capture)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["epoch-curve", "--out", str(tmp_path / "o"),
+                  "--sizes", "7,9"])
+    assert exited.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from clonalnet import tensor
 from clonalnet.errors import CorruptionError, DimensionError
 from clonalnet.tensor import (
     Windows,
@@ -229,6 +230,21 @@ VIEWS = {
 }
 
 
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# the layouts a Windows input may come in, equal to the stack each is built
+# from
+WINDOW_LAYOUTS = {
+    "c_contiguous": lambda s: s,
+    "sliced": VIEWS["every_other_column"],
+    "fortran_order": VIEWS["fortran_order"],
+    "read_only": read_only,
+}
+
+
 def naive_per_map(stack):
     maps = stack.reshape(-1, *stack.shape[-2:])
     out, argmax = zip(*(maxpool2_naive(m) for m in maps))
@@ -295,6 +311,43 @@ class TestMaxpool2Stack:
         expected = (*shape[:-2], shape[-2] // 2, shape[-1] // 2)
         assert out.shape == argmax.shape == expected
         assert out.dtype == np.float64 and argmax.dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(0, 4, 6), (3, 0, 0), (2, 4, 0)])
+    def test_empty_stacks_route_to_empty_gradients(self, shape):
+        _, argmax = maxpool2(np.ones(shape))
+        grad = maxpool2_backward(argmax, np.ones(argmax.shape))
+        assert grad.shape == shape and grad.dtype == np.float64
+
+    @given(st.integers(0, 2**31 - 1),
+           st.lists(st.sampled_from([(8, 24, 24), (1, 4, 6), (2, 3, 6, 2),
+                                     (64, 24, 24), (6, 8)]),
+                    min_size=2, max_size=5))
+    @settings(max_examples=20, deadline=None)
+    def test_alternating_shapes_match_naive_per_map(self, seed, shapes):
+        # each shape's constants come back from the cache between calls of
+        # other shapes; every call still pools each map as its oracle does
+        rng = np.random.default_rng(seed)
+        for shape in shapes + shapes[::-1]:
+            stack = rng.integers(-2, 2, size=shape).astype(np.float64)
+            out, argmax = maxpool2(stack)
+            out_n, argmax_n = naive_per_map(stack)
+            assert out.tobytes() == out_n.tobytes()
+            assert argmax.tobytes() == argmax_n.tobytes()
+
+    def test_cached_tables_are_read_only_and_results_are_not(self):
+        stack = random_stack(np.random.default_rng(5), (2, 3))
+        maps, (h, w) = 6, stack.shape[-2:]
+        out, argmax = maxpool2(stack)
+        for table in tensor._pool_tables(maps, h, w):
+            assert not table.flags.writeable
+        # a caller owns what it gets back: changing it changes no later call
+        assert out.flags.writeable and argmax.flags.writeable
+        argmax += 1
+        out[...] = np.nan
+        again, argmax_again = maxpool2(stack)
+        out_n, argmax_n = naive_per_map(stack)
+        assert again.tobytes() == out_n.tobytes()
+        assert argmax_again.tobytes() == argmax_n.tobytes()
 
     @pytest.mark.parametrize("shape", [(4,), (3, 5, 4), (2, 4, 3)])
     def test_bad_input_shape_rejected(self, shape):
@@ -393,6 +446,35 @@ class TestStackedKernels:
         assert got.shape == (n * windows.shape[-2] * windows.shape[-1],
                              shape[0] * shape[1])
         assert got.tobytes() == want.reshape(-1, shape[0] * shape[1]).tobytes()
+
+    @given(st.integers(0, 2**31 - 1),
+           st.sampled_from([(), (1,), (3,), (2, 3), (0,), (2, 0)]),
+           st.sampled_from([(5, 5), (3, 2), (1, 1)]),
+           st.sampled_from(sorted(WINDOW_LAYOUTS)))
+    @settings(max_examples=60, deadline=None)
+    def test_windows_equal_the_sliding_window_reference(self, seed, lead,
+                                                        shape, layout):
+        # cols and rows() hold the sliding-window values byte for byte
+        # whatever the input's layout; cols is read-only, and a view of a
+        # C-contiguous input when the windows do not overlap
+        rng = np.random.default_rng(seed)
+        h, w = (int(e) for e in rng.integers(shape, (13, 13)))
+        images = WINDOW_LAYOUTS[layout](rng.normal(size=(*lead, h, w)))
+        windows = Windows(images, shape)
+        oh, ow = h - shape[0] + 1, w - shape[1] + 1
+        ref = sliding_window_view(images, shape, axis=(-2, -1))
+        want_cols = np.moveaxis(ref, (-2, -1), (-4, -3)).reshape(
+            *lead, shape[0] * shape[1], oh * ow)
+        assert windows.shape == (*lead, oh, ow)
+        assert windows.cols.shape == want_cols.shape
+        assert not windows.cols.flags.writeable
+        assert (np.ascontiguousarray(windows.cols).tobytes()
+                == want_cols.tobytes())
+        got = windows.rows()
+        assert got.flags.c_contiguous
+        assert got.tobytes() == ref.reshape(-1, shape[0] * shape[1]).tobytes()
+        if shape == (1, 1) and images.flags.c_contiguous and images.size:
+            assert np.shares_memory(windows.cols, images)
 
     @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
