@@ -17,7 +17,11 @@ their class pools, then every clone proposal against its parent's pool.
 A BLAS product's bits depend on its shape, so each row block keeps the
 product shape a per-original (1, d) or per-parent (n_i, d) call would
 have, and is written into its rows of the table; the elementwise rest of
-the affinity then runs once over the whole table.
+the affinity then runs once over the whole table. The hook returns the
+accepted clones as one :class:`Clones` of arrays, features (k, d) and
+parents (k,), which :func:`clonalnet.nn.batch_gradients` takes as they
+are, and it keeps to numpy's C entry points, as the network's training
+step does.
 
 A pool stores its members as two read-only arrays, features (m, d) and
 scores (m,). ``Antibody`` and ``MemoryPool.members`` are a read-only
@@ -65,7 +69,10 @@ class MemoryPool:
     stores read-only copies of the arrays it is given, and
     :func:`update_memory` returns a new pool with rows merged in. More
     members than ``capacity``, scores not best first, or a non-finite row
-    or score raise ConfigurationError. Pools compare and hash by identity.
+    or score raise ConfigurationError. A pool that :func:`update_memory`
+    builds skips those checks, which its ranking and its input checks
+    already establish, and is the pool the constructor would build from
+    the same arrays. Pools compare and hash by identity.
 
     Compatibility view: a third positional argument of :class:`Antibody`
     objects is converted to the arrays once, and ``members`` shows the
@@ -77,26 +84,22 @@ class MemoryPool:
     antibodies: InitVar[Sequence[Antibody]] = ()
     matrix: np.ndarray = field(default=(), kw_only=True)
     scores: np.ndarray = field(default=(), kw_only=True)
-    # set only by update_memory, whose arrays nothing else holds
-    _fresh: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self, antibodies, _fresh):
+    def __post_init__(self, antibodies):
         matrix, scores = self.matrix, self.scores
         if len(antibodies):
             matrix = [ab.feature for ab in antibodies]
             scores = [ab.affinity_score for ab in antibodies]
-        if not _fresh:
-            try:
-                matrix = np.array(matrix, dtype=np.float64)
-            except ValueError:
-                raise DimensionError(f"pool of class {self.class_label}: "
-                                     f"rows of different widths") from None
-            if not np.isfinite(matrix).all():
-                raise ConfigurationError(f"pool of class {self.class_label}: "
-                                         f"a member row is not finite")
-            scores = np.array(scores, dtype=np.float64)
-        if not len(matrix):
-            matrix = matrix.reshape(0, 0)
+        try:
+            matrix = np.array(matrix, dtype=np.float64)
+        except ValueError:
+            raise DimensionError(f"pool of class {self.class_label}: "
+                                 f"rows of different widths") from None
+        if not np.isfinite(matrix).all():
+            raise ConfigurationError(f"pool of class {self.class_label}: "
+                                     f"a member row is not finite")
+        scores = np.array(scores, dtype=np.float64)
+        matrix = _pool_rows(matrix)
         if matrix.ndim != 2 or scores.shape != (len(matrix),):
             raise DimensionError(
                 f"pool of class {self.class_label}: features "
@@ -121,6 +124,20 @@ class MemoryPool:
             raise ConfigurationError(f"pool of class {self.class_label}: "
                                      f"a member score is not finite")
 
+    @classmethod
+    def _ranked(cls, class_label: int, capacity: int, matrix: np.ndarray,
+                scores: np.ndarray) -> "MemoryPool":
+        """The pool of :func:`update_memory`'s ranked arrays, which nothing
+        else holds: made read-only and kept as they are, without the
+        constructor's checks."""
+        matrix = _pool_rows(matrix)
+        matrix.flags.writeable = scores.flags.writeable = False
+        pool = object.__new__(cls)
+        # the fields of a frozen dataclass, set as its own __init__ would
+        pool.__dict__.update(class_label=class_label, capacity=capacity,
+                             matrix=matrix, scores=scores)
+        return pool
+
     def __len__(self) -> int:
         return len(self.scores)
 
@@ -137,6 +154,11 @@ class MemoryPool:
         """Read-only compatibility view: one Antibody per row, best first."""
         return tuple(Antibody(row, self.class_label, score)
                      for row, score in zip(self.matrix, self.scores.tolist()))
+
+
+def _pool_rows(matrix: np.ndarray) -> np.ndarray:
+    """A pool's member rows: ``matrix``, or (0, 0) when it has none."""
+    return matrix if len(matrix) else matrix.reshape(0, 0)
 
 
 @dataclass(frozen=True)
@@ -324,20 +346,24 @@ def _best_affinities(queries: tuple[np.ndarray, np.ndarray, bool],
     """
     q, query_sq, q_zero = queries
     width = max(len(pool) for _, _, pool in blocks)
-    dot = np.full((len(q), width), -np.inf)
-    ref_sq = np.ones((len(q), width))
+    dot = np.empty((len(q), width))
+    dot.fill(-np.inf)
+    ref_sq = np.empty((len(q), width))
+    ref_sq.fill(1.0)
     for start, stop, pool in blocks:
         r, r_sq, r_zero = pool.rescaled
         if r.shape[1] != q.shape[1]:
             raise DimensionError(
                 f"rows of width {q.shape[1]} do not fit the pool of class "
                 f"{pool.class_label}, of shape {r.shape}")
-        if q_zero and r_zero and not q[start:stop].any(axis=1).all():
+        if q_zero and r_zero and not np.logical_and.reduce(
+                np.logical_or.reduce(q[start:stop], axis=1)):
             raise UndefinedAffinityError(
                 "affinity of two zero vectors is undefined")
         np.matmul(q[start:stop], r.T, out=dot[start:stop, :len(r)])
         ref_sq[start:stop, :len(r)] = r_sq
-    return _finished(dot, query_sq[:, None] * ref_sq).max(axis=1)
+    return np.maximum.reduce(_finished(dot, query_sq[:, None] * ref_sq),
+                             axis=1)
 
 
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
@@ -362,7 +388,9 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
     and the candidates with one index, a copy the new pool keeps. The
     training pools, new-class seeding and ``clonalg_run``'s elite memory
     all rank through this one policy. A non-finite candidate row or score
-    raises ConfigurationError.
+    raises ConfigurationError. The members were checked when their pool
+    was built, and the stable ranking orders the scores best first, so
+    the new pool is built without the constructor's checks.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -371,14 +399,15 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
         raise DimensionError(
             f"candidate rows {features.shape} with scores {scores.shape} do "
             f"not fit a pool of shape {pool.matrix.shape}")
-    if not (np.isfinite(features).all() and np.isfinite(scores).all()):
+    if not (np.logical_and.reduce(np.isfinite(features), axis=None)
+            and np.logical_and.reduce(np.isfinite(scores))):
         raise ConfigurationError(f"pool of class {pool.class_label}: "
                                  f"a candidate row or score is not finite")
     merged = np.concatenate([pool.scores, scores])
-    ranked = np.argsort(-merged, kind="stable")[:pool.capacity]
+    ranked = (-merged).argsort(kind="stable")[:pool.capacity]
     rows = np.concatenate([pool.matrix, features]) if len(pool) else features
-    return MemoryPool(pool.class_label, pool.capacity, matrix=rows[ranked],
-                      scores=merged[ranked], _fresh=True)
+    return MemoryPool._ranked(pool.class_label, pool.capacity, rows[ranked],
+                              merged[ranked])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +465,7 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
                 base = crossover(base, partner, rng)
             proposals[k] = mutate(base, rate, config.sigma, rng)
             k += 1
-    parents = np.repeat(np.arange(len(counts)), counts)
+    parents = np.arange(len(counts)).repeat(counts)
     if not blocks:
         return Clones(proposals, parents, np.empty(0))
     best = _best_affinities(_rescaled(proposals), blocks)
@@ -467,9 +496,11 @@ class ClonalExpander:
             pools[label] = update_memory(
                 empty, seeds, affinity_matrix(seeds, centroid)[:, 0])
 
-    def __call__(self, features, labels):
-        """Return (clone_feature, batch_index) pairs in batch order; a
-        clone's class is its parent's.
+    def __call__(self, features, labels) -> Clones:
+        """Return the batch's accepted :class:`Clones` in batch order,
+        their features and parents as the arrays that
+        :func:`clonalnet.nn.batch_gradients` takes; a clone's class is its
+        parent's.
 
         Each original is scored once against its class pool as it stood
         before the call, in one table with a row per original; that score
@@ -483,17 +514,18 @@ class ClonalExpander:
         if len(features) != len(labels):
             raise DimensionError(
                 f"{len(features)} features but {len(labels)} labels")
-        if not labels:
-            return []
         try:
             x = np.asarray(features, dtype=np.float64)
         except ValueError:
             raise DimensionError("batch rows of different widths") from None
+        if not labels:
+            return Clones(np.empty((0, x.shape[-1] if x.ndim == 2 else 0)),
+                          np.empty(0, np.intp), np.empty(0))
         if x.ndim != 2:
             raise DimensionError(f"a batch must be (n, d) rows, got {x.shape}")
         queries = _rescaled(x)
         label_of = np.array(labels)
-        groups = {l: np.flatnonzero(label_of == l)
+        groups = {l: (label_of == l).nonzero()[0]
                   for l in sorted(set(labels))}
         # bootstrapped into a copy, so that an error below changes no pool
         pools = dict(self.pools)
@@ -512,7 +544,7 @@ class ClonalExpander:
                 np.concatenate([clones.features[mine], x[members]]),
                 np.concatenate([clones.scores[mine], scores[members]]))
         self.pools.update(pools)
-        return list(zip(clones.features, clones.parents.tolist()))
+        return clones
 
 
 # ---------------------------------------------------------------------------

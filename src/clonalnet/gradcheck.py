@@ -3,10 +3,10 @@
 Central differences with step 1e-5 at 64-bit precision, compared against
 :func:`clonalnet.nn.batch_gradients`, the function training uses, on
 randomly seeded parameter/input instances: a one-row batch, and the same
-row plus one clone, passed as a (feature, parent) pair that takes its
-parent's label. Coordinates are sampled per parameter array; relative
-error uses a small denominator floor so exact-zero gradients compare cleanly
-against finite-difference noise.
+row plus one clone, passed as one-row clone feature and parent arrays; the
+clone takes its parent's label. Coordinates are sampled per parameter
+array; relative error uses a small denominator floor so exact-zero
+gradients compare cleanly against finite-difference noise.
 
 The loss is smooth everywhere except where a pooling winner changes. A
 coordinate whose probe interval straddles such a change has no defined
@@ -112,7 +112,7 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
     probs = nn.forward_output(params, features)
     plain = nn.batch_gradients(params, trace, probs, [label])
     clone = nn.batch_gradients(params, trace, probs, [label],
-                               [(features[0] + offset, 0)])
+                               features[:1] + offset, np.zeros(1, np.intp))
 
     err_plain = _max_error_over_coords(
         params, plain, lambda p: _probe(p, image, label),

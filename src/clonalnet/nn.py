@@ -13,18 +13,25 @@ the pooled values are the same, and only a quarter of the map goes through
 it.
 
 The clonal layer itself lives in :mod:`clonalnet.clonal`; ``train_epoch``
-accepts it as an optional hook that expands each batch's feature vectors.
-``batch_gradients`` is the one backward pass: one output-layer pass over the
-original and clone rows, then one pass through the batch trace, where a
-clone, a (feature, parent_index) pair that takes its parent's label, adds
-its error to its parent's row with the mutation offset treated as an
-additive constant (identity Jacobian), so clone gradients reach the
-convolution kernels. Each weight gradient is one matrix product over the
-batch. The backward reads the forward's ``Windows`` and tanh values from
-the trace and makes no im2col of its own: the kernel gradient multiplies
-the convolution error by the rows of that ``Windows``, and tanh' at fc1
-and at the pool winners (only they receive error) is formed from the kept
-tanh values with ``scaled_tanh_prime``'s arithmetic.
+accepts it as an optional hook that expands each batch's feature vectors
+into a :class:`~clonalnet.clonal.Clones`. ``batch_gradients`` is the one
+backward pass: one output-layer pass over the original and clone rows, then
+one pass through the batch trace. The clones come as two arrays, their
+features (k, d) and their parents' batch indices (k,); a clone takes its
+parent's label and adds its error to its parent's row with the mutation
+offset treated as an additive constant (identity Jacobian), so clone
+gradients reach the convolution kernels. Each weight gradient is one
+matrix product over the batch. The backward reads the forward's
+``Windows`` and tanh values from the trace and makes no im2col of its own:
+the kernel gradient multiplies the convolution error by the rows of that
+``Windows``, and tanh' at fc1 and at the pool winners (only they receive
+error) is formed from the kept tanh values with ``scaled_tanh_prime``'s
+arithmetic.
+
+A training batch calls numpy's C entry points only (ufunc ``reduce``,
+ndarray methods, array constructors): the Python-level helpers behind
+``np.sum``, ``ndarray.sum()`` and the like cost more per batch than the
+arithmetic they wrap, and the C calls give the same bits.
 """
 
 from __future__ import annotations
@@ -215,9 +222,9 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
             f"feature shape {feat.shape} does not match width {params.feature_width}"
         )
     logits = dense(params.out_weights, params.out_bias, feat)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
@@ -230,35 +237,67 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return float("inf") if p == 0 else float(-np.log(p))
 
 
+def _class_labels(labels, num_classes: int) -> np.ndarray:
+    """``labels`` as an integer array, every entry in [0, num_classes).
+
+    Labels of any integer dtype pass as they are, the IDX files' uint8
+    among them; labels of another dtype, such as floats whose fraction a
+    cast would drop, raise ConfigurationError, and so does a label
+    outside the classes.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and (
+            np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= num_classes):
+        raise ConfigurationError(f"label outside [0, {num_classes})")
+    return labels
+
+
 def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
-                    labels, clones=()) -> LayerStack:
+                    labels, clone_features=None,
+                    clone_parents=None) -> LayerStack:
     """Cross-entropy gradients summed over a batch and its clones.
 
     ``trace`` and the ``(N, c)`` ``probabilities`` are the forward pass of
-    an ``(N, H, W)`` batch; ``clones`` holds (clone_feature, parent_index)
-    pairs, and a clone's label is its parent's. Each clone's feature-layer
-    error is added to its parent's row, holding the clone-parent offset
-    constant, before one pass through the batch trace, so clone gradients
-    reach every layer. Weight gradients are summed over the rows by matrix
-    products, so the order of their sums is BLAS's, not the batch order.
+    an ``(N, H, W)`` batch, and ``labels`` its ``(N,)`` integer labels.
+    The clones are two arrays, ``clone_features`` (k, d) and
+    ``clone_parents`` (k,), the batch index of each clone's parent; a
+    clone's label is its parent's, and without them there are none. Each
+    clone's feature-layer error is added to its parent's row, holding the
+    clone-parent offset constant, before one pass through the batch trace,
+    so clone gradients reach every layer. Weight gradients are summed over
+    the rows by matrix products, so the order of their sums is BLAS's, not
+    the batch order.
     """
     n = len(trace.feature)
+    width = params.feature_width
     probs = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = np.asarray(labels)
     if probs.shape != (n, params.num_classes) or labels.shape != (n,):
         raise CorruptionError(
             f"probabilities {probs.shape} and labels {labels.shape} do not "
             f"match {n} traced samples of {params.num_classes} classes"
         )
-    if not np.all((0 <= labels) & (labels < params.num_classes)):
-        raise ConfigurationError(f"label outside [0, {params.num_classes})")
-    width = params.feature_width
-    if any(np.shape(feature) != (width,) for feature, _ in clones):
-        raise DimensionError(f"clone features must have shape {(width,)}")
-    clone_features = np.reshape([f for f, _ in clones], (len(clones), width))
-    parents = np.array([parent for _, parent in clones], dtype=np.intp)
-    outside = parents[(parents < 0) | (parents >= n)]
-    if outside.size:
+    labels = _class_labels(labels, params.num_classes)
+    if clone_features is None:
+        clone_features = np.empty((0, width))
+        clone_parents = np.empty(0, np.intp)
+    clone_features = np.asarray(clone_features, dtype=np.float64)
+    parents = np.asarray(clone_parents)
+    if (clone_features.ndim != 2 or clone_features.shape[1] != width
+            or parents.shape != (len(clone_features),)):
+        raise DimensionError(
+            f"clone features {clone_features.shape} and parents "
+            f"{parents.shape} must be (k, {width}) and (k,)")
+    if parents.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"clone parents must be batch indices, got dtype {parents.dtype}")
+    if parents.size and (np.minimum.reduce(parents) < 0
+                         or np.maximum.reduce(parents) >= n):
+        outside = parents[(parents < 0) | (parents >= n)]
         raise ConfigurationError(
             f"clone parent {outside[0]} outside the batch [0, {n})")
     row_labels = np.concatenate([labels, labels[parents]])
@@ -288,10 +327,11 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     # operand shapes or layouts, such as one (k², N·oh·ow) product per
     # kernel or the copy-free product with the transposed cols, differ in
     # the last bits
-    grad_conv_k = (np.moveaxis(dconv_pre, 1, 0).reshape(params.num_maps, -1)
+    grad_conv_k = (dconv_pre.swapaxes(0, 1).reshape(params.num_maps, -1)
                    @ trace.windows.rows())
     return LayerStack(grad_conv_k.reshape(params.conv_kernels.shape),
-                      dconv_pre.sum(axis=(2, 3)).sum(axis=0),
+                      np.add.reduce(np.add.reduce(dconv_pre, axis=(2, 3)),
+                                    axis=0),
                       grad_fc1_w, grad_fc1_b, grad_out_w, grad_out_b)
 
 
@@ -345,12 +385,17 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
     """One pass over ``batches``: list of (images, labels) pairs.
 
     Per batch: one forward pass over the batch's images; when a clonal hook
-    is present, it maps the (N, d) features and the labels to a list of
-    (clone_feature, parent_index) pairs. Original and clone
-    gradients are averaged together before a single SGD step. Returns the
-    updated parameters and the misclassification rate over the originals.
-    A batch whose image and label counts differ, or a step that leaves any
-    parameter non-finite, raises an error naming the 1-based batch.
+    is present, it maps the (N, d) features and the labels to a
+    :class:`~clonalnet.clonal.Clones` (or any object with ``features``
+    (k, d) and ``parents`` (k,) arrays and a ``len``), whose arrays go to
+    ``batch_gradients`` as they are. Original and clone gradients are
+    averaged together before a single SGD step. Returns the updated
+    parameters and the misclassification rate over the originals.
+    A batch whose image and label counts differ, whose labels are not
+    integers in [0, num_classes), or a step that leaves any parameter
+    non-finite, raises an error naming the 1-based batch; the labels are
+    checked before the batch's forward pass, so a bad label reaches
+    neither the hook nor the parameters.
     """
     batches = list(batches)
     if not batches:
@@ -362,15 +407,26 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
             raise DimensionError(f"batch {number}: {len(images)} images but {n} labels")
         if n == 0:
             raise ConfigurationError("empty batch")
+        try:
+            labels = _class_labels(labels, params.num_classes)
+        except ConfigurationError as err:
+            raise ConfigurationError(f"batch {number}: {err}") from None
         features, trace = forward_features(params, images)
         probs = forward_output(params, features)
-        mistakes += int(np.sum(probs.argmax(axis=1) != np.asarray(labels)))
+        mistakes += int(np.add.reduce(probs.argmax(axis=1) != labels))
 
-        clones = [] if clonal_hook is None else clonal_hook(features, labels)
-        grads = batch_gradients(params, trace, probs, labels, clones)
-        grads.scale_(1.0 / (n + len(clones)))
+        if clonal_hook is None:
+            grads = batch_gradients(params, trace, probs, labels)
+            rows = n
+        else:
+            clones = clonal_hook(features, labels)
+            grads = batch_gradients(params, trace, probs, labels,
+                                    clones.features, clones.parents)
+            rows = n + len(clones)
+        grads.scale_(1.0 / rows)
         params = sgd_step(params, grads, learning_rate)
-        if not all(np.isfinite(getattr(params, name)).all()
+        if not all(np.logical_and.reduce(np.isfinite(getattr(params, name)),
+                                         axis=None)
                    for name in LayerStack.ARRAYS):
             raise DivergenceError(
                 f"batch {number}: SGD step left a parameter non-finite"

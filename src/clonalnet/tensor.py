@@ -103,7 +103,7 @@ class Windows:
         flattened row-major. ``cols`` transposed into one contiguous copy,
         or a view of it where it needs none."""
         kh, kw = self.kernel_shape
-        rows = np.ascontiguousarray(np.swapaxes(self.cols, -1, -2))
+        rows = np.ascontiguousarray(self.cols.swapaxes(-1, -2))
         return rows.reshape(-1, kh * kw)
 
 
@@ -236,8 +236,9 @@ def _winner_index(argmax) -> np.ndarray:
     am = np.asarray(argmax)
     *lead, ph, pw = am.shape
     size = 4 * ph * pw
-    if am.size and (not np.issubdtype(am.dtype, np.integer)
-                    or am.min() < 0 or am.max() >= size):
+    if am.size and (am.dtype.kind not in "iu"
+                    or np.minimum.reduce(am, axis=None) < 0
+                    or np.maximum.reduce(am, axis=None) >= size):
         raise CorruptionError(
             f"argmax must hold integer indices into maps of shape {(2 * ph, 2 * pw)}"
         )
@@ -252,11 +253,12 @@ def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     ``(..., H, W)`` gradient of its input.
     """
     g = _as_array(grad_out, "grad_out", 2, stack=True)
-    if np.shape(argmax) != g.shape:
+    am = np.asarray(argmax)
+    if am.shape != g.shape:
         raise DimensionError(
-            f"argmax shape {np.shape(argmax)} does not match grad_out shape {g.shape}"
+            f"argmax shape {am.shape} does not match grad_out shape {g.shape}"
         )
-    index = _winner_index(argmax)
+    index = _winner_index(am)
     *lead, ph, pw = g.shape
     grad_input = np.zeros((*lead, 2 * ph, 2 * pw))
     grad_input.reshape(-1)[index] = g
@@ -307,4 +309,5 @@ def dense_backward(
         )
     rows_v = v.reshape(-1, w.shape[1])
     rows_g = g.reshape(-1, w.shape[0])
-    return rows_g.T @ rows_v, rows_g.sum(axis=0), (w.T @ g[..., None])[..., 0]
+    return (rows_g.T @ rows_v, np.add.reduce(rows_g, axis=0),
+            (w.T @ g[..., None])[..., 0])

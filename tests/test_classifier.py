@@ -1,6 +1,3 @@
-import os
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -573,17 +570,8 @@ class TestDecisionRecords:
         assert lines[2].split(",")[1] == NOMATCH
 
 
-def _allowed_numpy_function(path: str, name: str) -> bool:
-    """The numpy Python functions a one-image decision may enter: the
-    array-function dispatchers (the stubs of ``_core/multiarray.py`` and
-    the ``*_dispatcher`` functions) and ``np.einsum``'s wrapper."""
-    return (path == os.path.join("_core", "multiarray.py")
-            or name.endswith("_dispatcher")
-            or (path == os.path.join("_core", "einsumfunc.py")
-                and name == "einsum"))
-
-
-def test_one_image_decision_enters_no_numpy_python_helpers():
+def test_one_image_decision_enters_no_numpy_python_helpers(
+        numpy_helpers_entered):
     # numpy helpers written in Python (as_strided, np.prod, the
     # ndarray.min/max wrappers) cost more per image than the arithmetic
     # they wrap, so the per-image path keeps to C entry points
@@ -594,22 +582,7 @@ def test_one_image_decision_enters_no_numpy_python_helpers():
     image = rng.random((28, 28))
     # the first decision builds the pools' stack
     classify(nn.forward_features(params, image)[0], pools, 0.5)
-    root = os.path.dirname(np.__file__)
-    entered = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.startswith(root + os.sep):
-            entered.add((os.path.relpath(code.co_filename, root),
-                         code.co_name))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        feature, _ = nn.forward_features(params, image)
-        decision = classify(feature, pools, 0.5)
-    finally:
-        sys.setprofile(previous)
+    decision, entered = numpy_helpers_entered(
+        lambda: classify(nn.forward_features(params, image)[0], pools, 0.5))
     assert not decision.no_match
-    assert {entry for entry in entered
-            if not _allowed_numpy_function(*entry)} == set()
+    assert entered == set()

@@ -447,6 +447,9 @@ class TestGenerateClones:
 # few distinct values, so that ties between scores are common
 memory_scores = st.one_of(st.sampled_from([0.0, 0.5, 0.75, 1.0]),
                           st.floats(0.0, 1.0))
+# any finite score, with ties and both signs of zero
+ranked_scores = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
 
 
 def column(values):
@@ -654,6 +657,40 @@ class TestUpdateMemory:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
+    @given(label=st.integers(-3, 20), width=st.integers(1, 4),
+           capacity=st.integers(1, 6),
+           steps=st.lists(st.lists(ranked_scores, max_size=9), min_size=1,
+                          max_size=4),
+           seed=st.integers(0, 2**31 - 1))
+    # empty candidates into an empty pool, then exactly capacity of them
+    @example(label=0, width=2, capacity=3, steps=[[], [0.5, 0.5, 0.5]],
+             seed=0)
+    # ties of 0.0 and -0.0 between members and candidates, over capacity
+    @example(label=1, width=3, capacity=2,
+             steps=[[0.0, -0.0], [-0.0, 0.0, 0.0], []], seed=1)
+    def test_ranked_pool_equals_the_validated_pool(self, label, width,
+                                                   capacity, steps, seed):
+        # update_memory skips the constructor's checks; the pool it
+        # returns must be the one the constructor builds from its arrays
+        rng = np.random.default_rng(seed)
+        pool = MemoryPool(label, capacity)
+        for scores in steps:
+            rows = rng.normal(size=(len(scores), width))
+            rows[rng.random(rows.shape) < 0.2] = -0.0
+            pool = update_memory(pool, rows, scores)
+            checked = MemoryPool(pool.class_label, pool.capacity,
+                                 matrix=pool.matrix, scores=pool.scores)
+            for got, want in ((pool.matrix, checked.matrix),
+                              (pool.scores, checked.scores)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert (pool.class_label, pool.capacity) == (label, capacity)
+            assert len(pool) <= capacity and len(pool.members) == len(pool)
+            assert np.all(pool.scores[:-1] >= pool.scores[1:])
+            assert np.isfinite(pool.matrix).all()
+            assert np.isfinite(pool.scores).all()
+
 
 def generate_clones_naive(feature, a, pool, peers, config, rng):
     """One parent's clones, proposed one ``mutate`` call at a time and
@@ -785,7 +822,8 @@ class TestExpandMatchesNaive:
             got = batched(features, labels)
             want = expand_naive(naive, features, labels)
             assert len(got) == len(want)
-            for (fa, pa), (fb, pb) in zip(got, want):
+            for fa, pa, (fb, pb) in zip(got.features, got.parents.tolist(),
+                                        want):
                 assert fa.tobytes() == fb.tobytes() and pa == pb
             assert_same_state(batched, naive)
 
@@ -856,8 +894,8 @@ class TestClonalExpander:
             clones = expander(list(feats), list(labels))
             runs.append((clones, expander.pools))
         assert len(runs[0][0]) == len(runs[1][0])
-        for (fa, pa), (fb, pb) in zip(runs[0][0], runs[1][0]):
-            assert np.array_equal(fa, fb) and pa == pb
+        assert np.array_equal(runs[0][0].features, runs[1][0].features)
+        assert np.array_equal(runs[0][0].parents, runs[1][0].parents)
         for label in runs[0][1]:
             assert np.array_equal(runs[0][1][label].matrix,
                                   runs[1][1][label].matrix)
@@ -892,7 +930,7 @@ class TestClonalExpander:
                         originals += 1
                     else:
                         assert any(np.array_equal(row, c)
-                                   for c, _ in clones)
+                                   for c in clones.features)
                         clones_checked += 1
         assert originals > 0 and clones_checked > 0
 
@@ -911,7 +949,7 @@ class TestClonalExpander:
         expander = ClonalExpander(CloneConfig(eta=0.0, memory_capacity=3,
                                               rng_seed=1))
         clones = expander(feats, [0, 0, 1, 1])
-        assert clones == []
+        assert len(clones) == 0 and clones.features.shape == (0, 4)
         assert set(expander.pools) == {0, 1}
 
 

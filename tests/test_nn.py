@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonalnet import nn
-from clonalnet.clonal import CloneConfig, ClonalExpander
+from clonalnet.clonal import CloneConfig, ClonalExpander, Clones
 from clonalnet.errors import (ConfigurationError, CorruptionError,
                               DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
@@ -246,14 +246,22 @@ class TestCrossEntropy:
             assert nn.cross_entropy(np.array([0.0, 1.0]), 0) == np.inf
 
 
-def conv_error(p, trace, probs, labels, clones):
+def clones_near(features, parents, rng):
+    """Clone features (k, d), each its parent's row plus a small offset,
+    and the parents (k,) as an index array."""
+    parents = np.asarray(parents, dtype=np.intp)
+    offsets = rng.normal(scale=0.2, size=(len(parents), features.shape[1]))
+    return features[parents] + offsets, parents
+
+
+def conv_error(p, trace, probs, labels, clone_features, parents):
     """Loss gradient at the conv pre-activations of a batch and its clones,
     built one row at a time from the naive kernels."""
     feature_error = np.zeros_like(trace.feature)
     rows = [(prob, label, n)
             for n, (prob, label) in enumerate(zip(probs, labels))]
     rows += [(nn.forward_output(p, f), labels[parent], parent)
-             for f, parent in clones]
+             for f, parent in zip(clone_features, parents)]
     for prob, label, parent in rows:
         delta = prob.copy()
         delta[label] -= 1.0
@@ -270,16 +278,14 @@ def conv_error(p, trace, probs, labels, clones):
     return dconv * nn.scaled_tanh_prime(trace.conv_pre)
 
 
-def full_map_gradients(p, images, trace, probs, labels, clones):
+def full_map_gradients(p, images, trace, probs, labels, clone_features,
+                       parents):
     """All six gradients with tanh' taken by ``scaled_tanh_prime`` of the
     pre-activations, over the whole conv map
     (``maxpool2_backward(argmax, dpool) * scaled_tanh_prime(conv_pre)``),
     and the kernel gradient's im2col rebuilt from ``images``; otherwise by
     the same operations in the same order as ``batch_gradients``."""
     n = len(trace.feature)
-    clone_features = np.reshape([f for f, _ in clones],
-                                (len(clones), p.feature_width))
-    parents = np.array([c for _, c in clones], dtype=int)
     row_labels = np.concatenate([labels, labels[parents]]).astype(int)
     delta = np.concatenate([probs, nn.forward_output(p, clone_features)])
     delta[np.arange(len(delta)), row_labels] -= 1.0
@@ -327,14 +333,12 @@ class TestBackward:
         images = rng.normal(size=(n, arch.image_size, arch.image_size))
         labels = rng.integers(0, arch.num_classes, size=n)
         features, trace, probs = forward_batch(p, images)
-        clones = [(features[parent]
-                   + rng.normal(scale=0.2, size=arch.feature_width),
-                   int(parent))
-                  for parent in rng.integers(0, n, size=2 * n)
-                  ] if with_clones else []
+        clones = clones_near(
+            features, rng.integers(0, n, size=2 * n) if with_clones else [],
+            rng)
         assert_same_bytes(
-            nn.batch_gradients(p, trace, probs, labels, clones),
-            full_map_gradients(p, images, trace, probs, labels, clones))
+            nn.batch_gradients(p, trace, probs, labels, *clones),
+            full_map_gradients(p, images, trace, probs, labels, *clones))
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
            st.booleans())
@@ -354,14 +358,12 @@ class TestBackward:
         features, trace, probs = forward_batch(p, images)
         assert (np.abs(maxpool2(trace.conv_pre)[0]) > 30).any()
         assert (trace.conv_pre[:, :, 0, 0] == trace.conv_pre[:, :, 1, 1]).all()
-        clones = [(features[parent]
-                   + rng.normal(scale=0.2, size=SMALL.feature_width),
-                   int(parent))
-                  for parent in rng.integers(0, n, size=2 * n)
-                  ] if with_clones else []
+        clones = clones_near(
+            features, rng.integers(0, n, size=2 * n) if with_clones else [],
+            rng)
         assert_same_bytes(
-            nn.batch_gradients(p, trace, probs, labels, clones),
-            full_map_gradients(p, images, trace, probs, labels, clones))
+            nn.batch_gradients(p, trace, probs, labels, *clones),
+            full_map_gradients(p, images, trace, probs, labels, *clones))
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8]),
            st.booleans())
@@ -382,12 +384,9 @@ class TestBackward:
         labels = rng.integers(0, arch.num_classes, size=n)
         features, trace, probs = forward_batch(p, images)
         parents = rng.integers(0, n, size=rng.integers(1, 2 * n + 1))
-        clones = [(features[parent]
-                   + rng.normal(scale=0.2, size=arch.feature_width),
-                   int(parent))
-                  for parent in parents] if with_clones else []
-        grads = nn.batch_gradients(p, trace, probs, labels, clones)
-        dconv = conv_error(p, trace, probs, labels, clones)
+        clones = clones_near(features, parents if with_clones else [], rng)
+        grads = nn.batch_gradients(p, trace, probs, labels, *clones)
+        dconv = conv_error(p, trace, probs, labels, *clones)
         for m in range(arch.num_maps):
             want = sum(conv2d_valid_naive(image, dconv[i, m])
                        for i, image in enumerate(images))
@@ -446,7 +445,7 @@ class TestBackwardFromFeature:
         features, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
         plain = nn.batch_gradients(p, trace, probs, [1])
         doubled = nn.batch_gradients(p, trace, probs, [1],
-                                     [(features[0].copy(), 0)])
+                                     features[:1].copy(), np.array([0]))
         for name in nn.LayerStack.ARRAYS:
             assert np.array_equal(2.0 * getattr(plain, name),
                                   getattr(doubled, name))
@@ -456,7 +455,11 @@ class TestBackwardFromFeature:
         rng = np.random.default_rng(8)
         _, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
         with pytest.raises(DimensionError):
-            nn.batch_gradients(p, trace, probs, [0], [(np.zeros(5), 0)])
+            nn.batch_gradients(p, trace, probs, [0], np.zeros((1, 5)),
+                               np.array([0]))
+        with pytest.raises(DimensionError):   # one parent short
+            nn.batch_gradients(p, trace, probs, [0], np.zeros((2, 6)),
+                               np.array([0]))
 
     @pytest.mark.parametrize("parent", [-1, 2])
     def test_parent_outside_batch_rejected(self, parent):
@@ -467,7 +470,7 @@ class TestBackwardFromFeature:
         features, trace, probs = forward_batch(p, rng.normal(size=(2, 10, 10)))
         with pytest.raises(ConfigurationError, match=f"parent {parent} "):
             nn.batch_gradients(p, trace, probs, [0, 1],
-                               [(features[1].copy(), parent)])
+                               features[1:].copy(), np.array([parent]))
 
     def test_confident_clone_nearly_zero_gradient(self):
         p = nn.init_params(2, SMALL)
@@ -479,7 +482,7 @@ class TestBackwardFromFeature:
         probs = nn.forward_output(p, trace.feature)
         label = int(np.argmax(probs))
         grads = nn.batch_gradients(p, trace, probs, [label],
-                                   [(feature, 0)])
+                                   feature[None], np.array([0]))
         assert np.abs(grads.out_bias).max() < 1e-6
 
 
@@ -593,11 +596,12 @@ class TestTrainEpoch:
                        rng.normal(scale=0.2, size=arch.feature_width)]}
 
         def hook(features, labs):
-            out = []
-            for parent, offs in offsets.items():
-                for off in offs:
-                    out.append((features[parent] + off, parent))
-            return out
+            parents = [parent for parent, offs in offsets.items()
+                       for _ in offs]
+            rows = [features[parent] + off
+                    for parent, offs in offsets.items() for off in offs]
+            return Clones(np.array(rows), np.array(parents),
+                          np.zeros(len(parents)))
 
         p = nn.init_params(13, arch)
         fused, _ = nn.train_epoch(p, [(images, labels)], 0.2, hook)
@@ -646,6 +650,73 @@ class TestTrainEpoch:
         labels[2] = label
         with pytest.raises(ConfigurationError):
             nn.train_epoch(p, [(images, labels)], 0.1)
+
+    def test_bad_label_changes_no_pool_draw_or_parameter(self):
+        # a label outside the classes used to reach the clonal hook before
+        # any check: the hook bootstrapped a pool for it and advanced its
+        # generator, and only then did the backward raise
+        p = nn.init_params(20, SMALL)
+        images, labels = tiny_batch(SMALL, 6, 13)
+        hook = ClonalExpander(CloneConfig(memory_capacity=4, rng_seed=2))
+        p, _ = nn.train_epoch(p, [(images, labels)], 0.1, hook)
+        pools = dict(hook.pools)
+        state = hook.rng.bit_generator.state
+        before = {name: getattr(p, name).copy()
+                  for name in nn.LayerStack.ARRAYS}
+        with pytest.raises(ConfigurationError, match="label outside") as err:
+            nn.train_epoch(p, [(images[:2], np.array([0, 7]))], 0.1, hook)
+        assert hook.pools.keys() == pools.keys()
+        assert all(hook.pools[label] is pools[label] for label in pools)
+        assert hook.rng.bit_generator.state == state
+        for name, array in before.items():
+            assert getattr(p, name).tobytes() == array.tobytes(), name
+        assert str(err.value).startswith("batch 1: ")
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0.0, 1.7]), np.array([0.0, 1.0]), [0.0, 1.0],
+        np.array([False, True]),
+    ], ids=["fraction", "whole-floats", "float-list", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # float labels used to be cast to intp, so 1.7 trained as class 1
+        p = nn.init_params(21, SMALL)
+        images, _ = tiny_batch(SMALL, 2, 14)
+        message = "labels must be integers"
+        with pytest.raises(ConfigurationError, match=message):
+            nn.train_epoch(p, [(images, labels)], 0.1)
+        _, trace, probs = forward_batch(p, images)
+        with pytest.raises(ConfigurationError, match=message):
+            nn.batch_gradients(p, trace, probs, labels)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int32,
+                                       np.uint64, np.intp])
+    def test_integer_labels_of_any_width_train_alike(self, dtype):
+        # the IDX files' labels are uint8
+        images, labels = tiny_batch(SMALL, 8, 15)
+        want, want_err = nn.train_epoch(nn.init_params(22, SMALL),
+                                        [(images, labels)], 0.1)
+        got, got_err = nn.train_epoch(nn.init_params(22, SMALL),
+                                      [(images, labels.astype(dtype))], 0.1)
+        assert got_err == want_err
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("with_hook", [False, True],
+                             ids=["plain", "clonal"])
+    def test_steady_batch_enters_no_numpy_python_helpers(
+            self, with_hook, numpy_helpers_entered):
+        # numpy helpers written in Python (np.sum, np.moveaxis, the
+        # ndarray.sum/all/max wrappers, np.full, np.flatnonzero) cost more
+        # per batch than the arithmetic they wrap, so the training step
+        # keeps to C entry points
+        arch = nn.ArchConfig()
+        images, labels = tiny_batch(arch, 8, 16)
+        hook = (ClonalExpander(CloneConfig(rng_seed=3)) if with_hook
+                else None)
+        # the first batch bootstraps the pools of every label in the batch
+        p, _ = nn.train_epoch(nn.init_params(23, arch), [(images, labels)],
+                              0.05, hook)
+        _, entered = numpy_helpers_entered(
+            lambda: nn.train_epoch(p, [(images, labels)], 0.05, hook))
+        assert entered == set()
 
     def test_divergence_names_the_batch(self):
         p = nn.init_params(17, SMALL)
