@@ -17,7 +17,12 @@ clonal-selection demo for seeds 1-3 and the four IDX files of the default
 synthetic corpus. Last, it runs tiny ``size-sweep``, ``epoch-curve``,
 ``two-class`` and ``clonalg-demo`` commands through ``cli.main`` into a
 temporary directory and digests every file each writes, and its stdout
-with that directory's path taken out. Two trees that print the same lines
+with that directory's path taken out. A last line digests the affinity
+tables ``affinity_matrix`` and ``pool_affinities`` give, and the
+decisions of ``classify_batch``, for one query row and a batch of them
+against three fixed pools; the batch holds a zero row, and both sides
+hold rows of 1e-200 and 1e200 scale, whose squared norms leave the normal
+float range. Two trees that print the same lines
 train bit-identically on these cells and write the same artifacts. BLAS
 is limited to one thread before numpy loads, so summation order does not
 depend on the machine's core count.
@@ -42,8 +47,10 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from clonalnet import cli, harness, synthdigits  # noqa: E402
-from clonalnet.classifier import classify, init_new_class  # noqa: E402
-from clonalnet.clonal import save_pools  # noqa: E402
+from clonalnet.classifier import (classify, classify_batch,  # noqa: E402
+                                  init_new_class)
+from clonalnet.clonal import (MemoryPool, affinity_matrix,  # noqa: E402
+                              pool_affinities, save_pools)
 from clonalnet.mnist import stratified_subset  # noqa: E402
 from clonalnet.nn import ArchConfig, evaluate, forward_features  # noqa: E402
 
@@ -100,6 +107,28 @@ def pool_decisions(params, pools, test, cfg, per_class, seed) -> list:
                 feature, label, cfg.clone_config(per_class, seed), rng,
                 existing=pools)
     return [decisions, len(pools)]
+
+
+def affinity_digest() -> str:
+    """The affinity tables and decisions of the fixed queries and pools."""
+    rng = np.random.default_rng(2027)
+    members = rng.normal(size=(3, 5, 8))
+    members[1, 2] *= 1e-200
+    members[2, 4] *= 1e200
+    pools = {label: MemoryPool(label, 5, matrix=rows, scores=np.zeros(5))
+             for label, rows in enumerate(members)}
+    stack = members.reshape(-1, 8)
+    queries = rng.normal(size=(6, 8))
+    queries[1] = 0.0
+    queries[3] *= 1e-200
+    queries[4] *= 1e200
+    chunks = []
+    for batch in (queries[:1], queries):
+        chunks.append(affinity_matrix(batch, stack).tobytes())
+        chunks += [pool_affinities(batch, pool).tobytes()
+                   for pool in pools.values()]
+        chunks.append(classify_batch(batch, pools, tau_match=0.5))
+    return digest(*chunks)
 
 
 def main() -> int:
@@ -176,6 +205,8 @@ def main() -> int:
             print(f"cli {argv[0]} stdout {digest(text)}")
             for path in sorted(out.iterdir()):
                 print(f"cli {argv[0]} {path.name} {digest(path.read_bytes())}")
+
+    print(f"affinity tables {affinity_digest()}")
     return 0
 
 

@@ -3,11 +3,11 @@
 Phase 1 counts, per class, the pool antibodies whose affinity to the test
 feature clears a match threshold. Phase 2 scores each class that produced
 enough matches by avidity, the mean affinity of its matching antibodies.
-Both phases read one affinity block per batch of test features, from one
-matrix product against the non-empty pools stacked in label order; a
-single feature is a batch of one. The stack, its rows' squared norms and
-the per-class sizes and offsets are kept until the pools change, so a
-batch computes only its own rows' norms. The combined score
+Both phases read one clonal affinity table per batch of test features,
+one matrix product against the non-empty pools stacked in label order; a
+single feature is a batch of one. The stack, prepared once as clonal
+reference rows, and the per-class sizes and offsets are kept until the
+pools change, so a batch prepares only its own rows. The combined score
 is count (normalized by pool size by default) plus avidity; the class with
 the highest score wins, ties going to the lowest class id. A test feature
 that matches nothing is flagged instead of being forced into a class, and a
@@ -58,7 +58,7 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     """Score every class pool against each row of ``features`` (n, d).
 
     The non-empty pools are stacked in label order into one (M, d) matrix,
-    and one affinity block against it, equal to ``affinity_matrix`` of the
+    and one affinity table against it, equal to ``affinity_matrix`` of the
     features and the stack, gives both phases for every row: a
     class's count is the number of its pool's entries >= ``tau_match`` (0
     for an empty pool), and a class with at least ``c_min`` matches gets
@@ -76,14 +76,10 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
         raise DimensionError(
             f"test features must be (n, d) rows, got shape {x.shape}")
     stack = _stacked(tuple(sorted(pools.items())))
-    for label, width in zip(stack.filled, stack.widths):
-        if width != x.shape[1]:
-            raise DimensionError(
-                f"pool of class {label} holds width-{width} features, the "
-                f"test features have width {x.shape[1]}")
     counts = sums = np.zeros((len(x), 0))
     if stack.filled:
-        aff = clonal._affinity(clonal._rescaled(x), stack.rescaled)
+        aff = clonal._affinity_table(x, [(0, len(x), label, reference)
+                                         for label, reference in stack.blocks])
         hit = aff >= tau_match
         counts = np.add.reduceat(hit, stack.offsets, axis=1, dtype=np.intp)
         sums = np.add.reduceat(np.where(hit, aff, 0.0), stack.offsets, axis=1)
@@ -116,34 +112,34 @@ class _Stack(NamedTuple):
 
     labels: list[int]           # every class, in label order
     filled: list[int]           # the classes whose pool is not empty
-    widths: list[int]           # their pools' feature widths
     sizes: list[int]            # their pools' member counts
     offsets: np.ndarray         # where each of them starts in the stack
-    rescaled: tuple | None      # clonal._rescaled of the stacked matrices
+    blocks: list[tuple]         # (class, clonal reference rows) to score
 
 
 @functools.lru_cache(maxsize=1)
 def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
     """The (label, pool) pairs in label order as ``classify_batch`` reads
     them, kept for the next call with the same pools; pools hash by
-    identity and their arrays are read-only, so a kept stack cannot go
-    stale. There are no rescaled rows when no pool holds a member or the
-    pools' widths differ."""
+    identity and their reference rows are read-only, so a kept stack
+    cannot go stale.
+
+    Pools of one width are one reference, the stacked members, named by
+    the first class. Pools of different widths fit no batch, so each is a
+    reference of its own, scored against the whole batch until the first
+    that does not fit raises naming its class."""
     filled = [(label, pool) for label, pool in pools if len(pool)]
-    widths = [pool.matrix.shape[1] for _, pool in filled]
     sizes = [len(pool) for _, pool in filled]
-    rescaled = None
-    if len(set(widths)) == 1:
-        rows, sq, zero = clonal._rescaled(
-            np.concatenate([pool.matrix for _, pool in filled]))
-        rows.flags.writeable = sq.flags.writeable = False
-        rescaled = rows, sq, zero
+    if len({pool.matrix.shape[1] for _, pool in filled}) == 1:
+        blocks = [(filled[0][0], clonal._reference(
+            np.concatenate([pool.matrix for _, pool in filled])))]
+    else:
+        blocks = [(label, pool.rescaled) for label, pool in filled]
     return _Stack(labels=[label for label, _ in pools],
-                  filled=[label for label, _ in filled], widths=widths,
-                  sizes=sizes,
+                  filled=[label for label, _ in filled], sizes=sizes,
                   offsets=np.array(list(accumulate(sizes[:-1], initial=0)),
                                    dtype=np.intp),
-                  rescaled=rescaled)
+                  blocks=blocks)
 
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,

@@ -22,6 +22,9 @@ from .errors import ConfigurationError
 from .gradcheck import run_gradient_audit
 
 GRAD_TOLERANCE = 1e-4
+# the clonalg-demo flags, each the run_clonalg_demo argument it sets
+_DEMO_FLAGS = ("population_size", "generations", "eta", "alpha", "sigma",
+               "select_n")
 
 
 def _add_common(parser) -> None:
@@ -138,20 +141,19 @@ def cmd_two_class(args) -> int:
 def cmd_clonalg_demo(args) -> int:
     cfg = _experiment_config(args)
     out = _out_dir(cfg)
+    # only the flags given; run_clonalg_demo holds the defaults
+    given = {key: getattr(args, key) for key in _DEMO_FLAGS
+             if getattr(args, key) is not None}
     lines = ["seed,generation,best_affinity"]
     series = []
     for seed in cfg.seeds:
-        result = harness.run_clonalg_demo(
-            population_size=args.pop, generations=args.generations,
-            eta=args.eta, alpha=args.alpha, sigma=args.sigma,
-            select_n=args.select_n, seed=seed,
-        )
+        result = harness.run_clonalg_demo(**given, seed=seed)
         history = list(enumerate(result.history, start=1))
         lines += [f"{seed},{gen},{best!r}" for gen, best in history]
         series.append((f"seed {seed}",
                        [(float(g), float(b)) for g, b in history]))
         print(f"seed {seed}: best affinity {result.history[-1]:.4f} "
-              f"after {args.generations} generations")
+              f"after {len(result.history)} generations")
     (out / "clonalg_history.csv").write_text("\n".join(lines) + "\n")
     harness.emit_svg_lineplot(out / "clonalg_history.svg", series,
                               "Best affinity vs generation", "generation",
@@ -214,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clonalg-demo",
                        help="standalone clonal selection on a binary glyph")
     p.add_argument("--out", metavar="DIR", dest="out_dir")
-    p.add_argument("--pop", type=int, default=50, help="population size")
-    p.add_argument("--generations", type=int, default=200)
-    p.add_argument("--eta", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--select-n", type=int, default=10, dest="select_n")
+    p.add_argument("--pop", type=int, dest="population_size", metavar="POP",
+                   help="population size")
+    p.add_argument("--generations", type=int)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--select-n", type=int, dest="select_n")
     p.add_argument("--seeds", default="1", help="comma-separated seeds")
     p.set_defaults(func=cmd_clonalg_demo)
 

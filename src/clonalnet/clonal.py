@@ -6,22 +6,25 @@ pattern-recognition demo.
 
 Affinity maps cosine similarity into [0, 1] via (1 + cos) / 2 so that the
 clone-count and mutation-rate formulas receive a bounded positive quantity.
-``affinity_matrix`` is the one implementation, one GEMM per call;
-``affinity_naive`` is its per-pair test oracle. The GEMM needs each row's
-squared norm, and a matrix that is scored again and again computes its
-norms once: a pool on first use, the classifier's stack of pools when it
-is built. Only the query side is computed per call.
+Every affinity in the package is an entry of a table ``_affinity_table``
+builds: ``affinity_matrix``, ``pool_affinities``, the training hook,
+``generate_clones`` and the classifier each make one call per table, and
+``affinity_naive`` is its per-pair test oracle. A table scores ranges of
+its query rows, each against one reference. A BLAS product's bits depend
+on its shape, so each range is one product of the shape a per-original
+(1, d), per-parent (n_i, d) or whole-batch call has, written into its rows
+of the table; the elementwise rest of the affinity then runs once over the
+whole table. The products need each row's squared norm, and reference rows
+that are scored again and again are prepared once, read-only, by
+``_reference``: a pool's on first use, the classifier's stack of pools
+when it is built. Only the query side is prepared per table.
 
 The training hook scores a batch in two tables: its originals against
 their class pools, then every clone proposal against its parent's pool.
-A BLAS product's bits depend on its shape, so each row block keeps the
-product shape a per-original (1, d) or per-parent (n_i, d) call would
-have, and is written into its rows of the table; the elementwise rest of
-the affinity then runs once over the whole table. The hook returns the
-accepted clones as one :class:`Clones` of arrays, features (k, d) and
-parents (k,), which :func:`clonalnet.nn.batch_gradients` takes as they
-are, and it keeps to numpy's C entry points, as the network's training
-step does.
+It returns the accepted clones as one :class:`Clones` of arrays, features
+(k, d) and parents (k,), which :func:`clonalnet.nn.batch_gradients` takes
+as they are, and it keeps to numpy's C entry points, as the network's
+training step does.
 
 A pool stores its members as two read-only arrays, features (m, d) and
 scores (m,). ``Antibody`` and ``MemoryPool.members`` are a read-only
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
                      read_text)
+from .nn import _class_labels
 
 # squared norms outside this range are rescaled before use: any two inside
 # it, or in the [1, d] of a rescaled row, multiply to a normal float
@@ -144,10 +148,8 @@ class MemoryPool:
     @cached_property
     def rescaled(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """``matrix`` as every affinity against this pool reads it:
-        :func:`_rescaled` of it, computed on first use and then shared."""
-        rows, sq, zero = _rescaled(self.matrix)
-        rows.flags.writeable = sq.flags.writeable = False
-        return rows, sq, zero
+        :func:`_reference` of it, computed on first use and then shared."""
+        return _reference(self.matrix)
 
     @cached_property
     def members(self) -> tuple[Antibody, ...]:
@@ -269,18 +271,17 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     rows, or a row with a non-finite component, raise
     UndefinedAffinityError. :func:`affinity_naive` is the per-pair oracle.
     """
-    r = np.atleast_2d(np.asarray(references, dtype=np.float64))
-    return _affinity(_rescaled(_query_rows(queries, r)), _rescaled(r))
+    q = _rows(queries)
+    return _affinity_table(q, [(0, len(q), None,
+                                _rescaled(_rows(references)))])
 
 
-def _query_rows(queries, r: np.ndarray) -> np.ndarray:
-    """``queries`` as float64 rows of the width of the reference rows ``r``."""
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
-        raise DimensionError(
-            f"affinity needs equal-width rows, got {q.shape} and {r.shape}"
-        )
-    return q
+def _rows(x) -> np.ndarray:
+    """``x`` as float64 rows, a vector as one row; more axes raise."""
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if rows.ndim != 2:
+        raise DimensionError(f"affinity needs rows, got shape {rows.shape}")
+    return rows
 
 
 def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -306,64 +307,58 @@ def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return x, sq, bool(zero.any())
 
 
-def _affinity(queries: tuple[np.ndarray, np.ndarray, bool],
-              references: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
-    """The affinity table of two sides that :func:`_rescaled` prepared."""
-    q, query_sq, q_zero = queries
-    r, ref_sq, r_zero = references
-    if q_zero and r_zero:
-        raise UndefinedAffinityError("affinity of two zero vectors is undefined")
-    return _finished(q @ r.T, query_sq[:, None] * ref_sq)
+def _reference(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """:func:`_rescaled` of reference rows that are kept and scored again
+    and again, made read-only so that every table shares it."""
+    rows, sq, zero = _rescaled(matrix)
+    rows.flags.writeable = sq.flags.writeable = False
+    return rows, sq, zero
 
 
-def _finished(dot: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Affinities, in place in ``dot``, from dot products and the products
-    ``sq`` of the two rows' squared norms.
+def _affinity_table(queries: np.ndarray, blocks) -> np.ndarray:
+    """The affinities of the query rows ``queries`` (n, d), in one table.
 
-    Both squared norms lie in [2^-510, 2^510] or [1, d], so the cosines
-    are finite and clipping them with ``minimum`` and ``maximum`` gives
-    the bits ``np.clip`` would. A dot product of -inf gives affinity 0."""
-    dot /= np.sqrt(sq)
-    np.minimum(dot, 1.0, out=dot)
-    np.maximum(dot, -1.0, out=dot)
-    dot += 1.0
-    dot /= 2.0
-    return dot
-
-
-def _best_affinities(queries: tuple[np.ndarray, np.ndarray, bool],
-                     blocks: list[tuple[int, int, MemoryPool]]) -> np.ndarray:
-    """Best affinity of each prepared query row against its own pool.
-
-    ``queries`` is a :func:`_rescaled` triple, and each (start, stop,
-    pool) of ``blocks`` scores rows start:stop against ``pool``. A block
-    is one product of the shape ``pool_affinities`` of those rows would
-    make, written into its rows of one table. Entries beyond a pool's
-    size stay -inf, which finishes to affinity 0, so they never raise a
-    row's best above its own pool's. A pool of another width raises
-    DimensionError, and a zero query row in a block whose pool holds a
-    zero row UndefinedAffinityError.
+    Each (start, stop, label, reference) of ``blocks`` scores rows
+    start:stop against ``reference``, the :func:`_rescaled` reference rows
+    of class ``label``; the blocks cover the rows of ``queries``, so one
+    block spans them all. A BLAS product's bits depend on its shape, so a
+    block is one product of the shape its rows and its reference give and
+    is written into its rows of the table. Entries past a reference's rows
+    are -inf and finish to affinity 0. A reference of another width raises
+    DimensionError naming its class, and a zero query row in a block whose
+    reference holds a zero row UndefinedAffinityError.
     """
-    q, query_sq, q_zero = queries
-    width = max(len(pool) for _, _, pool in blocks)
+    q, query_sq, q_zero = _rescaled(queries)
+    width = max(len(reference[0]) for *_, reference in blocks)
     dot = np.empty((len(q), width))
-    dot.fill(-np.inf)
-    ref_sq = np.empty((len(q), width))
-    ref_sq.fill(1.0)
-    for start, stop, pool in blocks:
-        r, r_sq, r_zero = pool.rescaled
+    sq = np.empty((len(q), width))
+    if len(blocks) > 1:
+        # the blocks cover the rows, but a reference may be narrower than
+        # the table
+        dot.fill(-np.inf)
+        sq.fill(1.0)
+    for start, stop, label, (r, r_sq, r_zero) in blocks:
         if r.shape[1] != q.shape[1]:
             raise DimensionError(
-                f"rows of width {q.shape[1]} do not fit the pool of class "
-                f"{pool.class_label}, of shape {r.shape}")
+                f"rows of width {q.shape[1]} do not fit the width-"
+                f"{r.shape[1]} " + ("reference rows" if label is None
+                                   else f"pool of class {label}"))
         if q_zero and r_zero and not np.logical_and.reduce(
                 np.logical_or.reduce(q[start:stop], axis=1)):
             raise UndefinedAffinityError(
                 "affinity of two zero vectors is undefined")
         np.matmul(q[start:stop], r.T, out=dot[start:stop, :len(r)])
-        ref_sq[start:stop, :len(r)] = r_sq
-    return np.maximum.reduce(_finished(dot, query_sq[:, None] * ref_sq),
-                             axis=1)
+        sq[start:stop, :len(r)] = r_sq
+    # both squared norms lie in [2^-510, 2^510] or [1, d], so the cosines
+    # are finite and clipping them with minimum and maximum gives the bits
+    # np.clip would
+    sq *= query_sq[:, None]
+    dot /= np.sqrt(sq, out=sq)
+    np.minimum(dot, 1.0, out=dot)
+    np.maximum(dot, -1.0, out=dot)
+    dot += 1.0
+    dot /= 2.0
+    return dot
 
 
 def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
@@ -374,8 +369,8 @@ def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
         raise ConfigurationError(
             f"memory pool for class {pool.class_label} is empty"
         )
-    return _affinity(_rescaled(_query_rows(features, pool.matrix)),
-                     pool.rescaled)
+    q = _rows(features)
+    return _affinity_table(q, [(0, len(q), pool.class_label, pool.rescaled)])
 
 
 def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
@@ -456,7 +451,7 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
         if n_clones == 0:
             continue
         rate = mutation_rate(a, config.alpha)
-        blocks.append((k, k + n_clones, pools[label]))
+        blocks.append((k, k + n_clones, label, pools[label].rescaled))
         for _ in range(n_clones):
             base = features[i]
             if rng.random() < CROSSOVER_PROB:
@@ -468,7 +463,7 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
     parents = np.arange(len(counts)).repeat(counts)
     if not blocks:
         return Clones(proposals, parents, np.empty(0))
-    best = _best_affinities(_rescaled(proposals), blocks)
+    best = np.maximum.reduce(_affinity_table(proposals, blocks), axis=1)
     keep = best >= config.tau
     return Clones(proposals[keep], parents[keep], best[keep])
 
@@ -507,10 +502,10 @@ class ClonalExpander:
         sets its clone count and is its memory score. One
         :func:`generate_clones` call expands the batch. A pool takes its
         accepted clones, then its originals, each in batch order. A batch
-        whose counts, shape, width or values do not fit raises before any
-        pool changes or any draw.
+        whose counts, shape, width or values do not fit, or whose labels
+        are not of an integer dtype, raises before any pool changes or any
+        draw.
         """
-        labels = [int(l) for l in labels]
         if len(features) != len(labels):
             raise DimensionError(
                 f"{len(features)} features but {len(labels)} labels")
@@ -518,13 +513,16 @@ class ClonalExpander:
             x = np.asarray(features, dtype=np.float64)
         except ValueError:
             raise DimensionError("batch rows of different widths") from None
-        if not labels:
+        if not len(labels):
             return Clones(np.empty((0, x.shape[-1] if x.ndim == 2 else 0)),
                           np.empty(0, np.intp), np.empty(0))
         if x.ndim != 2:
             raise DimensionError(f"a batch must be (n, d) rows, got {x.shape}")
-        queries = _rescaled(x)
-        label_of = np.array(labels)
+        label_of = _class_labels(labels)
+        if label_of.ndim != 1:
+            raise DimensionError(
+                f"labels must be one per row, got shape {label_of.shape}")
+        labels = label_of.tolist()
         groups = {l: (label_of == l).nonzero()[0]
                   for l in sorted(set(labels))}
         # bootstrapped into a copy, so that an error below changes no pool
@@ -532,8 +530,9 @@ class ClonalExpander:
         self._bootstrap(pools, x, groups)
         # a block per original, so that a feature's score (and with it the
         # clone draws) does not depend on the rest of its batch
-        scores = _best_affinities(
-            queries, [(i, i + 1, pools[l]) for i, l in enumerate(labels)])
+        scores = np.maximum.reduce(_affinity_table(x, [
+            (i, i + 1, l, pools[l].rescaled) for i, l in enumerate(labels)]),
+            axis=1)
         clones = generate_clones(x, scores, labels, pools, self.config,
                                  self.rng)
         clone_labels = label_of[clones.parents]

@@ -143,7 +143,6 @@ class ForwardTrace:
     and recomputes neither."""
 
     windows: Windows         # the images' im2col, kernel-gradient operand
-    conv_pre: np.ndarray     # (N, f, oh, ow), pre-activation
     argmax: np.ndarray       # (N, f, oh/2, ow/2), flat winners per map
     pool_tanh: np.ndarray    # (N, f, oh/2, ow/2), tanh(TANH_SLOPE * winner)
     pooled_flat: np.ndarray  # (N, p), TANH_SCALE * pool_tanh, flattened
@@ -203,7 +202,6 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     feature = TANH_SCALE * fc1_tanh
     trace = ForwardTrace(
         windows=windows,
-        conv_pre=conv_pre,
         argmax=argmax,
         pool_tanh=pool_tanh,
         pooled_flat=pooled_flat,
@@ -237,8 +235,9 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return float("inf") if p == 0 else float(-np.log(p))
 
 
-def _class_labels(labels, num_classes: int) -> np.ndarray:
-    """``labels`` as an integer array, every entry in [0, num_classes).
+def _class_labels(labels, num_classes: int | None = None) -> np.ndarray:
+    """``labels`` as an integer array, every entry in [0, num_classes)
+    when ``num_classes`` is given.
 
     Labels of any integer dtype pass as they are, the IDX files' uint8
     among them; labels of another dtype, such as floats whose fraction a
@@ -249,7 +248,7 @@ def _class_labels(labels, num_classes: int) -> np.ndarray:
     if labels.dtype.kind not in "iu":
         raise ConfigurationError(
             f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size and (
+    if num_classes is not None and labels.size and (
             np.minimum.reduce(labels, axis=None) < 0
             or np.maximum.reduce(labels, axis=None) >= num_classes):
         raise ConfigurationError(f"label outside [0, {num_classes})")

@@ -336,13 +336,14 @@ class TestClassifyBatch:
                  for c in range(4)}
         pools[4] = MemoryPool(class_label=4, capacity=5)
         calls = []
-        real = clonal._affinity
+        real = clonal._affinity_table
 
-        def counting(queries, references):
-            calls.append((queries[0].shape, references[0].shape))
-            return real(queries, references)
+        def counting(queries, blocks):
+            calls.append((queries.shape, *(reference[0].shape
+                                           for *_, reference in blocks)))
+            return real(queries, blocks)
 
-        monkeypatch.setattr(clonal, "_affinity", counting)
+        monkeypatch.setattr(clonal, "_affinity_table", counting)
         features = rng.normal(size=(rows, 6))
         if rows == 1:
             classify(features[0], pools, tau_match=0.5)
@@ -447,7 +448,7 @@ class TestCachedNorms:
                     assert error is expected
 
         blocks = []
-        real = clonal._affinity
+        real = clonal._affinity_table
 
         def recording(queries, references):
             blocks.append(real(queries, references))
@@ -461,7 +462,7 @@ class TestCachedNorms:
 
         stack = np.concatenate([pool.matrix for pool in pools.values()])
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(clonal, "_affinity", recording)
+            patch.setattr(clonal, "_affinity_table", recording)
             # the first call builds the classifier's stack, the second reads it
             for _ in range(2):
                 error = self.same(classify_block,

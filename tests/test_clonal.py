@@ -870,6 +870,18 @@ class TestBadBatchChangesNothing:
         self.assert_refused(expander, rng.normal(size=4), [2, 0, 1, 2],
                             DimensionError)
 
+    def test_fractional_labels(self):
+        expander = ClonalExpander(CloneConfig(rng_seed=0))
+        features = np.random.default_rng(32).normal(size=(2, 4))
+        self.assert_refused(expander, features, np.array([0.0, 1.7]),
+                            ConfigurationError)
+        assert expander.pools == {}
+
+    def test_label_column(self):
+        expander, rng = self.trained()
+        self.assert_refused(expander, rng.normal(size=(2, 4)),
+                            np.array([[0], [1]]), DimensionError)
+
 
 class TestClonalExpander:
     def test_bootstrap_builds_sorted_pools(self):

@@ -12,9 +12,9 @@ from clonalnet.clonal import CloneConfig, ClonalExpander, Clones
 from clonalnet.errors import (ConfigurationError, CorruptionError,
                               DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
-from clonalnet.tensor import (conv2d_valid_naive, dense, dense_backward,
-                              dense_naive, maxpool2, maxpool2_backward,
-                              maxpool2_naive)
+from clonalnet.tensor import (conv2d_valid, conv2d_valid_naive, dense,
+                              dense_backward, dense_naive, maxpool2,
+                              maxpool2_backward, maxpool2_naive)
 
 SMALL = nn.ArchConfig(image_size=10, num_maps=2, kernel_size=3,
                       feature_width=6, num_classes=3)
@@ -27,6 +27,14 @@ def central_diff(f, x, step=1e-6):
 def zeros_like(params):
     return nn.LayerStack(*(np.zeros_like(getattr(params, name))
                            for name in nn.LayerStack.ARRAYS))
+
+
+def conv_pre(params, trace):
+    """The convolution's pre-activation, (N, f, oh, ow) or (f, oh, ow):
+    ``conv2d_valid`` of the trace's windows per kernel, plus its bias."""
+    return np.stack([conv2d_valid(trace.windows, kernel) + bias
+                     for kernel, bias in zip(params.conv_kernels,
+                                             params.conv_bias)], axis=-3)
 
 
 def forward_batch(params, images):
@@ -131,7 +139,7 @@ class TestForward:
         for image in (rng.normal(size=(10, 10)), np.full((10, 10), 0.5)):
             _, trace = nn.forward_features(p, image)
             for m in range(SMALL.num_maps):
-                act = nn.scaled_tanh(trace.conv_pre[m])
+                act = nn.scaled_tanh(conv_pre(p, trace)[m])
                 assert np.array_equal(trace.argmax[m], maxpool2_naive(act)[1])
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([None, 0, 1, 5]),
@@ -150,11 +158,12 @@ class TestForward:
         images[:, :5] = rng.choice([-1.0, 0.0, 1.0])
         feature, trace = nn.forward_features(p, images[0] if n is None
                                              else images)
-        pool_pre, argmax = maxpool2(trace.conv_pre)
+        pre = conv_pre(p, trace)
+        pool_pre, argmax = maxpool2(pre)
         assert np.array_equal(trace.argmax, argmax)
         pooled = nn.scaled_tanh(pool_pre)
         assert pooled.tobytes() == \
-            maxpool2(nn.scaled_tanh(trace.conv_pre))[0].tobytes()
+            maxpool2(nn.scaled_tanh(pre))[0].tobytes()
         assert pooled.tobytes() == trace.pooled_flat.tobytes()
         # the kept tanh values are those the activations are scaled from
         assert trace.pool_tanh.tobytes() == \
@@ -171,7 +180,7 @@ class TestForward:
         p.conv_bias[1] = 0.25
         rng = np.random.default_rng(0)
         _, trace = nn.forward_features(p, rng.normal(size=(10, 10)))
-        assert np.allclose(trace.conv_pre[1], 0.25)
+        assert np.allclose(conv_pre(p, trace)[1], 0.25)
 
     def test_rejects_non_2d_image(self):
         # an (H, W) image and an (N, H, W) batch are the only accepted shapes,
@@ -267,7 +276,8 @@ def conv_error(p, trace, probs, labels, clone_features, parents):
         delta[label] -= 1.0
         feature_error[parent] += dense_naive(p.out_weights.T,
                                              np.zeros(p.feature_width), delta)
-    dconv = np.zeros_like(trace.conv_pre)
+    pre = conv_pre(p, trace)
+    dconv = np.zeros_like(pre)
     for n, error in enumerate(feature_error):
         fc1_pre = dense_naive(p.fc1_weights, p.fc1_bias, trace.pooled_flat[n])
         dz1 = error * nn.scaled_tanh_prime(fc1_pre)
@@ -275,7 +285,7 @@ def conv_error(p, trace, probs, labels, clone_features, parents):
                             dz1).reshape(trace.argmax.shape[1:])
         for (m, y, x), winner in np.ndenumerate(trace.argmax[n]):
             dconv[n, m].flat[winner] = dpool[m, y, x]
-    return dconv * nn.scaled_tanh_prime(trace.conv_pre)
+    return dconv * nn.scaled_tanh_prime(pre)
 
 
 def full_map_gradients(p, images, trace, probs, labels, clone_features,
@@ -297,7 +307,7 @@ def full_map_gradients(p, images, trace, probs, labels, clone_features,
     dz1 = feature_error * nn.scaled_tanh_prime(fc1_pre)
     fc1_w, fc1_b, dpool = dense_backward(p.fc1_weights, trace.pooled_flat, dz1)
     dconv = (maxpool2_backward(trace.argmax, dpool.reshape(trace.argmax.shape))
-             * nn.scaled_tanh_prime(trace.conv_pre))
+             * nn.scaled_tanh_prime(conv_pre(p, trace)))
     k = p.conv_kernels.shape[-1]
     cols = sliding_window_view(images, (k, k), axis=(-2, -1))
     kernels = (np.moveaxis(dconv, 1, 0).reshape(p.num_maps, -1)
@@ -356,8 +366,9 @@ class TestBackward:
         images[:, :5] = rng.choice([-1.0, 1.0], size=(n, 1, 1))
         labels = rng.integers(0, SMALL.num_classes, size=n)
         features, trace, probs = forward_batch(p, images)
-        assert (np.abs(maxpool2(trace.conv_pre)[0]) > 30).any()
-        assert (trace.conv_pre[:, :, 0, 0] == trace.conv_pre[:, :, 1, 1]).all()
+        pre = conv_pre(p, trace)
+        assert (np.abs(maxpool2(pre)[0]) > 30).any()
+        assert (pre[:, :, 0, 0] == pre[:, :, 1, 1]).all()
         clones = clones_near(
             features, rng.integers(0, n, size=2 * n) if with_clones else [],
             rng)
