@@ -20,13 +20,14 @@ one pass through the batch trace. The clones come as two arrays, their
 features (k, d) and their parents' batch indices (k,); a clone takes its
 parent's label and adds its error to its parent's row with the mutation
 offset treated as an additive constant (identity Jacobian), so clone
-gradients reach the convolution kernels. Each weight gradient is one
-matrix product over the batch. The backward reads the forward's
-``Windows`` and tanh values from the trace and makes no im2col of its own:
-the kernel gradient multiplies the convolution error by the rows of that
-``Windows``, and tanh' at fc1 and at the pool winners (only they receive
-error) is formed from the kept tanh values with ``scaled_tanh_prime``'s
-arithmetic.
+gradients reach the convolution kernels. Each dense layer's weight
+gradient and input error is one matrix product over its rows. The backward
+reads the forward's ``Windows`` and tanh values from the trace and makes no
+im2col of its own: the kernel gradient is one stacked product of each
+image's convolution error with its ``Windows`` columns, transposed in
+place, summed over the batch, and tanh' at fc1 and at the pool winners
+(only they receive error) is formed from the kept tanh values by
+``tanh_prime_from``.
 
 A training batch calls numpy's C entry points only (ufunc ``reduce``,
 ndarray methods, array constructors): the Python-level helpers behind
@@ -55,13 +56,9 @@ def scaled_tanh(x):
     return TANH_SCALE * np.tanh(TANH_SLOPE * np.asarray(x, dtype=np.float64))
 
 
-def scaled_tanh_prime(x):
-    t = np.tanh(TANH_SLOPE * np.asarray(x, dtype=np.float64))
-    return tanh_prime_from(t)
-
-
 def tanh_prime_from(t):
-    """``scaled_tanh_prime(x)`` from ``t = tanh(TANH_SLOPE * x)``."""
+    """The derivative of :func:`scaled_tanh` at x, from
+    ``t = tanh(TANH_SLOPE * x)``."""
     return TANH_SCALE * TANH_SLOPE * (1.0 - t * t)
 
 
@@ -269,7 +266,8 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     clone-parent offset constant, before one pass through the batch trace,
     so clone gradients reach every layer. Weight gradients are summed over
     the rows by matrix products, so the order of their sums is BLAS's, not
-    the batch order.
+    the batch order; the kernel gradient's per-image products are added in
+    batch order.
     """
     n = len(trace.feature)
     width = params.feature_width
@@ -321,13 +319,13 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     dpool = dpool_flat.reshape(trace.argmax.shape)
     dconv_pre = maxpool2_backward(trace.argmax,
                                   dpool * tanh_prime_from(trace.pool_tanh))
-    # kernel gradient as one GEMM: (f, N·oh·ow) error against the
-    # (N·oh·ow, k²) rows of the forward's Windows. Products over other
-    # operand shapes or layouts, such as one (k², N·oh·ow) product per
-    # kernel or the copy-free product with the transposed cols, differ in
-    # the last bits
-    grad_conv_k = (dconv_pre.swapaxes(0, 1).reshape(params.num_maps, -1)
-                   @ trace.windows.rows())
+    # kernel gradient: each image's (f, oh·ow) error against its (oh·ow, k²)
+    # windows, the forward's (k², oh·ow) cols transposed without a copy,
+    # then summed over the batch
+    cols = trace.windows.cols
+    grad_conv_k = np.add.reduce(
+        dconv_pre.reshape(n, params.num_maps, cols.shape[-1])
+        @ cols.swapaxes(-1, -2), axis=0)
     return LayerStack(grad_conv_k.reshape(params.conv_kernels.shape),
                       np.add.reduce(np.add.reduce(dconv_pre, axis=(2, 3)),
                                     axis=0),

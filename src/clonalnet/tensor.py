@@ -6,16 +6,18 @@ throughout. Convolution is cross-correlation: no kernel flip on the forward
 pass, and the backward pass is derived consistently from that convention.
 
 The fast kernels take stacks: any leading axes in front of an ``(H, W)``
-map or a vector, each row computed bit for bit as its own call would be.
+map or a vector, each row computed bit for bit as its own call would be,
+except in ``dense_backward``.
 :class:`Windows` is the im2col of a stack for one kernel shape; built once,
 it serves any number of ``conv2d_valid`` calls with kernels of that shape,
 each the product that a call on the maps would make from its own copy.
 ``maxpool2`` picks each block's winner with strict comparisons over
 contiguous copies of the block corners and reads the output from the
 winner, so ties keep the first element and its bits, and a block holding a
-NaN pools to its first NaN. The one reduction over rows, ``dense_backward``'s
-weight and bias sums, is a matrix product and a numpy sum, equal to the
-row-by-row sum up to rounding.
+NaN pools to its first NaN. ``dense_backward``'s weight and bias sums over
+the rows are a matrix product and a numpy sum, and its input gradients one
+matrix product over all rows, each equal to the row-by-row result up to
+rounding.
 
 Each fast kernel has a brute-force twin (``*_naive``) for one map or vector,
 written as the most literal loop possible. The naive versions are the
@@ -75,8 +77,8 @@ class Windows:
     windows overlap; otherwise it is a copy. The network's
     forward pass unfolds its images once into a ``Windows`` for every
     kernel's ``conv2d_valid``, and its trace keeps it: the backward pass
-    reads the kernel gradient's operand from :meth:`rows` and makes no
-    im2col of its own.
+    multiplies the convolution error by ``cols`` transposed in place and
+    makes no im2col of its own.
     """
 
     def __init__(self, input: np.ndarray, kernel_shape: tuple[int, int]):
@@ -96,15 +98,6 @@ class Windows:
         self.cols = view.reshape(*lead, kh * kw, oh * ow)
         self.cols.flags.writeable = False
         self.shape = (*lead, oh, ow)
-
-    def rows(self) -> np.ndarray:
-        """The windows as a C-ordered ``(M·oh·ow, kh·kw)`` matrix, M maps in
-        the stack: row (m·oh + y)·ow + x is map m's window at (y, x),
-        flattened row-major. ``cols`` transposed into one contiguous copy,
-        or a view of it where it needs none."""
-        kh, kw = self.kernel_shape
-        rows = np.ascontiguousarray(self.cols.swapaxes(-1, -2))
-        return rows.reshape(-1, kh * kw)
 
 
 def conv2d_valid(input, kernel: np.ndarray) -> np.ndarray:
@@ -296,7 +289,11 @@ def dense_backward(
     Returns ``(grad_weights, grad_bias, grad_x)``: weight and bias gradients
     summed over the rows, the weights as one ``(d, n) @ (n, p)`` product, so
     in BLAS's order rather than row order, and the ``(..., p)`` input
-    gradients, each row bit for bit its own call's.
+    gradients as one ``(n, d) @ (d, p)`` product. That product sees the
+    rows, not how the leading axes group them: the same rows give the same
+    bytes under any leading axes, and a vector those of a one-row stack,
+    but a row of a larger stack may differ from its own call in the last
+    bits.
     """
     w = _as_array(weights, "weights", 2)
     v = _as_array(x, "x", 1, stack=True)
@@ -310,4 +307,4 @@ def dense_backward(
     rows_v = v.reshape(-1, w.shape[1])
     rows_g = g.reshape(-1, w.shape[0])
     return (rows_g.T @ rows_v, np.add.reduce(rows_g, axis=0),
-            (w.T @ g[..., None])[..., 0])
+            (rows_g @ w).reshape(v.shape))

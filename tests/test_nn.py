@@ -37,6 +37,13 @@ def conv_pre(params, trace):
                                              params.conv_bias)], axis=-3)
 
 
+def scaled_tanh_prime(x):
+    """The derivative of ``nn.scaled_tanh``, the oracle for
+    ``nn.tanh_prime_from``: tanh' from the pre-activations themselves."""
+    t = np.tanh(nn.TANH_SLOPE * np.asarray(x, dtype=np.float64))
+    return nn.TANH_SCALE * nn.TANH_SLOPE * (1.0 - t * t)
+
+
 def forward_batch(params, images):
     """Features, trace and output probabilities of an (N, H, W) batch."""
     features, trace = nn.forward_features(params, images)
@@ -54,7 +61,7 @@ class TestScaledTanh:
     def test_derivative_matches_finite_difference(self):
         for x in (-2.0, 0.5, 3.0):
             numeric = central_diff(nn.scaled_tanh, x)
-            assert abs(nn.scaled_tanh_prime(x) - numeric) < 1e-8
+            assert abs(scaled_tanh_prime(x) - numeric) < 1e-8
 
     def test_odd_symmetry(self):
         xs = np.linspace(-4, 4, 17)
@@ -280,12 +287,12 @@ def conv_error(p, trace, probs, labels, clone_features, parents):
     dconv = np.zeros_like(pre)
     for n, error in enumerate(feature_error):
         fc1_pre = dense_naive(p.fc1_weights, p.fc1_bias, trace.pooled_flat[n])
-        dz1 = error * nn.scaled_tanh_prime(fc1_pre)
+        dz1 = error * scaled_tanh_prime(fc1_pre)
         dpool = dense_naive(p.fc1_weights.T, np.zeros(p.fc1_weights.shape[1]),
                             dz1).reshape(trace.argmax.shape[1:])
         for (m, y, x), winner in np.ndenumerate(trace.argmax[n]):
             dconv[n, m].flat[winner] = dpool[m, y, x]
-    return dconv * nn.scaled_tanh_prime(pre)
+    return dconv * scaled_tanh_prime(pre)
 
 
 def full_map_gradients(p, images, trace, probs, labels, clone_features,
@@ -293,8 +300,9 @@ def full_map_gradients(p, images, trace, probs, labels, clone_features,
     """All six gradients with tanh' taken by ``scaled_tanh_prime`` of the
     pre-activations, over the whole conv map
     (``maxpool2_backward(argmax, dpool) * scaled_tanh_prime(conv_pre)``),
-    and the kernel gradient's im2col rebuilt from ``images``; otherwise by
-    the same operations in the same order as ``batch_gradients``."""
+    and the kernel gradient's im2col rebuilt from ``images`` in
+    ``Windows.cols``' (n, k², oh·ow) layout; otherwise by the same
+    operations in the same order as ``batch_gradients``."""
     n = len(trace.feature)
     row_labels = np.concatenate([labels, labels[parents]]).astype(int)
     delta = np.concatenate([probs, nn.forward_output(p, clone_features)])
@@ -304,14 +312,15 @@ def full_map_gradients(p, images, trace, probs, labels, clone_features,
     feature_error = drows[:n]
     np.add.at(feature_error, parents, drows[n:])
     fc1_pre = dense(p.fc1_weights, p.fc1_bias, trace.pooled_flat)
-    dz1 = feature_error * nn.scaled_tanh_prime(fc1_pre)
+    dz1 = feature_error * scaled_tanh_prime(fc1_pre)
     fc1_w, fc1_b, dpool = dense_backward(p.fc1_weights, trace.pooled_flat, dz1)
     dconv = (maxpool2_backward(trace.argmax, dpool.reshape(trace.argmax.shape))
-             * nn.scaled_tanh_prime(conv_pre(p, trace)))
+             * scaled_tanh_prime(conv_pre(p, trace)))
     k = p.conv_kernels.shape[-1]
-    cols = sliding_window_view(images, (k, k), axis=(-2, -1))
-    kernels = (np.moveaxis(dconv, 1, 0).reshape(p.num_maps, -1)
-               @ cols.reshape(-1, k * k))
+    windows = sliding_window_view(images, (k, k), axis=(-2, -1))
+    cols = np.moveaxis(windows, (-2, -1), (1, 2)).reshape(n, k * k, -1)
+    kernels = np.add.reduce(
+        dconv.reshape(n, p.num_maps, -1) @ cols.swapaxes(-1, -2), axis=0)
     return nn.LayerStack(kernels.reshape(p.conv_kernels.shape),
                          dconv.sum(axis=(2, 3)).sum(axis=0),
                          fc1_w, fc1_b, out_w, out_b)
