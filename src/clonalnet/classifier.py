@@ -76,10 +76,17 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
         raise DimensionError(
             f"test features must be (n, d) rows, got shape {x.shape}")
     stack = _stacked(tuple(sorted(pools.items())))
+    if stack.width != x.shape[1]:
+        # the pools differ in width, or share one that is not the batch's
+        for label in stack.filled:
+            width = pools[label].matrix.shape[1]
+            if width != x.shape[1]:
+                raise DimensionError(
+                    f"rows of width {x.shape[1]} do not fit the width-"
+                    f"{width} pool of class {label}")
     counts = sums = np.zeros((len(x), 0))
     if stack.filled:
-        aff = clonal._affinity_table(x, [(0, len(x), label, reference)
-                                         for label, reference in stack.blocks])
+        aff = clonal._affinity_table(x, [(0, len(x), None, stack.reference)])
         hit = aff >= tau_match
         counts = np.add.reduceat(hit, stack.offsets, axis=1, dtype=np.intp)
         sums = np.add.reduceat(np.where(hit, aff, 0.0), stack.offsets, axis=1)
@@ -114,7 +121,8 @@ class _Stack(NamedTuple):
     filled: list[int]           # the classes whose pool is not empty
     sizes: list[int]            # their pools' member counts
     offsets: np.ndarray         # where each of them starts in the stack
-    blocks: list[tuple]         # (class, clonal reference rows) to score
+    width: int | None           # their common width, None if they differ
+    reference: tuple | None     # their stacked clonal reference rows
 
 
 @functools.lru_cache(maxsize=1)
@@ -124,22 +132,22 @@ def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
     identity and their reference rows are read-only, so a kept stack
     cannot go stale.
 
-    Pools of one width are one reference, the stacked members, named by
-    the first class. Pools of different widths fit no batch, so each is a
-    reference of its own, scored against the whole batch until the first
-    that does not fit raises naming its class."""
+    The non-empty pools' members are stacked into one reference. Pools of
+    different widths fit no batch, so they have no width and no
+    reference."""
     filled = [(label, pool) for label, pool in pools if len(pool)]
     sizes = [len(pool) for _, pool in filled]
-    if len({pool.matrix.shape[1] for _, pool in filled}) == 1:
-        blocks = [(filled[0][0], clonal._reference(
-            np.concatenate([pool.matrix for _, pool in filled])))]
-    else:
-        blocks = [(label, pool.rescaled) for label, pool in filled]
+    widths = {pool.matrix.shape[1] for _, pool in filled}
+    width = reference = None
+    if len(widths) == 1:
+        (width,) = widths
+        reference = clonal._reference(
+            np.concatenate([pool.matrix for _, pool in filled]))
     return _Stack(labels=[label for label, _ in pools],
                   filled=[label for label, _ in filled], sizes=sizes,
                   offsets=np.array(list(accumulate(sizes[:-1], initial=0)),
                                    dtype=np.intp),
-                  blocks=blocks)
+                  width=width, reference=reference)
 
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,

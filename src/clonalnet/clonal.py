@@ -174,14 +174,17 @@ class CloneConfig:
 
     def __post_init__(self):
         # every range check is written so that NaN fails it
-        if not self.eta >= 0:
-            raise ConfigurationError(f"eta must be >= 0, got {self.eta}")
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 <= self.eta < math.inf:
+            raise ConfigurationError(
+                f"eta must be finite and >= 0, got {self.eta}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigurationError(
+                f"alpha must be finite and > 0, got {self.alpha}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
-        if not self.sigma >= 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigurationError(
+                f"sigma must be finite and >= 0, got {self.sigma}")
         if self.memory_capacity < 1:
             raise ConfigurationError(
                 f"memory_capacity must be >= 1, got {self.memory_capacity}"

@@ -14,6 +14,7 @@ subset; only the clonal hook differs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -79,10 +80,10 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate >= 0:   # written so that NaN fails it
+        if not 0 <= self.learning_rate < math.inf:   # NaN fails it too
             # zero is a legal no-op rate (useful for pure-evaluation passes)
             raise ConfigurationError(
-                f"learning_rate must be >= 0, got {self.learning_rate}"
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
         if self.tau_match is not None and not 0.0 <= self.tau_match <= 1.0:
             raise ConfigurationError(
@@ -117,15 +118,18 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
+    """Flat key=value lines; '#' starts a comment; blank lines ignored.
+    A key given twice raises ConfigurationError naming its 1-based line."""
     mapping: dict[str, str] = {}
-    for raw in read_text(path).splitlines():
+    for number, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in mapping:
+            raise ConfigurationError(f"line {number}: repeated key {key!r}")
         mapping[key] = value
     return mapping
 
@@ -203,6 +207,8 @@ def fixed_test_subset(test: Dataset, total: int) -> Dataset:
     images, the same number from each class; a ``total`` that is not a
     positive multiple of the class count raises ConfigurationError."""
     classes = len(test.class_ids)
+    if not classes:
+        raise ConfigurationError("the dataset has no classes")
     if total < 1 or total % classes:
         raise ConfigurationError(
             f"test subset of {total} images is not a positive multiple of "
@@ -455,37 +461,6 @@ def emit_csv(path, rows: list[SweepResult]) -> None:
         lines.append(f"{r.variant},{r.per_class_size},{r.seed},{r.epoch},"
                      f"{float(r.train_error)!r},{float(r.test_error)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path) -> list[SweepResult]:
-    """Rows written by :func:`emit_csv`. A malformed row, or one with an
-    unknown variant, a size or epoch below 1 or an error rate outside
-    [0, 1], raises ConfigurationError naming its 1-based line."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigurationError(f"unrecognized results header in {path}")
-    width = len(CSV_HEADER.split(","))
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ConfigurationError(
-                f"{path} line {number}: {len(cells)} fields, expected {width}")
-        variant, size, seed, epoch, tr, te = cells
-        try:
-            row = SweepResult(variant, int(size), int(seed), int(epoch),
-                              float(tr), float(te))
-            # written so that a NaN error rate fails it
-            if (variant not in VARIANTS or row.per_class_size < 1
-                    or row.epoch < 1 or not 0.0 <= row.train_error <= 1.0
-                    or not 0.0 <= row.test_error <= 1.0):
-                raise ValueError
-        except ValueError:
-            raise ConfigurationError(
-                f"{path} line {number}: bad or unparseable value in {line!r}"
-            ) from None
-        rows.append(row)
-    return rows
 
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#2e8b57", "#8e44ad", "#d35400", "#16a085")

@@ -4,8 +4,8 @@ small-subset sampling for the data-scarcity sweeps.
 The IDX container is the standard big-endian MNIST layout: images carry
 magic 0x00000803 followed by count/rows/cols as 32-bit words and raw pixel
 bytes; labels carry magic 0x00000801, a count word, and label bytes. Pixels
-map to [0, 1] by /255. Serializers are provided for round-trip testing and
-for writing synthetic corpora in the same container.
+map to [0, 1] by /255. The image header, pixel quantizer and label
+serializer write the synthetic corpus in the same container.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ def idx_image_header(count: int, rows: int, cols: int) -> bytes:
     return struct.pack(">4I", IMAGE_MAGIC, count, rows, cols)
 
 
-def serialize_idx_images(images: np.ndarray) -> bytes:
-    """Inverse of :func:`parse_idx_images`; pixels re-quantized by
-    :func:`quantize_pixels`. ``images`` must be (count, rows, cols)."""
-    arr = np.asarray(images)
-    if arr.ndim != 3:
-        raise DimensionError(
-            f"IDX images need shape (count, rows, cols), got {arr.shape}")
-    return idx_image_header(*arr.shape) + quantize_pixels(arr).tobytes()
-
-
 def serialize_idx_labels(labels: np.ndarray) -> bytes:
     """Labels as IDX bytes; each must be an integer in [0, 255]."""
     arr = np.asarray(labels)
@@ -146,6 +136,8 @@ def stratified_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
     deterministic per seed. Order is by class, then draw order."""
     if per_class < 1:
         raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
+    if not len(ds):
+        raise ConfigurationError("the dataset has no classes")
     rng = np.random.default_rng(seed)
     picks = []
     for cls in ds.class_ids:

@@ -363,12 +363,13 @@ EVAL_CHUNK = 50
 
 def evaluate(params: LayerStack, images: np.ndarray, labels: np.ndarray) -> float:
     """Misclassification rate over a sample set, one ``predict`` per chunk
-    of ``EVAL_CHUNK`` images."""
+    of ``EVAL_CHUNK`` images. Labels that are not integers in
+    [0, num_classes) raise ConfigurationError."""
     if len(images) != len(labels):
         raise DimensionError(f"{len(images)} images but {len(labels)} labels")
     if not len(labels):
         raise ConfigurationError("evaluate requires at least one sample")
-    labels = np.asarray(labels)
+    labels = _class_labels(labels, params.num_classes)
     wrong = 0
     for start in range(0, len(labels), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)

@@ -304,7 +304,9 @@ def dense_backward(
             f"dense_backward shapes disagree: weights {w.shape}, x {v.shape}, "
             f"grad_out {g.shape}"
         )
-    rows_v = v.reshape(-1, w.shape[1])
-    rows_g = g.reshape(-1, w.shape[0])
+    # the row count comes from the leading axes, so a width of 0 fits too
+    rows = math.prod(v.shape[:-1])
+    rows_v = v.reshape(rows, w.shape[1])
+    rows_g = g.reshape(rows, w.shape[0])
     return (rows_g.T @ rows_v, np.add.reduce(rows_g, axis=0),
             (rows_g @ w).reshape(v.shape))

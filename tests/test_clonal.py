@@ -1232,6 +1232,8 @@ class TestCloneConfigValidation:
         {"tau": -0.1}, {"memory_capacity": -1}, {"memory_capacity": 0},
         {"eta": float("nan")}, {"alpha": float("nan")},
         {"sigma": float("nan")}, {"tau": float("nan")},
+        {"eta": float("inf")}, {"alpha": float("inf")},
+        {"sigma": float("inf")},
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -26,14 +26,14 @@ from clonalnet.harness import (
     fixed_test_subset,
     load_config,
     parse_config_file,
-    read_csv,
     run_epoch_curve,
     run_size_sweep,
     run_two_class_application,
     sweep_summary_series,
     train_variant,
 )
-from clonalnet.mnist import Dataset, serialize_idx_images, stratified_subset
+from clonalnet.mnist import (Dataset, idx_image_header, quantize_pixels,
+                             serialize_idx_labels, stratified_subset)
 from clonalnet.nn import ArchConfig
 
 # settings small enough that a full training cell takes well under a second
@@ -55,6 +55,14 @@ def test_parse_config_file_rejects_bare_token(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("epochs\n")
     with pytest.raises(ConfigurationError):
+        parse_config_file(path)
+
+
+def test_parse_config_file_rejects_a_repeated_key(tmp_path):
+    # the last of the two used to win silently
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 3\n# again\n\nepochs = 4\n")
+    with pytest.raises(ConfigurationError, match="line 4: repeated key 'epochs'"):
         parse_config_file(path)
 
 
@@ -112,6 +120,10 @@ def test_mapping_bool_words(text, value):
     ("tau_match", "high"),
     ("learning_rate", "nan"),
     ("eta", "-1"),
+    ("eta", "inf"),
+    ("alpha", "inf"),
+    ("sigma", "inf"),
+    ("learning_rate", "inf"),
 ])
 def test_mapping_bad_value_names_key(key, text):
     with pytest.raises(ConfigurationError, match=key):
@@ -158,6 +170,10 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"sizes": (10, 10)},
     {"seeds": (1, 1)},
     {"seeds": (-1,)},
+    {"eta": float("inf")},
+    {"alpha": float("inf")},
+    {"sigma": float("inf")},
+    {"learning_rate": float("inf")},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
@@ -186,7 +202,8 @@ def test_derived_seed_is_stable():
 def test_ensure_corpus_refuses_a_partial_directory(tmp_path):
     # a directory with some of the four files is not overwritten
     images = tmp_path / synthdigits.TRAIN_IMAGES
-    images.write_bytes(serialize_idx_images(np.zeros((5, 28, 28))))
+    images.write_bytes(idx_image_header(5, 28, 28)
+                       + quantize_pixels(np.zeros((5, 28, 28))).tobytes())
     assert images.stat().st_size == 3936
     with pytest.raises(ConfigurationError, match=synthdigits.TEST_LABELS):
         ensure_corpus(tmp_path)
@@ -229,6 +246,18 @@ def test_fixed_test_subset_rejects_totals_off_the_class_count(corpus, total):
 # result tables
 # ---------------------------------------------------------------------------
 
+def csv_rows(path):
+    """The rows of an emitted results table, read back with split(",")."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = []
+    for line in lines[1:]:
+        variant, size, seed, epoch, train, test = line.split(",")
+        rows.append(SweepResult(variant, int(size), int(seed), int(epoch),
+                                float(train), float(test)))
+    return rows
+
+
 def test_csv_round_trip_and_ordering(tmp_path):
     rows = [
         SweepResult("cnn-ais", 10, 2, 15, 0.125, 0.3701),
@@ -239,7 +268,7 @@ def test_csv_round_trip_and_ordering(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("cnn,10,1,15,")
-    back = read_csv(path)
+    back = csv_rows(path)
     assert back == sorted(rows, key=lambda r: (r.variant, r.per_class_size,
                                                r.seed, r.epoch))
 
@@ -247,43 +276,6 @@ def test_csv_round_trip_and_ordering(tmp_path):
 def test_emit_csv_refuses_empty(tmp_path):
     with pytest.raises(ConfigurationError):
         emit_csv(tmp_path / "r.csv", [])
-
-
-def test_read_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ConfigurationError):
-        read_csv(path)
-
-
-@pytest.mark.parametrize("rows, line", [
-    ("cnn,10,1,15,0.1,0.2\ncnn,10,2,15,0.1\n", 3),
-    ("cnn,10,1,15,0.1,0.2\n\ncnn,10,2,15,0.1,0.2\n", 3),
-    ("cnn,10,1,15,0.1,zero\n", 2),
-    ("cnn,ten,1,15,0.1,0.2\n", 2),
-    ("cnn,10,1,15,0.1,0.2\nrnn,10,1,15,0.1,0.2\n", 3),
-    ("cnn,0,1,15,0.1,0.2\n", 2),
-    ("cnn,-10,1,15,0.1,0.2\n", 2),
-    ("cnn,10,1,0,0.1,0.2\n", 2),
-    ("cnn,10,1,15,nan,0.2\n", 2),
-    ("cnn,10,1,15,0.1,inf\n", 2),
-    ("cnn,10,1,15,0.1,-3\n", 2),
-    ("cnn,10,1,15,1.5,0.2\n", 2),
-], ids=["field-count", "blank-line", "unparseable-float", "unparseable-int",
-        "unknown-variant", "size-zero", "size-negative", "epoch-zero",
-        "error-nan", "error-inf", "error-negative", "error-above-one"])
-def test_read_csv_malformed_row_names_line(tmp_path, rows, line):
-    path = tmp_path / "r.csv"
-    path.write_text(CSV_HEADER + "\n" + rows)
-    with pytest.raises(ConfigurationError, match=f"r.csv line {line}:"):
-        read_csv(path)
-
-
-def test_read_csv_rejects_undecodable_byte(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_bytes(CSV_HEADER.encode() + b"\ncnn,10,1,15,0.1,0.2\xff\n")
-    with pytest.raises(ConfigurationError, match="r.csv: undecodable"):
-        read_csv(path)
 
 
 @given(st.lists(
@@ -296,7 +288,7 @@ def test_csv_floats_survive_round_trip(tmp_path_factory, cells):
     path = tmp_path_factory.mktemp("csv") / "r.csv"
     rows = [SweepResult(*cell) for cell in cells]
     emit_csv(path, rows)
-    back = read_csv(path)
+    back = csv_rows(path)
     # repr-based serialization: every float comes back bit-identical
     assert sorted(back, key=lambda r: (r.variant, r.per_class_size,
                                        r.seed, r.epoch)) == \
@@ -604,10 +596,22 @@ def test_cli_size_sweep_smoke(tmp_path, corpus_dir):
                    "--sizes", "2", "--seeds", "1", "--epochs", "1",
                    "--variant", "cnn"])
     assert rc == 0
-    rows = read_csv(tmp_path / "o" / "size_sweep.csv")
+    rows = csv_rows(tmp_path / "o" / "size_sweep.csv")
     assert len(rows) == 1
     assert rows[0].variant == "cnn"
     assert (tmp_path / "o" / "size_sweep.svg").exists()
+
+
+def test_cli_size_sweep_on_an_empty_corpus_names_the_cause(tmp_path):
+    # four valid index files of 0 images used to die with ZeroDivisionError
+    for images, labels in ((synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS),
+                           (synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)):
+        (tmp_path / images).write_bytes(idx_image_header(0, 28, 28))
+        (tmp_path / labels).write_bytes(serialize_idx_labels(np.zeros(0)))
+    with pytest.raises(ConfigurationError, match="dataset has no classes"):
+        cli.main(["size-sweep", "--data-dir", str(tmp_path),
+                  "--out", str(tmp_path / "o"), "--sizes", "2",
+                  "--seeds", "1", "--epochs", "1"])
 
 
 def test_cli_epoch_curve_writes_versioned_pools(tmp_path, corpus_dir):
@@ -621,7 +625,7 @@ def test_cli_epoch_curve_writes_versioned_pools(tmp_path, corpus_dir):
     assert rc == 0
     pool_file = tmp_path / "o" / "pools_seed2.txt"
     assert pool_file.read_text().splitlines()[0] == "clonalnet-pools v1"
-    assert len(read_csv(tmp_path / "o" / "epoch_curve.csv")) == 2
+    assert len(csv_rows(tmp_path / "o" / "epoch_curve.csv")) == 2
 
 
 def test_cli_two_class_smoke(tmp_path, corpus_dir, capsys):

@@ -799,3 +799,13 @@ class TestEvaluate:
         images, labels = tiny_batch(SMALL, 4, 2)
         with pytest.raises(DimensionError):
             nn.evaluate(p, images[:num_images], labels[:3])
+
+    @pytest.mark.parametrize("bad", [[SMALL.num_classes, 1], [-1, 1],
+                                     [0.5, 1.0]],
+                             ids=["above", "negative", "fractional"])
+    def test_labels_outside_the_classes_rejected(self, bad):
+        # each used to count as a miss without a word
+        p = nn.init_params(16, SMALL)
+        images, _ = tiny_batch(SMALL, 2, 3)
+        with pytest.raises(ConfigurationError, match="label"):
+            nn.evaluate(p, images, bad)

@@ -561,6 +561,16 @@ class TestDense:
         assert rel_err(gb, num_gb) < 1e-6
         assert rel_err(gx, num_gx) < 1e-6
 
+    @pytest.mark.parametrize("lead", [(), (2, 4)], ids=["vector", "stack"])
+    def test_backward_of_a_layer_with_no_outputs(self, lead):
+        # dense gives an empty vector per row; the backward used to raise
+        # numpy's ValueError reshaping the empty gradient
+        w, x, g = np.ones((0, 3)), np.ones(lead + (3,)), np.ones(lead + (0,))
+        assert dense(w, np.ones(0), x).shape == g.shape
+        gw, gb, gx = dense_backward(w, x, g)
+        assert gw.shape == (0, 3) and gb.shape == (0,)
+        assert gx.shape == x.shape and not gx.any()
+
 
 def test_all_ops_finite_on_finite_inputs():
     rng = np.random.default_rng(21)
