@@ -65,12 +65,16 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     their mean affinity as avidity. Score = count / pool_size + avidity (or
     raw count + avidity when ``raw_count``). A row for which no class
     qualifies is a no-match. A pool whose width differs from the features'
-    raises DimensionError naming its class.
+    raises DimensionError naming its class, and a ``tau_match`` outside
+    [0, 1] or a ``c_min`` below 1, NaN included, ConfigurationError.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
-    if c_min < 1:
+    if not c_min >= 1:
         raise ConfigurationError(f"c_min must be >= 1, got {c_min}")
+    if not 0.0 <= tau_match <= 1.0:
+        raise ConfigurationError(
+            f"tau_match must be in [0, 1], got {tau_match}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(

@@ -27,8 +27,8 @@ from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
                      clonalg_run, save_pools)
 from .errors import ConfigurationError, DivergenceError, read_text
 from .mnist import Dataset, batches, load_dataset, stratified_subset
-from .nn import (ArchConfig, evaluate, forward_features, init_params,
-                 train_epoch)
+from .nn import (ArchConfig, _class_labels, evaluate, forward_features,
+                 init_params, train_epoch)
 
 CSV_HEADER = "variant,per_class_size,seed,epoch,train_error,test_error"
 VARIANTS = ("cnn", "cnn-ais")
@@ -248,12 +248,10 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
                 f"{name} images are {ds.images.shape[1:]}, the network "
                 f"takes {side}"
             )
-    if len(train_ds) and not (0 <= train_ds.labels.min()
-                              and train_ds.labels.max() < arch.num_classes):
-        raise ConfigurationError(
-            f"train labels span [{train_ds.labels.min()}, "
-            f"{train_ds.labels.max()}], outside [0, {arch.num_classes})"
-        )
+    try:
+        _class_labels(train_ds.labels, arch.num_classes)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"train {err}") from None
     params = init_params(derived_seed(seed, per_class, 11), arch)
     expander = None
     if variant == "cnn-ais":

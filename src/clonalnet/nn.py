@@ -10,7 +10,10 @@ one call, and ``evaluate`` makes one ``predict`` call per chunk of
 :class:`~clonalnet.tensor.Windows` that every kernel's ``conv2d_valid``
 reads, and pools the pre-activations before the tanh: tanh is monotone, so
 the pooled values are the same, and only a quarter of the map goes through
-it.
+it. Each dense layer is one matrix product over a batch's rows (see
+:func:`~clonalnet.tensor.dense`), so a batch row equals its image's own
+forward bit for bit up to the pooled features, and from fc1 on up to
+rounding.
 
 The clonal layer itself lives in :mod:`clonalnet.clonal`; ``train_epoch``
 accepts it as an optional hook that expands each batch's feature vectors
@@ -223,7 +226,12 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
-    """-log p[true_label]; ``inf`` when that probability is 0."""
+    """-log p[true_label]; ``inf`` when that probability is 0. A label that
+    is not an integer (a float or a bool) raises ConfigurationError."""
+    if (not isinstance(true_label, (int, np.integer))
+            or isinstance(true_label, bool)):
+        raise ConfigurationError(
+            f"label must be an integer, got {true_label!r}")
     if not 0 <= true_label < len(probabilities):
         raise ConfigurationError(
             f"label {true_label} outside [0, {len(probabilities)})"
@@ -248,7 +256,8 @@ def _class_labels(labels, num_classes: int | None = None) -> np.ndarray:
     if num_classes is not None and labels.size and (
             np.minimum.reduce(labels, axis=None) < 0
             or np.maximum.reduce(labels, axis=None) >= num_classes):
-        raise ConfigurationError(f"label outside [0, {num_classes})")
+        raise ConfigurationError(
+            f"labels hold a label outside [0, {num_classes})")
     return labels
 
 
@@ -297,6 +306,7 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
         outside = parents[(parents < 0) | (parents >= n)]
         raise ConfigurationError(
             f"clone parent {outside[0]} outside the batch [0, {n})")
+
     row_labels = np.concatenate([labels, labels[parents]])
 
     # output layer over the original and clone rows
@@ -345,19 +355,26 @@ def sgd_step(params: LayerStack, gradients: LayerStack, learning_rate: float) ->
 
 def predict(params: LayerStack, image: np.ndarray) -> int | np.ndarray:
     """The most probable class of an ``(H, W)`` image as an ``int``, or of
-    each image of an ``(N, H, W)`` stack as an ``(N,)`` integer array; each
-    entry is bit for bit what the image's own call gives."""
+    each image of an ``(N, H, W)`` stack as an ``(N,)`` integer array. The
+    stack's class scores come from one matrix product per dense layer, so
+    each image's scores equal its own call's up to rounding."""
     feature, _ = forward_features(params, image)
     classes = forward_output(params, feature).argmax(axis=-1)
     return int(classes) if classes.ndim == 0 else classes
 
 
-# images per ``predict`` call in ``evaluate``. On a 2-core x86 VM with one
-# BLAS thread, evaluating 1500 images took 0.17-0.19 s (median of 7) at
-# every chunk from 8 to 100, against 0.28-0.32 s at 200 and 0.37-0.43 s one
-# image at a time; a chunk's forward pass copies one chunk x k² x oh·ow
-# im2col, 5.8 MB at 50 for the default stack, so larger chunks only cost
-# memory.
+# images per ``predict`` call in ``evaluate``. On a 2-core x86 VM (4 MiB
+# L2 per core) with one BLAS thread, evaluating the 1500-image test subset
+# after a 3-epoch, 50-per-class training cell took (median of 7, two runs)
+# 101-112 ms at chunk 8, 114-126 ms at 16, 129-145 ms at 50, 135-143 ms at
+# 100, 207-212 ms at 200 and 214 ms one image at a time; a chunk's forward
+# pass copies one chunk x k² x oh·ow im2col, 5.8 MB at 50 for the default
+# stack. Smaller chunks read faster here, but not in the benchmark's
+# ``train_cnn`` passes: 4 paired runs at 16 against 50 gave ``run_s`` 0.488
+# against 0.493 s, within the spread of the runs at 50 (IQR 0.021 s).
+# The constant is not speed alone: a chunk's rows share one product per
+# dense layer, so another chunk size may move the scores' last bits and flip
+# a near-tied class, and with it error rows, CSV and fingerprints.
 EVAL_CHUNK = 50
 
 

@@ -7,7 +7,10 @@ pass, and the backward pass is derived consistently from that convention.
 
 The fast kernels take stacks: any leading axes in front of an ``(H, W)``
 map or a vector, each row computed bit for bit as its own call would be,
-except in ``dense_backward``.
+except in ``dense`` and ``dense_backward``. Those make one matrix product
+over all the rows of a stack, so a row equals its own call up to rounding;
+the same rows give the same bytes under any leading axes, and a vector
+those of a one-row stack.
 :class:`Windows` is the im2col of a stack for one kernel shape; built once,
 it serves any number of ``conv2d_valid`` calls with kernels of that shape,
 each the product that a call on the maps would make from its own copy.
@@ -263,9 +266,20 @@ def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dense(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = W @ x + b for each vector in a ``(..., p)`` stack."""
+    """y = W @ x + b for each vector in a ``(..., p)`` stack.
+
+    The input, a vector or a stack, is one ``(n, p) @ (p, d)`` product over
+    all its rows. That product sees the rows, not how the leading axes
+    group them: the same rows give the same bytes under any leading axes,
+    and a vector those of a one-row stack, but a row of a larger stack may
+    differ from its own call in the last bits.
+    """
     w, b, v = _dense_operands(weights, bias, x, stack=True)
-    return (w @ v[..., None])[..., 0] + b
+    # the row count comes from the leading axes, so a vector is one row and
+    # a width of 0 fits too
+    out = v.reshape(math.prod(v.shape[:-1]), w.shape[1]) @ w.T
+    out += b
+    return out.reshape(*v.shape[:-1], w.shape[0])
 
 
 def dense_naive(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -82,3 +82,77 @@ def test_pools_built_from_antibodies_classify():
     decision = classifier.classify(feature, pools, 0.8, c_min=1,
                                    raw_count=False)
     assert decision.predicted_class == 1 and not decision.no_match
+
+
+# the benchmark counts calls at the sites above and reads each count as a
+# fixed amount of work (a conv's flops from its kernel and result, a chunk
+# of evaluated images, a training batch, a clone proposal, a rendered
+# digit), so the call patterns below are part of the surface too
+
+def record(monkeypatch, owner, attribute):
+    """Replace ``owner.attribute`` with a wrapper that appends
+    ``(args, result)`` for each call to the returned list."""
+    calls, original = [], getattr(owner, attribute)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(owner, attribute, recording)
+    return calls
+
+
+ARCH = nn.ArchConfig(image_size=10, num_maps=3, kernel_size=3,
+                     feature_width=6, num_classes=3)
+
+
+def test_forward_features_makes_one_conv_per_kernel(monkeypatch):
+    calls = record(monkeypatch, nn, "conv2d_valid")
+    params = nn.init_params(0, ARCH)
+    images = np.random.default_rng(0).normal(size=(5, 10, 10))
+    nn.forward_features(params, images)
+    assert len(calls) == ARCH.num_maps
+    for args, result in calls:
+        assert np.ndim(args[1]) == 2
+        assert result.size == len(images) * ARCH.conv_out ** 2
+
+
+def test_evaluate_makes_one_predict_per_chunk(monkeypatch):
+    calls = record(monkeypatch, nn, "predict")
+    params = nn.init_params(1, ARCH)
+    n = 2 * nn.EVAL_CHUNK + 3
+    rng = np.random.default_rng(1)
+    nn.evaluate(params, rng.normal(size=(n, 10, 10)),
+                rng.integers(0, ARCH.num_classes, size=n))
+    assert [len(args[1]) for args, _ in calls] == [
+        nn.EVAL_CHUNK, nn.EVAL_CHUNK, 3]
+
+
+def test_train_epoch_makes_one_sgd_step_per_batch(monkeypatch):
+    calls = record(monkeypatch, nn, "sgd_step")
+    rng = np.random.default_rng(2)
+    batches = [(rng.normal(size=(n, 10, 10)),
+                rng.integers(0, ARCH.num_classes, size=n)) for n in (4, 4, 1)]
+    nn.train_epoch(nn.init_params(2, ARCH), batches, 0.1,
+                   clonal.ClonalExpander(clonal.CloneConfig(rng_seed=2)))
+    assert len(calls) == len(batches)
+
+
+def test_expander_counts_each_original_and_mutates_each_proposal(monkeypatch):
+    counts = record(monkeypatch, clonal, "clone_count")
+    mutations = record(monkeypatch, clonal, "mutate")
+    expander = clonal.ClonalExpander(clonal.CloneConfig(rng_seed=3))
+    rng = np.random.default_rng(3)
+    originals = 0
+    for n in (6, 5, 7):
+        expander(rng.normal(size=(n, 8)), rng.integers(0, 3, size=n))
+        originals += n
+        assert len(counts) == originals
+    assert sum(result for _, result in counts) > 0
+    assert len(mutations) == sum(result for _, result in counts)
+
+
+def test_write_corpus_renders_each_digit_once(monkeypatch, tmp_path):
+    calls = record(monkeypatch, synthdigits, "render_digit")
+    synthdigits.write_corpus(tmp_path, train_per_class=3, test_per_class=2)
+    assert len(calls) == 10 * (3 + 2)

@@ -193,6 +193,21 @@ class TestClassify:
         decision = classify(test, pools, tau_match=0.5, raw_count=True)
         assert decision.scores[0] == pytest.approx(3 + 1.0)
 
+    @pytest.mark.parametrize("tau_match", [np.nan, 2.0, -0.1, np.inf])
+    def test_tau_match_outside_unit_interval_rejected(self, tau_match):
+        # such a threshold used to make every row a silent no-match
+        pools = {0: pool_from([unit(0)], label=0)}
+        with pytest.raises(ConfigurationError, match="tau_match"):
+            classify(unit(0), pools, tau_match=tau_match)
+        with pytest.raises(ConfigurationError, match="tau_match"):
+            classify_batch(np.stack([unit(0), unit(1)]), pools, tau_match)
+
+    def test_nan_c_min_rejected(self):
+        # a row without matches used to raise a bare ZeroDivisionError
+        pools = {0: pool_from([unit(0)], label=0)}
+        with pytest.raises(ConfigurationError, match="c_min"):
+            classify(unit(1), pools, tau_match=0.9, c_min=np.nan)
+
     def test_no_pools_rejected(self):
         with pytest.raises(ConfigurationError):
             classify(np.ones(3), {}, tau_match=0.5)

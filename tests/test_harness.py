@@ -396,6 +396,25 @@ def test_train_variant_rejects_negative_labels(corpus):
                       record_epochs=False)
 
 
+def test_train_variant_rejects_fractional_labels_before_a_step(
+        corpus, monkeypatch):
+    # one label rule, nn's, checked once before the first epoch
+    train, test = corpus
+    train = stratified_subset(train, 2, seed=0)
+    labels = train.labels.astype(np.float64)
+    labels[0] = 0.5
+    steps = []
+    monkeypatch.setattr(harness, "train_epoch",
+                        lambda *args: steps.append(args))
+    with pytest.raises(ConfigurationError,
+                       match="train labels must be integers"):
+        train_variant(Dataset(train.images, labels), fixed_test_subset(test, 20),
+                      "cnn", 2, 1, ExperimentConfig(**TINY),
+                      ArchConfig(num_classes=10), epochs=1,
+                      record_epochs=False)
+    assert not steps
+
+
 def test_size_sweep_covers_the_grid(corpus):
     cfg = ExperimentConfig(**TINY)
     rows = run_size_sweep(cfg, data=corpus)

@@ -388,8 +388,8 @@ def assert_rounding_close(fast, slow, magnitude):
 
 class TestStackedKernels:
     # the stack forms the network trains with: each row bit for bit equal to
-    # its own call, but for dense_backward's sums and input gradients, and
-    # close to the naive oracle
+    # its own call, but for dense's rows and dense_backward's sums and input
+    # gradients, and close to the naive oracle
 
     @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
@@ -473,10 +473,21 @@ class TestStackedKernels:
         stack = rng.normal(size=(*lead, p))
         out = dense(w, b, stack)
         assert out.shape == (*lead, d)
+        # a stack is one matrix product over all rows, so a row may differ
+        # from its own call in the last bits
         for row, x in zip(rows(out, 1), rows(stack, 1)):
-            assert row.tobytes() == dense(w, b, x).tobytes()
             assert_rounding_close(row, dense_naive(w, b, x),
                                   dense_naive(abs(w), abs(b), abs(x)))
+        # a vector gives the bytes of a one-column product, as it did when
+        # each row was one, and of a one-row stack, and the product sees
+        # the rows, not how the leading axes group them
+        x0 = rows(stack, 1)[0]
+        y0 = dense(w, b, x0)
+        assert y0.tobytes() == ((w @ x0[:, None])[:, 0] + b).tobytes()
+        assert y0.tobytes() == dense(w, b, x0[None]).tobytes()
+        six = rng.normal(size=(6, p))
+        assert (dense(w, b, six.reshape(2, 3, p)).tobytes()
+                == dense(w, b, six).tobytes())
 
     @given(st.integers(0, 2**31 - 1), LEADS)
     @settings(max_examples=30, deadline=None)
@@ -560,6 +571,17 @@ class TestDense:
         assert rel_err(gw, num_gw) < 1e-6
         assert rel_err(gb, num_gb) < 1e-6
         assert rel_err(gx, num_gx) < 1e-6
+
+    @pytest.mark.parametrize("lead", [(0,), (2, 0), (3,)],
+                             ids=["no-rows", "no-rows-2d", "rows"])
+    def test_empty_stacks_and_inputs(self, lead):
+        # the row count comes from the leading axes, so a stack of no rows
+        # and rows of no inputs both fit
+        w, b = np.ones((2, 3)), np.array([0.5, -1.5])
+        assert dense(w, b, np.ones(lead + (3,))).shape == lead + (2,)
+        y = dense(np.ones((2, 0)), b, np.ones(lead + (0,)))
+        assert y.shape == lead + (2,)
+        assert np.array_equal(y, np.broadcast_to(b, y.shape))
 
     @pytest.mark.parametrize("lead", [(), (2, 4)], ids=["vector", "stack"])
     def test_backward_of_a_layer_with_no_outputs(self, lead):
