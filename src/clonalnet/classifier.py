@@ -25,7 +25,7 @@ import numpy as np
 
 from . import clonal
 from .clonal import CloneConfig, MemoryPool, mutate
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, check_count
 
 NOMATCH = "NOMATCH"
 
@@ -66,12 +66,11 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     raw count + avidity when ``raw_count``). A row for which no class
     qualifies is a no-match. A pool whose width differs from the features'
     raises DimensionError naming its class, and a ``tau_match`` outside
-    [0, 1] or a ``c_min`` below 1, NaN included, ConfigurationError.
+    [0, 1] or a ``c_min`` that is not an integer >= 1, ConfigurationError.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
-    if not c_min >= 1:
-        raise ConfigurationError(f"c_min must be >= 1, got {c_min}")
+    check_count(c_min, "c_min")
     if not 0.0 <= tau_match <= 1.0:
         raise ConfigurationError(
             f"tau_match must be in [0, 1], got {tau_match}")
@@ -158,10 +157,14 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
                    rng: np.random.Generator,
                    existing: dict[int, MemoryPool] | None = None) -> MemoryPool:
     """Start a pool for an unrecognized pattern: the feature itself plus
-    capacity - 1 lightly mutated variants (rate 1, scale sigma)."""
+    capacity - 1 lightly mutated variants (rate 1, scale sigma). A
+    feature that is not a vector raises DimensionError."""
     if existing is not None and label in existing:
         raise ConfigurationError(f"class {label} already has a pool")
     seed = np.asarray(test_feature, dtype=np.float64)
+    if seed.ndim != 1:
+        raise DimensionError(
+            f"test feature must be a vector, got shape {seed.shape}")
     shape = (config.memory_capacity - 1, seed.size)
     variants = mutate(np.broadcast_to(seed, shape), 1.0, config.sigma, rng)
     scores = clonal.affinity_matrix(variants, seed)[:, 0]

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
-                     read_text)
+                     check_count, read_text)
 from .nn import _class_labels
 
 # squared norms outside this range are rescaled before use: any two inside
@@ -90,6 +90,7 @@ class MemoryPool:
     scores: np.ndarray = field(default=(), kw_only=True)
 
     def __post_init__(self, antibodies):
+        check_count(self.capacity, "capacity", 0)
         matrix, scores = self.matrix, self.scores
         if len(antibodies):
             matrix = [ab.feature for ab in antibodies]
@@ -185,10 +186,8 @@ class CloneConfig:
         if not 0 <= self.sigma < math.inf:
             raise ConfigurationError(
                 f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.memory_capacity < 1:
-            raise ConfigurationError(
-                f"memory_capacity must be >= 1, got {self.memory_capacity}"
-            )
+        check_count(self.memory_capacity, "memory_capacity")
+        check_count(self.rng_seed, "rng_seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +583,11 @@ def load_pools(path) -> dict[int, MemoryPool]:
             if len(parts) != 4 or parts[0] != "class":
                 raise ValueError
             label, count, capacity = (int(x) for x in parts[1:])
-        except ValueError:
+            check_count(count, "member count", 0)
+        except ValueError:   # ConfigurationError is one
             raise ConfigurationError(
                 f"line {i + 1}: malformed pool class line: {lines[i]!r}"
             ) from None
-        if not 0 <= count <= capacity:
-            raise ConfigurationError(
-                f"line {i + 1}: member count {count} is not within "
-                f"capacity {capacity}"
-            )
         if i + count >= len(lines):
             raise ConfigurationError(
                 f"line {len(lines) + 1}: file ends after "
@@ -658,11 +653,11 @@ def clonalg_run(pattern, population_size: int, generations: int,
     pattern = np.asarray(pattern, dtype=np.float64).ravel()
     if not pattern.size:
         raise ConfigurationError("clonalg_run requires a non-empty pattern")
-    if not 1 <= select_n <= population_size:
-        raise ConfigurationError(f"select_n {select_n} is not in "
-                                 f"[1, population_size {population_size}]")
-    if generations < 1:
-        raise ConfigurationError(f"generations must be >= 1, got {generations}")
+    if check_count(select_n, "select_n") > check_count(population_size,
+                                                       "population_size"):
+        raise ConfigurationError(f"select_n {select_n} exceeds "
+                                 f"population_size {population_size}")
+    check_count(generations, "generations")
     rng = np.random.default_rng(config.rng_seed)
     population = rng.uniform(0.0, 1.0, size=(population_size, pattern.size))
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the text-file reader
-that turns undecodable bytes into one of them."""
+"""Exception types shared across the package, the integer rule that every
+count, size and seed obeys, and a text reader that raises one of them."""
 
 from pathlib import Path
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -37,6 +39,16 @@ class IdxTruncationError(ValueError):
 
 class UndefinedAffinityError(ValueError):
     """Affinity of two all-zero vectors or a non-finite vector requested."""
+
+
+def check_count(value, name: str, low: int = 1):
+    """``value`` if it is an integer, not a bool, of at least ``low`` (1 for a
+    count; 0 for a seed, capacity or class id), else ConfigurationError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ConfigurationError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def read_text(path) -> str:

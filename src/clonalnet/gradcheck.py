@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError, CorruptionError
+from .errors import CorruptionError, check_count
 
 STEP = 1e-5
 REL_FLOOR = 1e-6
@@ -96,11 +96,10 @@ def check_instance(seed: int, arch: nn.ArchConfig | None = None,
     Checks ``batch_gradients`` on a one-row batch against the sample
     loss, and on that sample plus one clone against the sum of both losses,
     by central finite differences on sampled coordinates of every parameter
-    array. A ``coords_per_array`` below 1 raises ConfigurationError.
+    array. ``seed`` and ``coords_per_array`` follow the integer rule.
     """
-    if coords_per_array < 1:
-        raise ConfigurationError(
-            f"coords_per_array must be >= 1, got {coords_per_array}")
+    check_count(seed, "seed", 0)
+    check_count(coords_per_array, "coords_per_array")
     arch = arch or nn.ArchConfig()
     rng = np.random.default_rng(seed)
     params = nn.init_params(int(rng.integers(2**31)), arch)
@@ -129,8 +128,6 @@ def run_gradient_audit(num_instances: int = 20, arch: nn.ArchConfig | None = Non
                        coords_per_array: int = 6) -> list[CheckResult]:
     """``check_instance`` on seeds 0 .. num_instances - 1; a count below 1
     raises ConfigurationError before any instance is checked."""
-    if num_instances < 1:
-        raise ConfigurationError(
-            f"num_instances must be >= 1, got {num_instances}")
+    check_count(num_instances, "num_instances")
     return [check_instance(seed, arch, coords_per_array)
             for seed in range(num_instances)]

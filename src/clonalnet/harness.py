@@ -25,7 +25,8 @@ from .classifier import (Decision, classify_batch, init_new_class,
                          write_decision_records)
 from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
                      clonalg_run, save_pools)
-from .errors import ConfigurationError, DivergenceError, read_text
+from .errors import (ConfigurationError, DivergenceError, check_count,
+                     read_text)
 from .mnist import Dataset, batches, load_dataset, stratified_subset
 from .nn import (ArchConfig, _class_labels, evaluate, forward_features,
                  init_params, train_epoch)
@@ -65,21 +66,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS + ("both",):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ConfigurationError(f"bad sizes {self.sizes}")
-        if not self.seeds or any(s < 0 for s in self.seeds):
-            raise ConfigurationError(
-                f"seeds must be one or more integers >= 0, got {self.seeds}")
-        for name in ("sizes", "seeds"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must not repeat, got {getattr(self, name)}")
-        for name in ("epochs", "curve_epochs", "batch_size", "test_subset",
-                     "curve_per_class", "two_class_train", "two_class_test",
-                     "c_min"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+        # int fields and the distinct entries of tuple fields follow the rule
+        for f in fields(self):
+            low = 0 if f.name in ("seeds", "two_class_labels",
+                                  "third_class") else 1
+            value = getattr(self, f.name)
+            if f.type == "int":
+                check_count(value, f.name, low)
+            elif f.type == "tuple":
+                for entry in value:
+                    check_count(entry, f.name, low)
+                if not value or len(set(value)) != len(value):
+                    raise ConfigurationError(
+                        f"{f.name} must be non-empty and distinct: {value}")
         if not 0 <= self.learning_rate < math.inf:   # NaN fails it too
             # zero is a legal no-op rate (useful for pure-evaluation passes)
             raise ConfigurationError(
@@ -89,16 +88,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"tau_match must be None or in [0, 1], got {self.tau_match}"
             )
-        if len(self.two_class_labels) != 2 or \
-                self.two_class_labels[0] == self.two_class_labels[1]:
+        if (len(self.two_class_labels) != 2
+                or self.third_class in self.two_class_labels):
             raise ConfigurationError(
-                f"two_class_labels must be two distinct ids, "
-                f"got {self.two_class_labels}"
-            )
-        if self.third_class in self.two_class_labels:
-            raise ConfigurationError(
-                "third_class must differ from two_class_labels"
-            )
+                f"two_class_labels must be two ids and third_class a third, "
+                f"got {self.two_class_labels} and {self.third_class}")
         # building a CloneConfig runs its range checks on the clone settings
         self.clone_config(1, 0)
 
@@ -209,11 +203,15 @@ def fixed_test_subset(test: Dataset, total: int) -> Dataset:
     classes = len(test.class_ids)
     if not classes:
         raise ConfigurationError("the dataset has no classes")
-    if total < 1 or total % classes:
+    try:
+        per_class, extra = divmod(check_count(total, "total"), classes)
+    except ConfigurationError:
+        extra = True
+    if extra:
         raise ConfigurationError(
             f"test subset of {total} images is not a positive multiple of "
             f"the {classes} classes")
-    return stratified_subset(test, total // classes, seed=TEST_SUBSET_SEED)
+    return stratified_subset(test, per_class, seed=TEST_SUBSET_SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +277,9 @@ def _train_cells(cfg: ExperimentConfig, data, cells, epochs: int,
     """Train each (variant, size, seed) cell on its stratified subset. Returns
     the rows in cell order and each clonal cell's pools keyed by seed."""
     train, test = data if data is not None else ensure_corpus(cfg.data_dir)
-    arch = ArchConfig(num_classes=len(train.class_ids))
+    # the subset first: on an empty corpus it names the cause
     test_fixed = fixed_test_subset(test, cfg.test_subset)
+    arch = ArchConfig(num_classes=len(train.class_ids))
     rows, pools_by_seed = [], {}
     for variant, size, seed in cells:
         subset = stratified_subset(train, size, seed=derived_seed(seed, size, 5))
@@ -357,6 +356,9 @@ def run_two_class_application(cfg: ExperimentConfig,
             if not np.any(ds.labels == label):
                 raise ConfigurationError(
                     f"two-class label {label} has no {name} image")
+    if not np.any(test.labels == cfg.third_class):
+        raise ConfigurationError(
+            f"third class {cfg.third_class} has no test image")
     seed = cfg.seeds[0]
     arch = ArchConfig(num_classes=2)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DimensionError, IdxFormatError, IdxTruncationError,
+    check_count,
 )
 
 IMAGE_MAGIC = 0x00000803
@@ -134,8 +135,7 @@ def load_dataset(images_path, labels_path) -> Dataset:
 def stratified_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
     """Exactly ``per_class`` samples per class, without replacement,
     deterministic per seed. Order is by class, then draw order."""
-    if per_class < 1:
-        raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
+    check_count(per_class, "per_class")
     if not len(ds):
         raise ConfigurationError("the dataset has no classes")
     rng = np.random.default_rng(seed)
@@ -153,8 +153,7 @@ def stratified_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
 
 def batches(ds: Dataset, batch_size: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """One shuffled pass over the dataset; the final short batch is kept."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    check_count(batch_size, "batch_size")
     order = np.random.default_rng(seed).permutation(len(ds))
     out = []
     for start in range(0, len(ds), batch_size):

@@ -41,12 +41,12 @@ arithmetic they wrap, and the C calls give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
-                     DivergenceError)
+                     DivergenceError, check_count)
 from .tensor import (Windows, conv2d_valid, dense, dense_backward, maxpool2,
                      maxpool2_backward)
 
@@ -88,10 +88,9 @@ class ArchConfig:
     def flat_size(self) -> int:
         return self.num_maps * self.pool_out * self.pool_out
 
-    def validate(self) -> None:
-        if min(self.image_size, self.num_maps, self.kernel_size,
-               self.feature_width, self.num_classes) < 1:
-            raise ConfigurationError(f"non-positive dimension in {self}")
+    def __post_init__(self):
+        for field in fields(self):
+            check_count(getattr(self, field.name), field.name)
         if self.kernel_size > self.image_size:
             raise ConfigurationError(
                 f"kernel {self.kernel_size} exceeds image {self.image_size}"
@@ -152,7 +151,6 @@ class ForwardTrace:
 
 def init_params(seed: int, dims: ArchConfig) -> LayerStack:
     """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
-    dims.validate()
     rng = np.random.default_rng(seed)
     k, f = dims.kernel_size, dims.num_maps
 
@@ -227,15 +225,8 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     """-log p[true_label]; ``inf`` when that probability is 0. A label that
-    is not an integer (a float or a bool) raises ConfigurationError."""
-    if (not isinstance(true_label, (int, np.integer))
-            or isinstance(true_label, bool)):
-        raise ConfigurationError(
-            f"label must be an integer, got {true_label!r}")
-    if not 0 <= true_label < len(probabilities):
-        raise ConfigurationError(
-            f"label {true_label} outside [0, {len(probabilities)})"
-        )
+    is not an integer class (a float, a bool) raises ConfigurationError."""
+    _class_labels(true_label, len(probabilities))
     p = probabilities[true_label]
     return float("inf") if p == 0 else float(-np.log(p))
 

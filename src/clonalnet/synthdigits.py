@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import check_count
 from .mnist import Dataset, idx_image_header, quantize_pixels, serialize_idx_labels
 
 # canvas geometry: digit box rows 5..22, cols 9..18, stroke thickness 2
@@ -92,9 +92,8 @@ def render_digit(digit: int, rng: np.random.Generator,
 
 
 def _digit_labels(per_class: int) -> np.ndarray:
-    if per_class < 1:
-        raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
-    return np.repeat(np.arange(10, dtype=np.int64), per_class)
+    return np.repeat(np.arange(10, dtype=np.int64),
+                     check_count(per_class, "per_class"))
 
 
 def make_dataset(per_class: int, seed: int) -> Dataset:
@@ -130,6 +129,7 @@ def write_corpus(out_dir, train_per_class: int = 600, test_per_class: int = 150,
     """Write train/test IDX files under ``out_dir`` with the standard
     MNIST file names. Returns the directory path. Both splits are rendered
     before any file is written."""
+    check_count(seed, "seed", 0)
     splits = {(TRAIN_IMAGES, TRAIN_LABELS): _corpus_split(train_per_class, seed),
               (TEST_IMAGES, TEST_LABELS): _corpus_split(test_per_class, seed + 1)}
     out = Path(out_dir)

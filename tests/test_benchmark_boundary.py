@@ -156,3 +156,30 @@ def test_write_corpus_renders_each_digit_once(monkeypatch, tmp_path):
     calls = record(monkeypatch, synthdigits, "render_digit")
     synthdigits.write_corpus(tmp_path, train_per_class=3, test_per_class=2)
     assert len(calls) == 10 * (3 + 2)
+
+
+# the benchmark derives its seeds as below and passes them, with its fixed
+# sizes, to the constructors and calls that check every count, size and
+# seed; each value it passes must meet that integer rule
+
+def child_seed(seed, purpose):
+    return int(np.random.SeedSequence([seed, purpose]).generate_state(1)[0])
+
+
+def test_the_benchmark_values_meet_the_integer_rule(corpus, tmp_path):
+    seed = 1
+    cfg = harness.ExperimentConfig()
+    # the run seed, a derived one, and the largest a derived one can be
+    for rng_seed in (seed, child_seed(seed, 4), 2**32 - 1):
+        assert cfg.clone_config(50, rng_seed).rng_seed == rng_seed
+    assert nn.ArchConfig(num_classes=10).num_classes == 10
+    train, test = corpus
+    assert len(mnist.stratified_subset(train, 50,
+                                       seed=child_seed(seed, 2))) == 500
+    assert len(harness.fixed_test_subset(test, 1500)) == 1500
+    assert len(harness.fixed_test_subset(test, len(test.class_ids))) == 10
+    synthdigits.write_corpus(tmp_path, 600, 150, seed=child_seed(seed, 1))
+    rng = np.random.default_rng(seed)
+    pool = clonal.MemoryPool(7, 5, [clonal.Antibody(rng.normal(size=6), 7,
+                                                    0.0)])
+    assert len(pool) == 1 and pool.capacity == 5

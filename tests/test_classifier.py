@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -516,6 +518,15 @@ class TestInitNewClass:
         with pytest.raises(ConfigurationError):
             init_new_class(np.ones(2), 4, config,
                            np.random.default_rng(0), existing=existing)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 4), ()],
+                             ids=["matrix", "row", "scalar"])
+    def test_feature_that_is_not_a_vector_rejected(self, shape):
+        # a (2, 3) feature used to raise numpy's bare broadcast ValueError
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"got shape {shape}")):
+            init_new_class(np.ones(shape), 0, CloneConfig(memory_capacity=3),
+                           np.random.default_rng(0))
 
     def test_member_scores_match_scalar_affinity(self):
         config = CloneConfig(sigma=0.3, memory_capacity=9)

@@ -1234,6 +1234,8 @@ class TestCloneConfigValidation:
         {"sigma": float("nan")}, {"tau": float("nan")},
         {"eta": float("inf")}, {"alpha": float("inf")},
         {"sigma": float("inf")},
+        {"memory_capacity": np.float64(30.0)}, {"memory_capacity": "30"},
+        {"rng_seed": np.bool_(False)}, {"rng_seed": None},
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -174,6 +174,17 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"alpha": float("inf")},
     {"sigma": float("inf")},
     {"learning_rate": float("inf")},
+    {"sizes": (2.5,)},
+    {"sizes": (float("nan"), 10)},
+    {"sizes": (True,)},
+    {"seeds": (1.5,)},
+    {"seeds": (np.bool_(True),)},
+    {"two_class_labels": (0, 2.5)},
+    {"two_class_labels": (-1, 1)},
+    {"two_class_labels": (0,)},
+    {"epochs": np.float64(3.0)},
+    {"batch_size": "8"},
+    {"test_subset": None},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
@@ -450,16 +461,20 @@ def test_two_class_application_shapes(corpus):
     assert set(cfg.two_class_labels) <= set(result.pools)
 
 
-def test_two_class_application_without_third_class_images(corpus):
+def test_third_class_without_test_images_rejected_before_training(
+        corpus, monkeypatch):
+    # such a run used to train, then report 0 probes and 0 no-matches; a
+    # class the corpus lacks, and one whose test images are dropped
     train, test = corpus
-    cfg = ExperimentConfig(**TINY, two_class_train=3, two_class_test=10)
-    keep = test.labels != cfg.third_class
-    result = run_two_class_application(
-        cfg, data=(train, Dataset(test.images[keep], test.labels[keep])))
-    assert len(result.decisions) == 10
-    assert (result.third_total, result.third_nomatch,
-            result.third_recognized_after) == (0, 0, 0)
-    assert cfg.third_class not in result.pools
+    keep = test.labels != 3
+    without_3 = Dataset(test.images[keep], test.labels[keep])
+    monkeypatch.setattr(harness, "train_variant", None)
+    for third_class, test_set in ((11, test), (3, without_3)):
+        cfg = ExperimentConfig(**TINY, third_class=third_class,
+                               two_class_train=3, two_class_test=10)
+        with pytest.raises(ConfigurationError,
+                           match=f"third class {third_class} has no test"):
+            run_two_class_application(cfg, data=(train, test_set))
 
 
 @pytest.mark.parametrize("labels, drop_from", [((0, 12), None),

@@ -77,11 +77,11 @@ class TestArchConfig:
 
     def test_odd_conv_output_rejected(self):
         with pytest.raises(ConfigurationError):
-            nn.ArchConfig(image_size=28, kernel_size=6).validate()
+            nn.ArchConfig(image_size=28, kernel_size=6)
 
     def test_kernel_larger_than_image_rejected(self):
         with pytest.raises(ConfigurationError):
-            nn.ArchConfig(image_size=4, kernel_size=5).validate()
+            nn.ArchConfig(image_size=4, kernel_size=5)
 
 
 class TestInitParams:
