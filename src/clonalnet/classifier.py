@@ -25,7 +25,7 @@ import numpy as np
 
 from . import clonal
 from .clonal import CloneConfig, MemoryPool, mutate
-from .errors import ConfigurationError, DimensionError, check_count
+from .errors import ConfigurationError, DimensionError, check_count, check_real
 
 NOMATCH = "NOMATCH"
 
@@ -65,15 +65,14 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     their mean affinity as avidity. Score = count / pool_size + avidity (or
     raw count + avidity when ``raw_count``). A row for which no class
     qualifies is a no-match. A pool whose width differs from the features'
-    raises DimensionError naming its class, and a ``tau_match`` outside
-    [0, 1] or a ``c_min`` that is not an integer >= 1, ConfigurationError.
+    raises DimensionError naming its class, and a ``tau_match`` that is not
+    a real number in [0, 1] or a ``c_min`` that is not an integer >= 1,
+    ConfigurationError.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
     check_count(c_min, "c_min")
-    if not 0.0 <= tau_match <= 1.0:
-        raise ConfigurationError(
-            f"tau_match must be in [0, 1], got {tau_match}")
+    check_real(tau_match, "tau_match", 0, 1)
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(
@@ -158,17 +157,18 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
                    existing: dict[int, MemoryPool] | None = None) -> MemoryPool:
     """Start a pool for an unrecognized pattern: the feature itself plus
     capacity - 1 lightly mutated variants (rate 1, scale sigma). A
-    feature that is not a vector raises DimensionError."""
+    feature that is not a vector raises DimensionError, and a ``label``
+    that is not an integer >= 0 ConfigurationError, before any draw."""
     if existing is not None and label in existing:
         raise ConfigurationError(f"class {label} already has a pool")
     seed = np.asarray(test_feature, dtype=np.float64)
     if seed.ndim != 1:
         raise DimensionError(
             f"test feature must be a vector, got shape {seed.shape}")
+    empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
     shape = (config.memory_capacity - 1, seed.size)
     variants = mutate(np.broadcast_to(seed, shape), 1.0, config.sigma, rng)
     scores = clonal.affinity_matrix(variants, seed)[:, 0]
-    empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
     return clonal.update_memory(empty, np.vstack([seed, variants]),
                                 [1.0, *scores])
 

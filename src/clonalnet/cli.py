@@ -44,23 +44,24 @@ def _add_variant_flag(parser) -> None:
 
 
 def _add_train_flags(parser, epochs_dest: str = "epochs") -> None:
+    """Each flag's text is parsed by ``config_from_mapping`` only, as the
+    same key's text in a config file is, so it takes no ``type``."""
     parser.add_argument("--seeds", help="comma-separated seeds, e.g. 1,2,3")
-    parser.add_argument("--epochs", type=int, dest=epochs_dest,
-                        metavar="EPOCHS")
-    parser.add_argument("--lr", type=float, dest="learning_rate",
-                        metavar="LR", help="learning rate")
-    parser.add_argument("--eta", type=float, help="cloning constant")
-    parser.add_argument("--alpha", type=float, help="mutation constant")
-    parser.add_argument("--tau", type=float, help="acceptance threshold")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
+    parser.add_argument("--epochs", dest=epochs_dest, metavar="EPOCHS")
+    parser.add_argument("--lr", dest="learning_rate", metavar="LR",
+                        help="learning rate")
+    parser.add_argument("--eta", help="cloning constant")
+    parser.add_argument("--alpha", help="mutation constant")
+    parser.add_argument("--tau", help="acceptance threshold")
+    parser.add_argument("--batch-size", dest="batch_size")
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
     """The --config file overridden by every flag given; a flag's dest is
-    the ExperimentConfig key it sets."""
+    the ExperimentConfig key it sets, and its text goes on as it came."""
     keys = {f.name for f in fields(harness.ExperimentConfig)}
     return harness.load_config(getattr(args, "config", None), {
-        key: str(value) for key, value in vars(args).items()
+        key: value for key, value in vars(args).items()
         if key in keys and value is not None})
 
 
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_variant_flag(p)
     _add_train_flags(p, epochs_dest="curve_epochs")
-    p.add_argument("--per-class", type=int, dest="curve_per_class",
+    p.add_argument("--per-class", dest="curve_per_class",
                    metavar="PER_CLASS",
                    help="training samples per class for the curve")
     p.set_defaults(func=cmd_epoch_curve)

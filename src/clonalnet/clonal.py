@@ -43,8 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
-                     check_count, read_text)
-from .nn import _class_labels
+                     check_count, check_indices, check_real, read_text)
 
 # squared norms outside this range are rescaled before use: any two inside
 # it, or in the [1, d] of a rescaled row, multiply to a normal float
@@ -72,8 +71,9 @@ class MemoryPool:
     empty pool. ``MemoryPool(label, capacity, matrix=..., scores=...)``
     stores read-only copies of the arrays it is given, and
     :func:`update_memory` returns a new pool with rows merged in. More
-    members than ``capacity``, scores not best first, or a non-finite row
-    or score raise ConfigurationError. A pool that :func:`update_memory`
+    members than ``capacity``, scores not best first, a non-finite row or
+    score, or a ``class_label`` that is not an integer >= 0 raise
+    ConfigurationError. A pool that :func:`update_memory`
     builds skips those checks, which its ranking and its input checks
     already establish, and is the pool the constructor would build from
     the same arrays. Pools compare and hash by identity.
@@ -90,6 +90,7 @@ class MemoryPool:
     scores: np.ndarray = field(default=(), kw_only=True)
 
     def __post_init__(self, antibodies):
+        check_count(self.class_label, "class_label", 0)
         check_count(self.capacity, "capacity", 0)
         matrix, scores = self.matrix, self.scores
         if len(antibodies):
@@ -174,18 +175,11 @@ class CloneConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # every range check is written so that NaN fails it
-        if not 0 <= self.eta < math.inf:
-            raise ConfigurationError(
-                f"eta must be finite and >= 0, got {self.eta}")
-        if not 0 < self.alpha < math.inf:
-            raise ConfigurationError(
-                f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
-        if not 0 <= self.sigma < math.inf:
-            raise ConfigurationError(
-                f"sigma must be finite and >= 0, got {self.sigma}")
+        check_real(self.eta, "eta", 0, math.inf)
+        if check_real(self.alpha, "alpha", 0, math.inf) == 0:
+            raise ConfigurationError(f"alpha must be > 0, got {self.alpha!r}")
+        check_real(self.tau, "tau", 0, 1)
+        check_real(self.sigma, "sigma", 0, math.inf)
         check_count(self.memory_capacity, "memory_capacity")
         check_count(self.rng_seed, "rng_seed", 0)
 
@@ -436,7 +430,8 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
     proposals are scored in one table, a block per parent against its
     class pool, and the clones whose best match there clears the
     acceptance threshold are returned; that affinity is the clone's
-    memory score.
+    memory score. A label without a pool raises ConfigurationError before
+    any draw.
     """
     if not len(features) == len(scores) == len(labels):
         raise DimensionError(f"{len(features)} features, {len(scores)} "
@@ -446,6 +441,9 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
     peers: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         peers.setdefault(label, []).append(i)
+    for label in peers:
+        if label not in pools:
+            raise ConfigurationError(f"label {label} has no pool")
     proposals = np.empty((sum(counts), features.shape[1]))
     blocks = []
     k = 0
@@ -520,7 +518,7 @@ class ClonalExpander:
                           np.empty(0, np.intp), np.empty(0))
         if x.ndim != 2:
             raise DimensionError(f"a batch must be (n, d) rows, got {x.shape}")
-        label_of = _class_labels(labels)
+        label_of = check_indices(labels, "label")
         if label_of.ndim != 1:
             raise DimensionError(
                 f"labels must be one per row, got shape {label_of.shape}")

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, the integer rule that every
-count, size and seed obeys, and a text reader that raises one of them."""
+"""Exception types shared across the package, the three rules that checked
+values obey (counts and seeds: :func:`check_count`; labels and batch
+indices: :func:`check_indices`; real-valued settings: :func:`check_real`),
+and a text reader that raises one of them."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,37 @@ def check_count(value, name: str, low: int = 1):
             or value < low):
         raise ConfigurationError(
             f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_indices(values, noun: str, bound: int | None = None) -> np.ndarray:
+    """``values`` as an array, if its dtype is an integer one (the IDX
+    files' uint8 among them) and, when ``bound`` is given, every entry lies
+    in [0, bound); else ConfigurationError, naming the first entry outside
+    the range. A bool or float dtype is refused, so no cast drops a
+    fraction."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"{noun}s must be integers, got dtype {values.dtype}")
+    if bound is not None and values.size and (
+            np.minimum.reduce(values, axis=None) < 0
+            or np.maximum.reduce(values, axis=None) >= bound):
+        outside = values[(values < 0) | (values >= bound)]
+        raise ConfigurationError(f"{noun}s hold a {noun} outside [0, {bound}): "
+                                 f"{noun} {outside[0]} is the first")
+    return values
+
+
+def check_real(value, name: str, low: float, high: float):
+    """``value`` if it is a Python or numpy real number, not a bool, that is
+    finite and lies in [low, high], else ConfigurationError."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            # written so that NaN fails it
+            or not (low <= value <= high and -math.inf < value < math.inf)):
+        raise ConfigurationError(f"{name} must be a finite real number in "
+                                 f"[{low}, {high}], got {value!r}")
     return value
 
 

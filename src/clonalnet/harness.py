@@ -26,10 +26,9 @@ from .classifier import (Decision, classify_batch, init_new_class,
 from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
                      clonalg_run, save_pools)
 from .errors import (ConfigurationError, DivergenceError, check_count,
-                     read_text)
+                     check_indices, check_real, read_text)
 from .mnist import Dataset, batches, load_dataset, stratified_subset
-from .nn import (ArchConfig, _class_labels, evaluate, forward_features,
-                 init_params, train_epoch)
+from .nn import ArchConfig, evaluate, forward_features, init_params, train_epoch
 
 CSV_HEADER = "variant,per_class_size,seed,epoch,train_error,test_error"
 VARIANTS = ("cnn", "cnn-ais")
@@ -79,15 +78,10 @@ class ExperimentConfig:
                 if not value or len(set(value)) != len(value):
                     raise ConfigurationError(
                         f"{f.name} must be non-empty and distinct: {value}")
-        if not 0 <= self.learning_rate < math.inf:   # NaN fails it too
-            # zero is a legal no-op rate (useful for pure-evaluation passes)
-            raise ConfigurationError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
-        if self.tau_match is not None and not 0.0 <= self.tau_match <= 1.0:
-            raise ConfigurationError(
-                f"tau_match must be None or in [0, 1], got {self.tau_match}"
-            )
+        # zero is a legal no-op rate (useful for pure-evaluation passes)
+        check_real(self.learning_rate, "learning_rate", 0, math.inf)
+        if self.tau_match is not None:
+            check_real(self.tau_match, "tau_match", 0, 1)
         if (len(self.two_class_labels) != 2
                 or self.third_class in self.two_class_labels):
             raise ConfigurationError(
@@ -247,7 +241,7 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
                 f"takes {side}"
             )
     try:
-        _class_labels(train_ds.labels, arch.num_classes)
+        check_indices(train_ds.labels, "label", arch.num_classes)
     except ConfigurationError as err:
         raise ConfigurationError(f"train {err}") from None
     params = init_params(derived_seed(seed, per_class, 11), arch)

@@ -138,7 +138,7 @@ def stratified_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
     check_count(per_class, "per_class")
     if not len(ds):
         raise ConfigurationError("the dataset has no classes")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     picks = []
     for cls in ds.class_ids:
         pool = np.flatnonzero(ds.labels == cls)
@@ -154,6 +154,7 @@ def stratified_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
 def batches(ds: Dataset, batch_size: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """One shuffled pass over the dataset; the final short batch is kept."""
     check_count(batch_size, "batch_size")
+    check_count(seed, "seed", 0)
     order = np.random.default_rng(seed).permutation(len(ds))
     out = []
     for start in range(0, len(ds), batch_size):

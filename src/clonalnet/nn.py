@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
-                     DivergenceError, check_count)
+                     DivergenceError, check_count, check_indices)
 from .tensor import (Windows, conv2d_valid, dense, dense_backward, maxpool2,
                      maxpool2_backward)
 
@@ -151,7 +151,7 @@ class ForwardTrace:
 
 def init_params(seed: int, dims: ArchConfig) -> LayerStack:
     """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     k, f = dims.kernel_size, dims.num_maps
 
     def uniform(fan_in, fan_out, shape):
@@ -226,30 +226,9 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     """-log p[true_label]; ``inf`` when that probability is 0. A label that
     is not an integer class (a float, a bool) raises ConfigurationError."""
-    _class_labels(true_label, len(probabilities))
+    check_indices(true_label, "label", len(probabilities))
     p = probabilities[true_label]
     return float("inf") if p == 0 else float(-np.log(p))
-
-
-def _class_labels(labels, num_classes: int | None = None) -> np.ndarray:
-    """``labels`` as an integer array, every entry in [0, num_classes)
-    when ``num_classes`` is given.
-
-    Labels of any integer dtype pass as they are, the IDX files' uint8
-    among them; labels of another dtype, such as floats whose fraction a
-    cast would drop, raise ConfigurationError, and so does a label
-    outside the classes.
-    """
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ConfigurationError(
-            f"labels must be integers, got dtype {labels.dtype}")
-    if num_classes is not None and labels.size and (
-            np.minimum.reduce(labels, axis=None) < 0
-            or np.maximum.reduce(labels, axis=None) >= num_classes):
-        raise ConfigurationError(
-            f"labels hold a label outside [0, {num_classes})")
-    return labels
 
 
 def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
@@ -278,7 +257,7 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
             f"probabilities {probs.shape} and labels {labels.shape} do not "
             f"match {n} traced samples of {params.num_classes} classes"
         )
-    labels = _class_labels(labels, params.num_classes)
+    labels = check_indices(labels, "label", params.num_classes)
     if clone_features is None:
         clone_features = np.empty((0, width))
         clone_parents = np.empty(0, np.intp)
@@ -289,14 +268,7 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
         raise DimensionError(
             f"clone features {clone_features.shape} and parents "
             f"{parents.shape} must be (k, {width}) and (k,)")
-    if parents.dtype.kind not in "iu":
-        raise ConfigurationError(
-            f"clone parents must be batch indices, got dtype {parents.dtype}")
-    if parents.size and (np.minimum.reduce(parents) < 0
-                         or np.maximum.reduce(parents) >= n):
-        outside = parents[(parents < 0) | (parents >= n)]
-        raise ConfigurationError(
-            f"clone parent {outside[0]} outside the batch [0, {n})")
+    check_indices(parents, "clone parent", n)
 
     row_labels = np.concatenate([labels, labels[parents]])
 
@@ -377,7 +349,7 @@ def evaluate(params: LayerStack, images: np.ndarray, labels: np.ndarray) -> floa
         raise DimensionError(f"{len(images)} images but {len(labels)} labels")
     if not len(labels):
         raise ConfigurationError("evaluate requires at least one sample")
-    labels = _class_labels(labels, params.num_classes)
+    labels = check_indices(labels, "label", params.num_classes)
     wrong = 0
     for start in range(0, len(labels), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
@@ -414,7 +386,7 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
         if n == 0:
             raise ConfigurationError("empty batch")
         try:
-            labels = _class_labels(labels, params.num_classes)
+            labels = check_indices(labels, "label", params.num_classes)
         except ConfigurationError as err:
             raise ConfigurationError(f"batch {number}: {err}") from None
         features, trace = forward_features(params, images)

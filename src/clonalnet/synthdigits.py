@@ -100,7 +100,7 @@ def make_dataset(per_class: int, seed: int) -> Dataset:
     """``per_class`` samples of each digit, rendered in digit order and
     returned in one seeded random order."""
     labels = _digit_labels(per_class)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     images = np.empty((len(labels), 28, 28))
     for canvas, digit in zip(images, labels.tolist()):
         render_digit(digit, rng, out=canvas)

@@ -512,6 +512,18 @@ class TestInitNewClass:
             for row in pool.matrix:
                 assert affinity_naive(row, seed_feature) >= config.tau
 
+    @pytest.mark.parametrize("label", [2.5, -1, True])
+    def test_label_that_is_not_a_class_id_rejected_before_any_draw(self,
+                                                                  label):
+        # a label of 2.5 used to build a pool that save_pools wrote and
+        # load_pools refused
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="class_label"):
+            init_new_class(np.ones(3), label, CloneConfig(memory_capacity=3),
+                           rng)
+        assert rng.bit_generator.state == state
+
     def test_label_collision_rejected(self):
         config = CloneConfig(memory_capacity=2)
         existing = {4: pool_from([np.ones(2)], label=4)}

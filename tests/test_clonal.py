@@ -428,6 +428,16 @@ class TestGenerateClones:
             generate_clones(rng.normal(size=(rows, width)), np.ones(scores),
                             [0] * rows, {0: pool}, config, rng)
 
+    def test_label_without_pool_rejected_before_any_draw(self):
+        # used to raise a bare KeyError after the generator had advanced
+        rng = np.random.default_rng(14)
+        pool = pool_of(rng.normal(size=(3, 4)))
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="label 7 has no pool"):
+            generate_clones(np.ones((3, 4)), np.ones(3), [0, 7, 7], {0: pool},
+                            CloneConfig(tau=0.0, memory_capacity=5), rng)
+        assert rng.bit_generator.state == state
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(12)
         pool = pool_of(rng.normal(size=(3, 4)))
@@ -471,6 +481,15 @@ class TestUpdateMemory:
         with pytest.raises(ConfigurationError, match=message):
             MemoryPool(0, capacity, matrix=np.zeros((len(scores), 2)),
                        scores=scores)
+
+    @pytest.mark.parametrize("label", [2.5, "x", True, -1])
+    def test_class_label_that_is_not_a_class_id_rejected(self, label):
+        # such a pool used to be built, and save_pools wrote a class line
+        # that load_pools refuses
+        with pytest.raises(ConfigurationError, match="class_label"):
+            MemoryPool(label, 4, matrix=np.ones((2, 3)), scores=[0.9, 0.5])
+        with pytest.raises(ConfigurationError, match="class_label"):
+            MemoryPool(label, 4)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -657,7 +676,7 @@ class TestUpdateMemory:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
-    @given(label=st.integers(-3, 20), width=st.integers(1, 4),
+    @given(label=st.integers(0, 20), width=st.integers(1, 4),
            capacity=st.integers(1, 6),
            steps=st.lists(st.lists(ranked_scores, max_size=9), min_size=1,
                           max_size=4),
@@ -970,7 +989,7 @@ def finite_pools(draw):
     width = draw(st.integers(1, 4))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     pools = {}
-    for label in draw(st.lists(st.integers(-3, 20), unique=True, max_size=4)):
+    for label in draw(st.lists(st.integers(0, 20), unique=True, max_size=4)):
         count = draw(st.integers(0, 4))
         # a pool holds its members best first
         scores = sorted(draw(st.lists(finite, min_size=count,
@@ -1084,9 +1103,10 @@ class TestPoolSerialization:
         ("class 0 x 2\n", 2),
         ("class 0 1 2\n0.9 1.0\nclass 0 1 2\n0.8 2.0\n", 4),
         ("class 0 1 2\n0.9 1.0\nclass 1 2 2\n0.1 1.0\n0.9 2.0\n", 4),
+        ("class 0 1 2\n0.9 1.0\nclass -1 1 2\n0.8 2.0\n", 4),
     ], ids=["truncated", "ragged", "width-across-classes", "no-coordinates",
             "unparseable", "nan", "inf-score", "over-capacity", "bad-count",
-            "repeated-class", "scores-increase"])
+            "repeated-class", "scores-increase", "negative-class"])
     def test_malformed_body_names_line(self, tmp_path, body, line):
         path = tmp_path / "bad.txt"
         path.write_text("clonalnet-pools v1\n" + body)

@@ -552,6 +552,33 @@ def test_cli_train_flags_set_their_config_fields(tmp_path, monkeypatch,
     assert (tmp_path / "o").is_dir()
 
 
+@pytest.mark.parametrize("command, flag, key, text", [
+    ("size-sweep", "--epochs", "epochs", "2.5"),
+    ("size-sweep", "--batch-size", "batch_size", "0"),
+    ("size-sweep", "--lr", "learning_rate", "fast"),
+    ("two-class", "--eta", "eta", "nan"),
+    ("two-class", "--alpha", "alpha", "-1"),
+    ("size-sweep", "--tau", "tau", "1.5"),
+    ("epoch-curve", "--epochs", "curve_epochs", "2.5"),
+    ("epoch-curve", "--per-class", "curve_per_class", "ten"),
+])
+def test_cli_bad_flag_fails_as_its_config_line_does(tmp_path, monkeypatch,
+                                                    command, flag, key, text):
+    # argparse used to parse these flags first and exit with code 2
+    monkeypatch.setattr(harness, "run_size_sweep", _capture)
+    monkeypatch.setattr(harness, "run_epoch_curve", _capture)
+    monkeypatch.setattr(harness, "run_two_class_application", _capture)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    errors = []
+    for argv in ([flag, text], ["--config", str(cfg_file)]):
+        with pytest.raises(ConfigurationError, match=key) as err:
+            cli.main([command, "--out", str(tmp_path / "o")] + argv)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [["--sizes", "7"], ["--variant", "cnn"]],
                          ids=["sizes", "variant"])
 def test_cli_two_class_offers_no_grid_flags(tmp_path, monkeypatch, argv):
