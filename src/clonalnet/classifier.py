@@ -25,7 +25,8 @@ import numpy as np
 
 from . import clonal
 from .clonal import CloneConfig, MemoryPool, mutate
-from .errors import ConfigurationError, DimensionError, check_count, check_real
+from .errors import (ConfigurationError, DimensionError, check_array,
+                     check_count, check_real)
 
 NOMATCH = "NOMATCH"
 
@@ -44,10 +45,7 @@ def classify(test_feature: np.ndarray, pools: dict[int, MemoryPool],
              raw_count: bool = False) -> Decision:
     """The decision for one ``(d,)`` test feature: :func:`classify_batch`
     on a one-row batch."""
-    feature = np.asarray(test_feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise DimensionError(
-            f"test feature must be a vector, got shape {feature.shape}")
+    feature = check_array(test_feature, "test feature", 1)
     return classify_batch(feature[None, :], pools, tau_match, c_min,
                           raw_count)[0]
 
@@ -65,19 +63,21 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     their mean affinity as avidity. Score = count / pool_size + avidity (or
     raw count + avidity when ``raw_count``). A row for which no class
     qualifies is a no-match. A pool whose width differs from the features'
-    raises DimensionError naming its class, and a ``tau_match`` that is not
-    a real number in [0, 1] or a ``c_min`` that is not an integer >= 1,
+    raises DimensionError naming its class, and bad ``pools``, a
+    ``tau_match`` not a real in [0, 1] or a ``c_min`` not an integer >= 1,
     ConfigurationError.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
     check_count(c_min, "c_min")
     check_real(tau_match, "tau_match", 0, 1)
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(
-            f"test features must be (n, d) rows, got shape {x.shape}")
-    stack = _stacked(tuple(sorted(pools.items())))
+    x = check_array(features, "test features", 2)
+    try:
+        stack = _stacked(tuple(sorted(pools.items())))
+    except (AttributeError, TypeError):
+        # not a dict, or keys or pools that cannot be sorted or hashed
+        clonal.check_pools(pools)
+        raise
     if stack.width != x.shape[1]:
         # the pools differ in width, or share one that is not the batch's
         for label in stack.filled:
@@ -136,7 +136,8 @@ def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
 
     The non-empty pools' members are stacked into one reference. Pools of
     different widths fit no batch, so they have no width and no
-    reference."""
+    reference. The pools are checked here, once per set of pools."""
+    clonal.check_pools(dict(pools))
     filled = [(label, pool) for label, pool in pools if len(pool)]
     sizes = [len(pool) for _, pool in filled]
     widths = {pool.matrix.shape[1] for _, pool in filled}
@@ -161,10 +162,7 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
     that is not an integer >= 0 ConfigurationError, before any draw."""
     if existing is not None and label in existing:
         raise ConfigurationError(f"class {label} already has a pool")
-    seed = np.asarray(test_feature, dtype=np.float64)
-    if seed.ndim != 1:
-        raise DimensionError(
-            f"test feature must be a vector, got shape {seed.shape}")
+    seed = check_array(test_feature, "test feature", 1)
     empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
     shape = (config.memory_capacity - 1, seed.size)
     variants = mutate(np.broadcast_to(seed, shape), 1.0, config.sigma, rng)

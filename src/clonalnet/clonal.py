@@ -43,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, UndefinedAffinityError,
-                     check_count, check_indices, check_real, read_text)
+                     check_array, check_count, check_indices, check_real,
+                     read_text)
 
 # squared norms outside this range are rescaled before use: any two inside
 # it, or in the [1, d] of a rescaled row, multiply to a normal float
@@ -96,39 +97,33 @@ class MemoryPool:
         if len(antibodies):
             matrix = [ab.feature for ab in antibodies]
             scores = [ab.affinity_score for ab in antibodies]
-        try:
-            matrix = np.array(matrix, dtype=np.float64)
-        except ValueError:
-            raise DimensionError(f"pool of class {self.class_label}: "
-                                 f"rows of different widths") from None
+        where = f"pool of class {self.class_label}: "
+        # copies of the checked arrays, which the caller may still hold
+        matrix = np.array(check_array(matrix, f"{where}matrix", (1, 2)))
         if not np.isfinite(matrix).all():
-            raise ConfigurationError(f"pool of class {self.class_label}: "
-                                     f"a member row is not finite")
-        scores = np.array(scores, dtype=np.float64)
+            raise ConfigurationError(f"{where}a member row is not finite")
+        scores = np.array(check_array(scores, f"{where}scores", 1))
         matrix = _pool_rows(matrix)
-        if matrix.ndim != 2 or scores.shape != (len(matrix),):
-            raise DimensionError(
-                f"pool of class {self.class_label}: features "
-                f"{matrix.shape} do not fit scores {scores.shape}")
+        if matrix.ndim != 2 or len(scores) != len(matrix):
+            raise DimensionError(f"{where}matrix {matrix.shape} does not fit "
+                                 f"scores {scores.shape}")
         matrix.flags.writeable = scores.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "scores", scores)
         if len(scores) > self.capacity:
-            raise ConfigurationError(
-                f"pool of class {self.class_label}: {len(scores)} "
-                f"members exceed capacity {self.capacity}")
+            raise ConfigurationError(f"{where}{len(scores)} members exceed "
+                                     f"capacity {self.capacity}")
         # written so that a NaN score fails it
         unordered = np.flatnonzero(~(scores[:-1] >= scores[1:]))
         if unordered.size:
             i = unordered[0]
             before, after = scores[i:i + 2].tolist()
             raise ConfigurationError(
-                f"pool of class {self.class_label}: member {i + 2} scores "
-                f"{after!r} after {before!r}; scores must not increase")
+                f"{where}member {i + 2} scores {after!r} after {before!r}; "
+                f"scores must not increase")
         # a lone NaN, or an infinite score, is in order
         if not np.isfinite(scores).all():
-            raise ConfigurationError(f"pool of class {self.class_label}: "
-                                     f"a member score is not finite")
+            raise ConfigurationError(f"{where}a member score is not finite")
 
     @classmethod
     def _ranked(cls, class_label: int, capacity: int, matrix: np.ndarray,
@@ -197,9 +192,9 @@ def affinity_naive(v1: np.ndarray, v2: np.ndarray) -> float:
     orthogonal (0.5); two zero vectors, or a non-finite component, have no
     defined direction and raise.
     """
-    a = np.asarray(v1, dtype=np.float64)
-    b = np.asarray(v2, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+    a = check_array(v1, "v1", 1)
+    b = check_array(v2, "v2", 1)
+    if a.shape != b.shape:
         raise DimensionError(
             f"affinity needs equal-width vectors, got {a.shape} and {b.shape}"
         )
@@ -235,15 +230,15 @@ def mutate(v: np.ndarray, rate: float | np.ndarray, sigma: float,
            rng: np.random.Generator) -> np.ndarray:
     """Independent zero-mean Gaussian perturbation, std = rate * sigma; an
     (n, 1) column of rates draws what n one-row calls would."""
-    v = np.asarray(v, dtype=np.float64)
+    v = check_array(v, "v")
     return v + rng.normal(scale=rate * sigma, size=v.shape)
 
 
 def crossover(v1: np.ndarray, v2: np.ndarray,
               rng: np.random.Generator) -> np.ndarray:
     """Uniform crossover: each component from v1 or v2 with probability 1/2."""
-    a = np.asarray(v1, dtype=np.float64)
-    b = np.asarray(v2, dtype=np.float64)
+    a = check_array(v1, "v1")
+    b = check_array(v2, "v2")
     if a.shape != b.shape:
         raise DimensionError(
             f"crossover needs equal widths, got {a.shape} and {b.shape}"
@@ -267,17 +262,10 @@ def affinity_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     rows, or a row with a non-finite component, raise
     UndefinedAffinityError. :func:`affinity_naive` is the per-pair oracle.
     """
-    q = _rows(queries)
-    return _affinity_table(q, [(0, len(q), None,
-                                _rescaled(_rows(references)))])
-
-
-def _rows(x) -> np.ndarray:
-    """``x`` as float64 rows, a vector as one row; more axes raise."""
-    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if rows.ndim != 2:
-        raise DimensionError(f"affinity needs rows, got shape {rows.shape}")
-    return rows
+    # a vector or a scalar is one row
+    q = np.atleast_2d(check_array(queries, "queries", (0, 2)))
+    return _affinity_table(q, [(0, len(q), None, _rescaled(
+        np.atleast_2d(check_array(references, "references", (0, 2)))))])
 
 
 def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -365,7 +353,7 @@ def pool_affinities(features: np.ndarray, pool: MemoryPool) -> np.ndarray:
         raise ConfigurationError(
             f"memory pool for class {pool.class_label} is empty"
         )
-    q = _rows(features)
+    q = np.atleast_2d(check_array(features, "features", (0, 2)))
     return _affinity_table(q, [(0, len(q), pool.class_label, pool.rescaled)])
 
 
@@ -383,9 +371,9 @@ def update_memory(pool: MemoryPool, features, scores) -> MemoryPool:
     was built, and the stable ranking orders the scores best first, so
     the new pool is built without the constructor's checks.
     """
-    features = np.asarray(features, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if (features.ndim != 2 or scores.shape != (len(features),)
+    features = check_array(features, "features", 2)
+    scores = check_array(scores, "scores", 1)
+    if (len(scores) != len(features)
             or len(pool) and features.shape[1] != pool.matrix.shape[1]):
         raise DimensionError(
             f"candidate rows {features.shape} with scores {scores.shape} do "
@@ -433,6 +421,8 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
     memory score. A label without a pool raises ConfigurationError before
     any draw.
     """
+    features = check_array(features, "features", 2)
+    scores = check_array(scores, "scores", 1)
     if not len(features) == len(scores) == len(labels):
         raise DimensionError(f"{len(features)} features, {len(scores)} "
                              f"scores and {len(labels)} labels")
@@ -502,26 +492,18 @@ class ClonalExpander:
         sets its clone count and is its memory score. One
         :func:`generate_clones` call expands the batch. A pool takes its
         accepted clones, then its originals, each in batch order. A batch
-        whose counts, shape, width or values do not fit, or whose labels
-        are not of an integer dtype, raises before any pool changes or any
-        draw.
+        whose features are not (n, d) rows, whose labels are not one
+        integer per row, or whose widths or values do not fit, raises
+        before any pool changes or any draw.
         """
-        if len(features) != len(labels):
+        x = check_array(features, "features", 2)
+        label_of = check_indices(labels, "label", ndim=1)
+        if len(x) != len(label_of):
             raise DimensionError(
-                f"{len(features)} features but {len(labels)} labels")
-        try:
-            x = np.asarray(features, dtype=np.float64)
-        except ValueError:
-            raise DimensionError("batch rows of different widths") from None
-        if not len(labels):
-            return Clones(np.empty((0, x.shape[-1] if x.ndim == 2 else 0)),
-                          np.empty(0, np.intp), np.empty(0))
-        if x.ndim != 2:
-            raise DimensionError(f"a batch must be (n, d) rows, got {x.shape}")
-        label_of = check_indices(labels, "label")
-        if label_of.ndim != 1:
-            raise DimensionError(
-                f"labels must be one per row, got shape {label_of.shape}")
+                f"{len(x)} features but {len(label_of)} labels")
+        if not len(label_of):
+            return Clones(np.empty((0, x.shape[1])), np.empty(0, np.intp),
+                          np.empty(0))
         labels = label_of.tolist()
         groups = {l: (label_of == l).nonzero()[0]
                   for l in sorted(set(labels))}
@@ -553,7 +535,19 @@ class ClonalExpander:
 POOL_FORMAT_HEADER = "clonalnet-pools v1"
 
 
+def check_pools(pools) -> None:
+    """ConfigurationError unless ``pools`` maps class ids to their pools."""
+    if not isinstance(pools, dict):
+        raise ConfigurationError(
+            f"pools must be a dict, got {type(pools).__name__}")
+    for label, pool in pools.items():
+        if not isinstance(pool, MemoryPool) or label != pool.class_label:
+            raise ConfigurationError(
+                f"pools[{label!r}] is not the MemoryPool of class {label!r}")
+
+
 def save_pools(pools: dict[int, MemoryPool], path) -> None:
+    check_pools(pools)
     lines = [POOL_FORMAT_HEADER]
     for label in sorted(pools):
         pool = pools[label]
@@ -648,7 +642,7 @@ def clonalg_run(pattern, population_size: int, generations: int,
     elitist top-m memory set. The history records the best memory score per
     generation and is non-decreasing by construction.
     """
-    pattern = np.asarray(pattern, dtype=np.float64).ravel()
+    pattern = check_array(pattern, "pattern").ravel()
     if not pattern.size:
         raise ConfigurationError("clonalg_run requires a non-empty pattern")
     if check_count(select_n, "select_n") > check_count(population_size,

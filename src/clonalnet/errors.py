@@ -1,12 +1,15 @@
-"""Exception types shared across the package, the three rules that checked
+"""Exception types shared across the package, the four rules that checked
 values obey (counts and seeds: :func:`check_count`; labels and batch
-indices: :func:`check_indices`; real-valued settings: :func:`check_real`),
-and a text reader that raises one of them."""
+indices, of the rank their caller expects: :func:`check_indices`;
+real-valued settings: :func:`check_real`; array arguments:
+:func:`check_array`), and a text reader that raises one of them."""
 
 import math
 from pathlib import Path
 
 import numpy as np
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class DimensionError(ValueError):
@@ -54,13 +57,52 @@ def check_count(value, name: str, low: int = 1):
     return value
 
 
-def check_indices(values, noun: str, bound: int | None = None) -> np.ndarray:
-    """``values`` as an array, if its dtype is an integer one (the IDX
-    files' uint8 among them) and, when ``bound`` is given, every entry lies
-    in [0, bound); else ConfigurationError, naming the first entry outside
-    the range. A bool or float dtype is refused, so no cast drops a
-    fraction."""
-    values = np.asarray(values)
+def check_array(values, name: str, ndim=None) -> np.ndarray:
+    """``values`` as float64, if it is rectangular, of bools, integers or
+    reals, and of rank ``ndim``: an int, a ``(low, high)`` range, or None
+    for any. Else DimensionError or ConfigurationError naming ``name``. A
+    float64 array comes back as it is."""
+    try:
+        array = np.asarray(values)
+    except ValueError:   # numpy's "inhomogeneous shape"
+        raise _shape_error(name) from None
+    # numpy shares one float64 dtype: the common case is one identity test
+    if array.dtype is not _FLOAT64:
+        if array.dtype.kind not in "biuf":
+            raise ConfigurationError(
+                f"{name} must hold real numbers, got dtype {array.dtype}")
+        array = array.astype(_FLOAT64)
+    if ndim is not None and array.ndim != ndim and (
+            type(ndim) is int or not ndim[0] <= array.ndim <= ndim[1]):
+        raise _shape_error(name, array, ndim)
+    return array
+
+
+def _shape_error(name: str, array=None, ndim=None) -> DimensionError:
+    """The error for ragged rows, or for ``array`` not of rank ``ndim``."""
+    if array is None:
+        return DimensionError(
+            f"{name} must be rectangular, got rows of different lengths")
+    low, high = (ndim, ndim) if type(ndim) is int else ndim
+    ranks = (low if low == high else f"{low} or more" if high == math.inf
+             else f"{low} to {high}")
+    return DimensionError(
+        f"{name} must have {ranks} axes, got shape {array.shape}")
+
+
+def check_indices(values, noun: str, bound: int | None = None,
+                  ndim: int | None = None) -> np.ndarray:
+    """``values`` as an array, if it is rectangular, of rank ``ndim`` when
+    given, of an integer dtype (the IDX files' uint8 among them) and, with
+    a ``bound``, in [0, bound); else DimensionError or ConfigurationError,
+    naming the first entry outside the range. A bool or float dtype is
+    refused, so no cast drops a fraction."""
+    try:
+        values = np.asarray(values)
+    except ValueError:
+        raise _shape_error(f"{noun}s") from None
+    if ndim is not None and values.ndim != ndim:
+        raise _shape_error(f"{noun}s", values, ndim)
     if values.dtype.kind not in "iu":
         raise ConfigurationError(
             f"{noun}s must be integers, got dtype {values.dtype}")

@@ -25,8 +25,8 @@ from .classifier import (Decision, classify_batch, init_new_class,
                          write_decision_records)
 from .clonal import (CloneConfig, ClonalExpander, ClonalgResult, MemoryPool,
                      clonalg_run, save_pools)
-from .errors import (ConfigurationError, DivergenceError, check_count,
-                     check_indices, check_real, read_text)
+from .errors import (ConfigurationError, DimensionError, DivergenceError,
+                     check_count, check_indices, check_real, read_text)
 from .mnist import Dataset, batches, load_dataset, stratified_subset
 from .nn import ArchConfig, evaluate, forward_features, init_params, train_epoch
 
@@ -241,9 +241,9 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
                 f"takes {side}"
             )
     try:
-        check_indices(train_ds.labels, "label", arch.num_classes)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"train {err}") from None
+        check_indices(train_ds.labels, "label", arch.num_classes, 1)
+    except (ConfigurationError, DimensionError) as err:
+        raise type(err)(f"train {err}") from None
     params = init_params(derived_seed(seed, per_class, 11), arch)
     expander = None
     if variant == "cnn-ais":

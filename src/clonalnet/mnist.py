@@ -10,6 +10,7 @@ serializer write the synthetic corpus in the same container.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, IdxFormatError, IdxTruncationError,
+    ConfigurationError, IdxFormatError, IdxTruncationError, check_array,
     check_count,
 )
 
@@ -91,10 +92,10 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 
 def quantize_pixels(images) -> np.ndarray:
     """Pixels in [0, 1] as IDX bytes: ``rint(x * 255)`` clipped to
-    [0, 255], as uint8. Values outside [0, 1], infinities included, clip;
-    a NaN raises ConfigurationError. The float work runs in one temporary
-    of the input's size."""
-    scaled = np.multiply(images, 255.0)
+    [0, 255], as uint8, for an array of one or more axes. Values outside
+    [0, 1], infinities included, clip; a NaN raises ConfigurationError.
+    The float work on float64 pixels runs in one temporary of their size."""
+    scaled = np.multiply(check_array(images, "images", (1, math.inf)), 255.0)
     np.rint(scaled, out=scaled)
     np.clip(scaled, 0, 255, out=scaled)
     if np.isnan(scaled).any():
@@ -109,9 +110,7 @@ def idx_image_header(count: int, rows: int, cols: int) -> bytes:
 
 def serialize_idx_labels(labels: np.ndarray) -> bytes:
     """Labels as IDX bytes; each must be an integer in [0, 255]."""
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise DimensionError(f"IDX labels need shape (count,), got {arr.shape}")
+    arr = check_array(labels, "labels", 1)
     valid = (arr >= 0) & (arr <= 255) & (arr % 1 == 0)
     if not valid.all():
         bad = arr[~valid][0]

@@ -46,7 +46,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
-                     DivergenceError, check_count, check_indices)
+                     DivergenceError, check_array, check_count, check_indices,
+                     check_real)
 from .tensor import (Windows, conv2d_valid, dense, dense_backward, maxpool2,
                      maxpool2_backward)
 
@@ -56,7 +57,7 @@ TANH_SLOPE = 2.0 / 3.0
 
 def scaled_tanh(x):
     """1.7159 * tanh(2x/3), the classic symmetric sigmoid."""
-    return TANH_SCALE * np.tanh(TANH_SLOPE * np.asarray(x, dtype=np.float64))
+    return TANH_SCALE * np.tanh(TANH_SLOPE * check_array(x, "x"))
 
 
 def tanh_prime_from(t):
@@ -173,9 +174,7 @@ def init_params(seed: int, dims: ArchConfig) -> LayerStack:
 def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Run an ``(H, W)`` image or an ``(N, H, W)`` batch up to the feature
     layer; return the ``(d,)`` or ``(N, d)`` features and the full trace."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim not in (2, 3):
-        raise DimensionError(f"image must be (H, W) or (N, H, W), got {img.shape}")
+    img = check_array(image, "image", (2, 3))
     windows = Windows(img, params.conv_kernels.shape[1:])
     conv_pre = np.empty((*img.shape[:-2], params.num_maps, *windows.shape[-2:]))
     for m, (kernel, bias) in enumerate(zip(params.conv_kernels,
@@ -212,8 +211,8 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
 def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
     """Class probabilities of each row of a ``(..., d)`` feature stack:
     softmax over the output layer's scores."""
-    feat = np.asarray(feature, dtype=np.float64)
-    if feat.ndim < 1 or feat.shape[-1] != params.feature_width:
+    feat = check_array(feature, "feature", (1, math.inf))
+    if feat.shape[-1] != params.feature_width:
         raise DimensionError(
             f"feature shape {feat.shape} does not match width {params.feature_width}"
         )
@@ -224,9 +223,10 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
-    """-log p[true_label]; ``inf`` when that probability is 0. A label that
-    is not an integer class (a float, a bool) raises ConfigurationError."""
-    check_indices(true_label, "label", len(probabilities))
+    """-log p[true_label] of a ``(c,)`` vector; ``inf`` when that is 0. A
+    label that is not one integer class raises ConfigurationError."""
+    probabilities = check_array(probabilities, "probabilities", 1)
+    check_indices(true_label, "label", len(probabilities), 0)
     p = probabilities[true_label]
     return float("inf") if p == 0 else float(-np.log(p))
 
@@ -250,25 +250,22 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     """
     n = len(trace.feature)
     width = params.feature_width
-    probs = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.shape != (n, params.num_classes) or labels.shape != (n,):
+    probs = check_array(probabilities, "probabilities")
+    if probs.shape != (n, params.num_classes) or len(labels) != n:
         raise CorruptionError(
-            f"probabilities {probs.shape} and labels {labels.shape} do not "
+            f"probabilities {probs.shape} and {len(labels)} labels do not "
             f"match {n} traced samples of {params.num_classes} classes"
         )
-    labels = check_indices(labels, "label", params.num_classes)
+    labels = check_indices(labels, "label", params.num_classes, 1)
     if clone_features is None:
         clone_features = np.empty((0, width))
         clone_parents = np.empty(0, np.intp)
-    clone_features = np.asarray(clone_features, dtype=np.float64)
-    parents = np.asarray(clone_parents)
-    if (clone_features.ndim != 2 or clone_features.shape[1] != width
-            or parents.shape != (len(clone_features),)):
+    clone_features = check_array(clone_features, "clone features", 2)
+    parents = check_indices(clone_parents, "clone parent", n, 1)
+    if clone_features.shape[1] != width or len(parents) != len(clone_features):
         raise DimensionError(
             f"clone features {clone_features.shape} and parents "
             f"{parents.shape} must be (k, {width}) and (k,)")
-    check_indices(parents, "clone parent", n)
 
     row_labels = np.concatenate([labels, labels[parents]])
 
@@ -343,13 +340,14 @@ EVAL_CHUNK = 50
 
 def evaluate(params: LayerStack, images: np.ndarray, labels: np.ndarray) -> float:
     """Misclassification rate over a sample set, one ``predict`` per chunk
-    of ``EVAL_CHUNK`` images. Labels that are not integers in
-    [0, num_classes) raise ConfigurationError."""
+    of ``EVAL_CHUNK`` ``(N, H, W)`` images. Labels that are not one
+    integer in [0, num_classes) per image raise a typed error."""
+    images = check_array(images, "images", 3)
+    labels = check_indices(labels, "label", params.num_classes, 1)
     if len(images) != len(labels):
         raise DimensionError(f"{len(images)} images but {len(labels)} labels")
     if not len(labels):
         raise ConfigurationError("evaluate requires at least one sample")
-    labels = check_indices(labels, "label", params.num_classes)
     wrong = 0
     for start in range(0, len(labels), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
@@ -368,27 +366,29 @@ def train_epoch(params: LayerStack, batches, learning_rate: float,
     (k, d) and ``parents`` (k,) arrays and a ``len``), whose arrays go to
     ``batch_gradients`` as they are. Original and clone gradients are
     averaged together before a single SGD step. Returns the updated
-    parameters and the misclassification rate over the originals.
-    A batch whose image and label counts differ, whose labels are not
-    integers in [0, num_classes), or a step that leaves any parameter
-    non-finite, raises an error naming the 1-based batch; the labels are
-    checked before the batch's forward pass, so a bad label reaches
-    neither the hook nor the parameters.
+    parameters and the misclassification rate over the originals. A bad
+    ``learning_rate`` raises before any batch; a batch whose images are not
+    ``(N, H, W)`` or whose labels are not one integer in [0, num_classes)
+    per image, or a step that leaves any parameter non-finite, raises an
+    error naming the 1-based batch. A batch is checked before its forward
+    pass, so a bad label reaches neither the hook nor the parameters.
     """
+    check_real(learning_rate, "learning_rate", 0, math.inf)
     batches = list(batches)
     if not batches:
         raise ConfigurationError("train_epoch requires at least one batch")
     mistakes = total = 0
     for number, (images, labels) in enumerate(batches, start=1):
+        try:
+            images = check_array(images, "images", 3)
+            labels = check_indices(labels, "label", params.num_classes, 1)
+        except (ConfigurationError, DimensionError) as err:
+            raise type(err)(f"batch {number}: {err}") from None
         n = len(labels)
         if len(images) != n:
             raise DimensionError(f"batch {number}: {len(images)} images but {n} labels")
         if n == 0:
             raise ConfigurationError("empty batch")
-        try:
-            labels = check_indices(labels, "label", params.num_classes)
-        except ConfigurationError as err:
-            raise ConfigurationError(f"batch {number}: {err}") from None
         features, trace = forward_features(params, images)
         probs = forward_output(params, features)
         mistakes += int(np.add.reduce(probs.argmax(axis=1) != labels))

@@ -35,16 +35,10 @@ import math
 
 import numpy as np
 
-from .errors import CorruptionError, DimensionError
+from .errors import CorruptionError, DimensionError, check_array
 
-
-def _as_array(x, name: str, ndim: int, stack: bool = False) -> np.ndarray:
-    """``x`` as float64 with ``ndim`` axes, or more when it is a stack."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim < ndim or (a.ndim > ndim and not stack):
-        raise DimensionError(f"{name} must have {ndim} axes"
-                             f"{' or more' if stack else ''}, got shape {a.shape}")
-    return a
+# the ranks of a stack: a map or vector under any leading axes
+_MAPS, _VECTORS = (2, math.inf), (1, math.inf)
 
 
 def _check_fits(inp: np.ndarray, kernel_shape) -> None:
@@ -55,9 +49,9 @@ def _check_fits(inp: np.ndarray, kernel_shape) -> None:
 
 
 def _dense_operands(weights, bias, x, stack: bool):
-    w = _as_array(weights, "weights", 2)
-    b = _as_array(bias, "bias", 1)
-    v = _as_array(x, "x", 1, stack)
+    w = check_array(weights, "weights", 2)
+    b = check_array(bias, "bias", 1)
+    v = check_array(x, "x", _VECTORS if stack else 1)
     if w.shape[0] != b.shape[0] or w.shape[1] != v.shape[-1]:
         raise DimensionError(
             f"dense shapes disagree: weights {w.shape}, bias {b.shape}, "
@@ -85,7 +79,7 @@ class Windows:
     """
 
     def __init__(self, input: np.ndarray, kernel_shape: tuple[int, int]):
-        inp = _as_array(input, "input", 2, stack=True)
+        inp = check_array(input, "input", _MAPS)
         if len(kernel_shape) != 2:
             raise DimensionError(f"kernel shape must have 2 axes, got {kernel_shape}")
         kh, kw = self.kernel_shape = tuple(kernel_shape)
@@ -109,7 +103,7 @@ def conv2d_valid(input, kernel: np.ndarray) -> np.ndarray:
 
     out[..., y, x] = sum_{i, j} input[..., y + i, x + j] * kernel[i, j]
     """
-    ker = _as_array(kernel, "kernel", 2)
+    ker = check_array(kernel, "kernel", 2)
     windows = input if isinstance(input, Windows) else Windows(input, ker.shape)
     if ker.shape != windows.kernel_shape:
         raise DimensionError(f"kernel shape {ker.shape} does not match "
@@ -121,8 +115,8 @@ def conv2d_valid(input, kernel: np.ndarray) -> np.ndarray:
 
 def conv2d_valid_naive(input: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Quadruple-loop reference for :func:`conv2d_valid` on one map."""
-    inp = _as_array(input, "input", 2)
-    ker = _as_array(kernel, "kernel", 2)
+    inp = check_array(input, "input", 2)
+    ker = check_array(kernel, "kernel", 2)
     _check_fits(inp, ker.shape)
     h, w = inp.shape
     kh, kw = ker.shape
@@ -158,7 +152,7 @@ def maxpool2(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero. Each output is then read from its winning element, which keeps
     its bits, sign of zero included.
     """
-    inp = _as_array(input, "input", 2, stack=True)
+    inp = check_array(input, "input", _MAPS)
     *lead, h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
@@ -202,7 +196,7 @@ def _pool_tables(maps: int, h: int, w: int) -> tuple[np.ndarray, ...]:
 
 def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-block scan reference for :func:`maxpool2` on one map."""
-    inp = _as_array(input, "input", 2)
+    inp = check_array(input, "input", 2)
     h, w = inp.shape
     if h % 2 or w % 2:
         raise DimensionError(f"input extents must be even, got {inp.shape}")
@@ -226,38 +220,29 @@ def maxpool2_naive(input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, argmax
 
 
-def _winner_index(argmax) -> np.ndarray:
-    """Flat index into a whole ``(..., H, W)`` stack of each winner in a
-    ``(..., H/2, W/2)`` stack of :func:`maxpool2` argmaxes."""
-    am = np.asarray(argmax)
-    *lead, ph, pw = am.shape
-    size = 4 * ph * pw
-    if am.size and (am.dtype.kind not in "iu"
-                    or np.minimum.reduce(am, axis=None) < 0
-                    or np.maximum.reduce(am, axis=None) >= size):
-        raise CorruptionError(
-            f"argmax must hold integer indices into maps of shape {(2 * ph, 2 * pw)}"
-        )
-    map_starts = _pool_tables(math.prod(lead), 2 * ph, 2 * pw)[2]
-    return am + map_starts.reshape(*lead, 1, 1)
-
-
 def maxpool2_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Route grad_out entries to the argmax positions; zeros elsewhere.
 
     Takes the ``(..., H/2, W/2)`` stacks of :func:`maxpool2` and returns the
     ``(..., H, W)`` gradient of its input.
     """
-    g = _as_array(grad_out, "grad_out", 2, stack=True)
+    g = check_array(grad_out, "grad_out", _MAPS)
     am = np.asarray(argmax)
     if am.shape != g.shape:
         raise DimensionError(
             f"argmax shape {am.shape} does not match grad_out shape {g.shape}"
         )
-    index = _winner_index(am)
     *lead, ph, pw = g.shape
+    if am.size and (am.dtype.kind not in "iu"
+                    or np.minimum.reduce(am, axis=None) < 0
+                    or np.maximum.reduce(am, axis=None) >= 4 * ph * pw):
+        raise CorruptionError(
+            f"argmax must hold integer indices into maps of shape {(2 * ph, 2 * pw)}"
+        )
+    # each winner's flat index into the whole (..., H, W) stack
+    map_starts = _pool_tables(math.prod(lead), 2 * ph, 2 * pw)[2]
     grad_input = np.zeros((*lead, 2 * ph, 2 * pw))
-    grad_input.reshape(-1)[index] = g
+    grad_input.reshape(-1)[am + map_starts.reshape(*lead, 1, 1)] = g
     return grad_input
 
 
@@ -309,9 +294,9 @@ def dense_backward(
     but a row of a larger stack may differ from its own call in the last
     bits.
     """
-    w = _as_array(weights, "weights", 2)
-    v = _as_array(x, "x", 1, stack=True)
-    g = _as_array(grad_out, "grad_out", 1, stack=True)
+    w = check_array(weights, "weights", 2)
+    v = check_array(x, "x", _VECTORS)
+    g = check_array(grad_out, "grad_out", _VECTORS)
     if (v.shape[:-1] != g.shape[:-1] or w.shape[0] != g.shape[-1]
             or w.shape[1] != v.shape[-1]):
         raise DimensionError(

@@ -1,15 +1,18 @@
-"""The three rules of ``errors``, each checked where a config or call
+"""The four rules of ``errors``, each checked where a config or call
 applies it.
 
 - Integers: every count, size, seed, capacity and class id is an integer
   (not a bool) of at least its minimum.
-- Indices: every array of labels or clone parents has an integer dtype,
-  with every entry in [0, bound) where there is a bound.
+- Indices: every array of labels or clone parents is rectangular, of the
+  rank its caller expects (one label per row), has an integer dtype, and
+  has every entry in [0, bound) where there is a bound.
 - Reals: every real-valued setting is a finite number (not a bool) in its
   range.
+- Arrays: every array argument is rectangular, holds bools, integers or
+  reals only, and has a rank its function accepts; it is used as float64.
 
-Any other value raises ConfigurationError naming it before any work
-starts."""
+A value that breaks a rule raises ConfigurationError, or DimensionError
+for ragged rows and a wrong rank, naming it before any work starts."""
 
 import dataclasses
 import math
@@ -17,10 +20,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clonalnet import classifier, clonal, gradcheck, harness, mnist, nn
-from clonalnet import synthdigits
-from clonalnet.errors import (ConfigurationError, check_count, check_indices,
+from clonalnet import synthdigits, tensor
+from clonalnet.errors import (ConfigurationError, CorruptionError,
+                              DimensionError, UndefinedAffinityError,
+                              check_array, check_count, check_indices,
                               check_real)
 
 # the integer fields whose minimum is 0, not 1
@@ -271,3 +278,363 @@ def test_classify_rejects_a_tau_match_that_is_not_a_real(tau_match):
     # "0.8" and None used to raise a bare TypeError, and True to match at 1
     with pytest.raises(ConfigurationError, match="tau_match"):
         classifier.classify(np.ones(3), POOLS, tau_match=tau_match)
+
+
+# ---------------------------------------------------------------------------
+# the array rule
+# ---------------------------------------------------------------------------
+
+def test_a_float64_array_comes_back_as_it_is():
+    values = np.ones((2, 3))
+    assert check_array(values, "x", 2) is values
+    assert check_array(values, "x", (1, math.inf)) is values
+    assert check_array(values, "x") is values
+
+
+@pytest.mark.parametrize("values, ndim", [
+    ([[1, 2], [3, 4]], 2), ([True, False], 1), (np.arange(3, dtype=np.uint8), 1),
+    (np.ones(3, np.float32), (1, 2)), (2.5, None), (np.ones((1, 1, 2)), (2, math.inf)),
+    (np.ones(2, ">f8"), 1)])
+def test_bools_integers_and_reals_come_back_as_float64(values, ndim):
+    array = check_array(values, "x", ndim)
+    assert array.dtype == np.float64
+    assert np.array_equal(array, np.asarray(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("values, ndim, error, message", [
+    ([[1.0, 2.0], [3.0]], None, DimensionError,
+     "x must be rectangular, got rows of different lengths"),
+    ([1.0, [2.0]], 1, DimensionError, "x must be rectangular"),
+    (np.ones(3), 2, DimensionError, "x must have 2 axes, got shape (3,)"),
+    (np.ones((2, 2)), (0, 1), DimensionError,
+     "x must have 0 to 1 axes, got shape (2, 2)"),
+    (np.ones(3), (2, math.inf), DimensionError,
+     "x must have 2 or more axes, got shape (3,)"),
+    (["1", "2"], 1, ConfigurationError,
+     "x must hold real numbers, got dtype <U1"),
+    ([1.0, None], 1, ConfigurationError,
+     "x must hold real numbers, got dtype object"),
+    ([1.0, 2j], 1, ConfigurationError,
+     "x must hold real numbers, got dtype complex128"),
+    (np.array(["2020-01-01"], "datetime64[D]"), 1, ConfigurationError,
+     "got dtype datetime64[D]"),
+])
+def test_other_arrays_are_rejected_naming_the_argument(values, ndim, error,
+                                                       message):
+    with pytest.raises(error, match=re.escape(message)):
+        check_array(values, "x", ndim)
+
+
+def test_index_arrays_of_another_rank_or_ragged_are_rejected():
+    with pytest.raises(DimensionError,
+                       match=re.escape("labels must have 1 axes, got shape "
+                                       "(2, 1)")):
+        check_indices(np.array([[0], [1]]), "label", 3, 1)
+    with pytest.raises(DimensionError, match="labels must be rectangular"):
+        check_indices([[0, 1], [2]], "label", 3)
+    assert check_indices(np.int64(2), "label", 3, 0) == 2
+
+
+RNG = np.random.default_rng
+
+
+# (function, the name its error gives, a good value, a value of a rank the
+# function refuses or None where it takes any, the error for that rank, and
+# the call with the value)
+ARRAY_CALLS = [
+    ("Windows", "input", np.ones((4, 4)), np.ones(4), DimensionError,
+     lambda v: tensor.Windows(v, (3, 3))),
+    ("conv2d_valid", "input", np.ones((4, 4)), np.ones(4), DimensionError,
+     lambda v: tensor.conv2d_valid(v, np.ones((3, 3)))),
+    ("conv2d_valid", "kernel", np.ones((3, 3)), np.ones((1, 3, 3)),
+     DimensionError, lambda v: tensor.conv2d_valid(np.ones((4, 4)), v)),
+    ("conv2d_valid_naive", "input", np.ones((4, 4)), np.ones((1, 4, 4)),
+     DimensionError, lambda v: tensor.conv2d_valid_naive(v, np.ones((3, 3)))),
+    ("conv2d_valid_naive", "kernel", np.ones((3, 3)), np.ones(3),
+     DimensionError, lambda v: tensor.conv2d_valid_naive(np.ones((4, 4)), v)),
+    ("maxpool2", "input", np.ones((4, 4)), np.ones(4), DimensionError,
+     tensor.maxpool2),
+    ("maxpool2_naive", "input", np.ones((4, 4)), np.ones((1, 4, 4)),
+     DimensionError, tensor.maxpool2_naive),
+    ("maxpool2_backward", "grad_out", np.ones((2, 2)), np.ones(2),
+     DimensionError,
+     lambda v: tensor.maxpool2_backward(np.zeros((2, 2), np.int64), v)),
+    ("dense", "weights", np.ones((2, 3)), np.ones(3), DimensionError,
+     lambda v: tensor.dense(v, np.ones(2), np.ones(3))),
+    ("dense", "bias", np.ones(2), np.ones((1, 2)), DimensionError,
+     lambda v: tensor.dense(np.ones((2, 3)), v, np.ones(3))),
+    ("dense", "x", np.ones(3), np.float64(1.0), DimensionError,
+     lambda v: tensor.dense(np.ones((2, 3)), np.ones(2), v)),
+    ("dense_naive", "weights", np.ones((2, 3)), np.ones(3), DimensionError,
+     lambda v: tensor.dense_naive(v, np.ones(2), np.ones(3))),
+    ("dense_naive", "bias", np.ones(2), np.ones((1, 2)), DimensionError,
+     lambda v: tensor.dense_naive(np.ones((2, 3)), v, np.ones(3))),
+    ("dense_naive", "x", np.ones(3), np.ones((1, 3)), DimensionError,
+     lambda v: tensor.dense_naive(np.ones((2, 3)), np.ones(2), v)),
+    ("dense_backward", "weights", np.ones((2, 3)), np.ones(3), DimensionError,
+     lambda v: tensor.dense_backward(v, np.ones(3), np.ones(2))),
+    ("dense_backward", "x", np.ones(3), np.float64(1.0), DimensionError,
+     lambda v: tensor.dense_backward(np.ones((2, 3)), v, np.ones(2))),
+    ("dense_backward", "grad_out", np.ones(2), np.float64(1.0),
+     DimensionError,
+     lambda v: tensor.dense_backward(np.ones((2, 3)), np.ones(3), v)),
+    ("scaled_tanh", "x", np.ones(3), None, None, nn.scaled_tanh),
+    ("forward_features", "image", IMAGES[0], IMAGES[0, 0], DimensionError,
+     lambda v: nn.forward_features(SMALL_PARAMS, v)),
+    ("predict", "image", IMAGES[0], IMAGES[None], DimensionError,
+     lambda v: nn.predict(SMALL_PARAMS, v)),
+    ("forward_output", "feature", FEATURES[0], np.float64(1.0),
+     DimensionError, lambda v: nn.forward_output(SMALL_PARAMS, v)),
+    ("cross_entropy", "probabilities", PROBS[0], PROBS, DimensionError,
+     lambda v: nn.cross_entropy(v, 0)),
+    # probabilities that do not fit the trace are a corrupt trace
+    ("batch_gradients", "probabilities", PROBS, PROBS[0], CorruptionError,
+     lambda v: nn.batch_gradients(SMALL_PARAMS, TRACE, v, LABELS)),
+    ("batch_gradients", "clone features", FEATURES, FEATURES[0],
+     DimensionError,
+     lambda v: nn.batch_gradients(SMALL_PARAMS, TRACE, PROBS, LABELS, v,
+                                  [0, 1, 2])),
+    ("evaluate", "images", IMAGES, IMAGES[0], DimensionError,
+     lambda v: nn.evaluate(SMALL_PARAMS, v, LABELS)),
+    ("train_epoch", "images", IMAGES, IMAGES[0], DimensionError,
+     lambda v: nn.train_epoch(SMALL_PARAMS, [(v, LABELS)], 0.1)),
+    ("MemoryPool", "matrix", np.ones((1, 3)), np.ones((1, 1, 3)),
+     DimensionError,
+     lambda v: clonal.MemoryPool(0, 2, matrix=v, scores=np.ones(1))),
+    ("MemoryPool", "scores", np.ones(1), np.ones((1, 1)), DimensionError,
+     lambda v: clonal.MemoryPool(0, 2, matrix=np.ones((1, 3)), scores=v)),
+    ("affinity_naive", "v1", np.ones(3), np.ones((1, 3)), DimensionError,
+     lambda v: clonal.affinity_naive(v, np.ones(3))),
+    ("affinity_naive", "v2", np.ones(3), np.ones((1, 3)), DimensionError,
+     lambda v: clonal.affinity_naive(np.ones(3), v)),
+    ("mutate", "v", np.ones(3), None, None,
+     lambda v: clonal.mutate(v, 0.5, 0.1, RNG(0))),
+    ("crossover", "v1", np.ones(3), None, None,
+     lambda v: clonal.crossover(v, np.ones(3), RNG(0))),
+    ("crossover", "v2", np.ones(3), None, None,
+     lambda v: clonal.crossover(np.ones(3), v, RNG(0))),
+    ("affinity_matrix", "queries", np.ones((1, 3)), np.ones((1, 1, 3)),
+     DimensionError, lambda v: clonal.affinity_matrix(v, np.ones((2, 3)))),
+    ("affinity_matrix", "references", np.ones((2, 3)), np.ones((1, 2, 3)),
+     DimensionError, lambda v: clonal.affinity_matrix(np.ones((1, 3)), v)),
+    ("pool_affinities", "features", np.ones((1, 3)), np.ones((1, 1, 3)),
+     DimensionError, lambda v: clonal.pool_affinities(v, POOLS[0])),
+    ("update_memory", "features", np.ones((1, 3)), np.ones(3),
+     DimensionError, lambda v: clonal.update_memory(POOLS[0], v, [0.5])),
+    ("update_memory", "scores", np.ones(1), np.float64(0.5), DimensionError,
+     lambda v: clonal.update_memory(POOLS[0], np.ones((1, 3)), v)),
+    ("generate_clones", "features", np.ones((1, 3)), np.ones(3),
+     DimensionError,
+     lambda v: clonal.generate_clones(v, np.ones(1), [0], POOLS, DEMO,
+                                      RNG(0))),
+    ("generate_clones", "scores", np.ones(1), np.ones((1, 1)),
+     DimensionError,
+     lambda v: clonal.generate_clones(np.ones((1, 3)), v, [0], POOLS, DEMO,
+                                      RNG(0))),
+    ("ClonalExpander", "features", FEATURES, FEATURES[0], DimensionError,
+     lambda v: clonal.ClonalExpander(DEMO)(v, LABELS)),
+    ("clonalg_run", "pattern", np.ones(4), None, None,
+     lambda v: clonal.clonalg_run(v, 5, 2, DEMO, select_n=1)),
+    ("classify", "test feature", np.ones(3), np.ones((1, 3)), DimensionError,
+     lambda v: classifier.classify(v, POOLS, 0.5)),
+    ("classify_batch", "test features", np.ones((1, 3)), np.ones(3),
+     DimensionError, lambda v: classifier.classify_batch(v, POOLS, 0.5)),
+    ("init_new_class", "test feature", np.ones(3), np.ones((1, 3)),
+     DimensionError,
+     lambda v: classifier.init_new_class(v, 1, DEMO, RNG(0))),
+    ("quantize_pixels", "images", np.zeros((2, 2)), np.float64(0.5),
+     DimensionError, mnist.quantize_pixels),
+    ("serialize_idx_labels", "labels", np.array([0, 1]), np.array([[0, 1]]),
+     DimensionError, mnist.serialize_idx_labels),
+]
+
+
+def with_first_entry(value, entry):
+    """``value`` as nested lists with its first entry replaced."""
+    rows = np.asarray(value).tolist()
+    inner = rows
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = entry
+    return rows
+
+
+def bad_arrays(good, wrong_rank, rank_error):
+    """(case, value, error) for each kind of array the rule refuses."""
+    yield "ragged", [[0.0, 1.0], [0.0]], DimensionError
+    yield "string", with_first_entry(good, "1"), ConfigurationError
+    yield "None", with_first_entry(good, None), ConfigurationError
+    yield "complex", np.asarray(good) + 1j, ConfigurationError
+    if wrong_rank is not None:
+        yield "rank", wrong_rank, rank_error
+
+
+@pytest.mark.parametrize("name, call, value, error", [
+    pytest.param(name, call, value, error, id=f"{function}.{name}-{case}")
+    for function, name, good, wrong_rank, rank_error, call in ARRAY_CALLS
+    for case, value, error in bad_arrays(good, wrong_rank, rank_error)])
+def test_array_argument_rejected_naming_it(name, call, value, error):
+    # the name opens the message, or follows the prefix of a batch or pool
+    with pytest.raises(error, match=rf"(^|: ){re.escape(name)} "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, good", [
+    pytest.param(call, good, id=f"{function}.{name}")
+    for function, name, good, _, _, call in ARRAY_CALLS])
+def test_array_call_accepts_its_good_value(call, good):
+    # the table's good values are accepted, so each refusal above is the
+    # rule's and not some other check's
+    call(good)
+    call(np.asarray(good).tolist())
+
+
+def test_every_function_with_an_array_argument_is_in_the_table():
+    functions = {function for function, *_ in ARRAY_CALLS}
+    assert functions >= {
+        "Windows", "conv2d_valid", "maxpool2", "maxpool2_backward", "dense",
+        "dense_backward", "forward_features", "forward_output",
+        "cross_entropy", "batch_gradients", "evaluate", "train_epoch",
+        "MemoryPool", "affinity_matrix", "update_memory", "generate_clones",
+        "ClonalExpander", "crossover", "mutate", "clonalg_run", "classify",
+        "classify_batch", "init_new_class", "quantize_pixels"}
+
+
+LEAVES = st.one_of(st.floats(-4, 4), st.integers(-3, 3), st.none(),
+                   st.sampled_from(["", "1", "x"]),
+                   st.complex_numbers(max_magnitude=4))
+NESTED = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4),
+                      max_leaves=16)
+TYPED = (ConfigurationError, DimensionError, CorruptionError,
+         UndefinedAffinityError)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=f"{function}.{name}")
+    for function, name, _, _, _, call in ARRAY_CALLS])
+@given(value=NESTED)
+def test_nested_lists_give_a_result_or_a_typed_error(call, value):
+    try:
+        call(value)
+    except TYPED:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# labels one per row, pool mappings, the learning rate
+# ---------------------------------------------------------------------------
+
+DIGITS = mnist.Dataset(np.zeros((3, 28, 28)), LABELS)
+
+# (function, call with (n, 1) labels or clone parents, message)
+COLUMN_CALLS = [
+    ("evaluate", lambda v: nn.evaluate(SMALL_PARAMS, IMAGES, v),
+     "labels must have 1 axes, got shape (3, 1)"),
+    ("train_epoch", lambda v: nn.train_epoch(SMALL_PARAMS, [(IMAGES, v)], 0.1),
+     "batch 1: labels must have 1 axes, got shape (3, 1)"),
+    ("batch_gradients",
+     lambda v: nn.batch_gradients(SMALL_PARAMS, TRACE, PROBS, v),
+     "labels must have 1 axes, got shape (3, 1)"),
+    ("batch_gradients.parents",
+     lambda v: nn.batch_gradients(SMALL_PARAMS, TRACE, PROBS, LABELS,
+                                  FEATURES, v),
+     "clone parents must have 1 axes, got shape (3, 1)"),
+    ("ClonalExpander", lambda v: clonal.ClonalExpander(DEMO)(FEATURES, v),
+     "labels must have 1 axes, got shape (3, 1)"),
+    ("train_variant",
+     lambda v: harness.train_variant(
+         mnist.Dataset(np.zeros((len(v), 28, 28)), v), DIGITS, "cnn", 1, 0,
+         harness.ExperimentConfig(), nn.ArchConfig(), 1, False),
+     "train labels must have 1 axes, got shape (3, 1)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(call, message, id=function)
+    for function, call, message in COLUMN_CALLS])
+def test_labels_are_one_per_row(call, message):
+    # evaluate used to compare each prediction with every label, and
+    # returned error rates up to 4.0
+    with pytest.raises(DimensionError, match=re.escape(message) + "$"):
+        call(LABELS[:, None])
+
+
+@pytest.mark.parametrize("function, call", [
+    pytest.param(function, call, id=function)
+    for function, call, _ in COLUMN_CALLS])
+def test_ragged_labels_are_a_dimension_error(function, call):
+    with pytest.raises(DimensionError, match="rectangular"):
+        call([[0, 1], [2], [0]])
+
+
+def test_cross_entropy_takes_one_probability_vector_and_one_label():
+    with pytest.raises(DimensionError,
+                       match=re.escape("probabilities must have 1 axes")):
+        nn.cross_entropy(PROBS, 0)
+    with pytest.raises(DimensionError,
+                       match=re.escape("labels must have 0 axes")):
+        nn.cross_entropy(PROBS[0], np.array([0]))
+    assert nn.cross_entropy([0.5, 0.5], np.int64(1)) == -math.log(0.5)
+
+
+def pool_of(label):
+    return clonal.MemoryPool(label, 2, matrix=np.ones((1, 3)),
+                             scores=np.ones(1))
+
+
+@pytest.mark.parametrize("pools, message", [
+    ({5: pool_of(0)}, r"pools\[5\] is not the MemoryPool of class 5"),
+    ({0: pool_of(0), 1: pool_of(0)}, r"pools\[1\] is not"),
+    ({0: "pool"}, r"pools\[0\] is not"),
+    ({0: np.ones((1, 3))}, r"pools\[0\] is not"),
+    ([pool_of(0)], "pools must be a dict, got list"),
+], ids=["other-key", "one-pool-twice", "string", "array", "list"])
+def test_save_pools_refuses_a_bad_mapping_before_writing(tmp_path, pools,
+                                                         message):
+    # {5: pool of class 0} read back as {0: ...}, and one pool under two
+    # keys wrote a file that load_pools refuses
+    path = tmp_path / "pools.txt"
+    with pytest.raises(ConfigurationError, match=message):
+        clonal.save_pools(pools, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pools", [
+    [pool_of(0)], {0: [pool_of(0)]}, {0: np.ones((1, 3))}, {0: "pool"},
+    {0: pool_of(0), "a": pool_of(0)}, {3: pool_of(0)}],
+    ids=["list", "list-value", "array-value", "string-value", "mixed-keys",
+         "other-key"])
+@pytest.mark.parametrize("batch", [False, True])
+def test_classify_refuses_pools_that_are_not_a_dict_of_pools(pools, batch):
+    # these raised TypeError (unhashable type, unorderable keys) or
+    # AttributeError, or classified under the wrong key
+    with pytest.raises(ConfigurationError, match="pools"):
+        if batch:
+            classifier.classify_batch(np.ones((1, 3)), pools, 0.5)
+        else:
+            classifier.classify(np.ones(3), pools, 0.5)
+
+
+def test_a_decision_on_a_kept_stack_does_not_check_the_pools(monkeypatch):
+    pools = {0: pool_of(0), 1: pool_of(1)}
+    classifier.classify(np.ones(3), pools, 0.5)
+    checked = []
+    monkeypatch.setattr(clonal, "check_pools", checked.append)
+    classifier.classify(np.ones(3), pools, 0.5)
+    assert checked == []
+    classifier.classify(np.ones(3), dict(pools), 0.5)
+    assert checked == []   # the same pools: the stack is kept
+    classifier.classify(np.ones(3), {0: pool_of(0)}, 0.5)
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("rate", ["0.1", -1.0, True, None, float("nan"),
+                                  float("inf"), np.bool_(True)])
+def test_train_epoch_checks_the_learning_rate_before_any_batch(monkeypatch,
+                                                               rate):
+    # "0.1" raised UFuncTypeError after a forward pass; -1.0 and True trained
+    def forward(*args):
+        raise AssertionError("forward pass before the learning rate check")
+    monkeypatch.setattr(nn, "forward_features", forward)
+    with pytest.raises(ConfigurationError, match="learning_rate must be a "):
+        nn.train_epoch(SMALL_PARAMS, [(IMAGES, LABELS)], rate)
