@@ -25,8 +25,7 @@ import numpy as np
 
 from . import clonal
 from .clonal import CloneConfig, MemoryPool, mutate
-from .errors import (ConfigurationError, DimensionError, check_array,
-                     check_count, check_real)
+from .errors import ConfigurationError, check_array, check_count, check_real
 
 NOMATCH = "NOMATCH"
 
@@ -62,10 +61,10 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     for an empty pool), and a class with at least ``c_min`` matches gets
     their mean affinity as avidity. Score = count / pool_size + avidity (or
     raw count + avidity when ``raw_count``). A row for which no class
-    qualifies is a no-match. A pool whose width differs from the features'
-    raises DimensionError naming its class, and bad ``pools``, a
-    ``tau_match`` not a real in [0, 1] or a ``c_min`` not an integer >= 1,
-    ConfigurationError.
+    qualifies is a no-match. The non-empty pools must share one width,
+    the features': other widths raise DimensionError naming a class, and
+    bad ``pools``, a ``tau_match`` not a real in [0, 1] or a ``c_min`` not
+    an integer >= 1, ConfigurationError.
     """
     if not pools:
         raise ConfigurationError("classify requires at least one pool")
@@ -78,17 +77,10 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
         # not a dict, or keys or pools that cannot be sorted or hashed
         clonal.check_pools(pools)
         raise
-    if stack.width != x.shape[1]:
-        # the pools differ in width, or share one that is not the batch's
-        for label in stack.filled:
-            width = pools[label].matrix.shape[1]
-            if width != x.shape[1]:
-                raise DimensionError(
-                    f"rows of width {x.shape[1]} do not fit the width-"
-                    f"{width} pool of class {label}")
     counts = sums = np.zeros((len(x), 0))
     if stack.filled:
-        aff = clonal._affinity_table(x, [(0, len(x), None, stack.reference)])
+        aff = clonal._affinity_table(
+            x, [(0, len(x), stack.filled[0], stack.reference)])
         hit = aff >= tau_match
         counts = np.add.reduceat(hit, stack.offsets, axis=1, dtype=np.intp)
         sums = np.add.reduceat(np.where(hit, aff, 0.0), stack.offsets, axis=1)
@@ -123,8 +115,7 @@ class _Stack(NamedTuple):
     filled: list[int]           # the classes whose pool is not empty
     sizes: list[int]            # their pools' member counts
     offsets: np.ndarray         # where each of them starts in the stack
-    width: int | None           # their common width, None if they differ
-    reference: tuple | None     # their stacked clonal reference rows
+    reference: tuple            # their stacked clonal reference rows
 
 
 @functools.lru_cache(maxsize=1)
@@ -134,23 +125,19 @@ def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
     identity and their reference rows are read-only, so a kept stack
     cannot go stale.
 
-    The non-empty pools' members are stacked into one reference. Pools of
-    different widths fit no batch, so they have no width and no
-    reference. The pools are checked here, once per set of pools."""
+    The pools are checked here, once per set of pools, so their
+    non-empty pools share one width, and their members are stacked into
+    one reference, of no rows when no pool has members."""
     clonal.check_pools(dict(pools))
     filled = [(label, pool) for label, pool in pools if len(pool)]
     sizes = [len(pool) for _, pool in filled]
-    widths = {pool.matrix.shape[1] for _, pool in filled}
-    width = reference = None
-    if len(widths) == 1:
-        (width,) = widths
-        reference = clonal._reference(
-            np.concatenate([pool.matrix for _, pool in filled]))
+    reference = clonal._reference(np.concatenate(
+        [pool.matrix for _, pool in filled] or [np.empty((0, 0))]))
     return _Stack(labels=[label for label, _ in pools],
                   filled=[label for label, _ in filled], sizes=sizes,
                   offsets=np.array(list(accumulate(sizes[:-1], initial=0)),
                                    dtype=np.intp),
-                  width=width, reference=reference)
+                  reference=reference)
 
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
@@ -158,17 +145,19 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
                    existing: dict[int, MemoryPool] | None = None) -> MemoryPool:
     """Start a pool for an unrecognized pattern: the feature itself plus
     capacity - 1 lightly mutated variants (rate 1, scale sigma). A
-    feature that is not a vector raises DimensionError, and a ``label``
-    that is not an integer >= 0 ConfigurationError, before any draw."""
+    feature that is not a vector or misfits the ``existing`` pools' width
+    raises DimensionError, and a ``label`` that is not an integer >= 0 or
+    a non-finite feature ConfigurationError, before any draw."""
     if existing is not None and label in existing:
         raise ConfigurationError(f"class {label} already has a pool")
     seed = check_array(test_feature, "test feature", 1)
-    empty = MemoryPool(class_label=label, capacity=config.memory_capacity)
+    first = MemoryPool(label, config.memory_capacity, matrix=seed[None, :],
+                       scores=[1.0])
+    clonal.check_pools({**(existing or {}), label: first})
     shape = (config.memory_capacity - 1, seed.size)
     variants = mutate(np.broadcast_to(seed, shape), 1.0, config.sigma, rng)
     scores = clonal.affinity_matrix(variants, seed)[:, 0]
-    return clonal.update_memory(empty, np.vstack([seed, variants]),
-                                [1.0, *scores])
+    return clonal.update_memory(first, variants, scores)
 
 
 # ---------------------------------------------------------------------------

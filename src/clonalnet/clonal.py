@@ -536,7 +536,8 @@ POOL_FORMAT_HEADER = "clonalnet-pools v1"
 
 
 def check_pools(pools) -> None:
-    """ConfigurationError unless ``pools`` maps class ids to their pools."""
+    """ConfigurationError unless ``pools`` maps class ids to their pools,
+    and DimensionError unless their non-empty pools share one width."""
     if not isinstance(pools, dict):
         raise ConfigurationError(
             f"pools must be a dict, got {type(pools).__name__}")
@@ -544,6 +545,13 @@ def check_pools(pools) -> None:
         if not isinstance(pool, MemoryPool) or label != pool.class_label:
             raise ConfigurationError(
                 f"pools[{label!r}] is not the MemoryPool of class {label!r}")
+    filled = [pool for pool in pools.values() if len(pool)]
+    for pool in filled[1:]:
+        if pool.matrix.shape[1] != filled[0].matrix.shape[1]:
+            raise DimensionError(
+                f"pools must share one width: class {filled[0].class_label} "
+                f"has width {filled[0].matrix.shape[1]}, class "
+                f"{pool.class_label} width {pool.matrix.shape[1]}")
 
 
 def save_pools(pools: dict[int, MemoryPool], path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, IdxFormatError, IdxTruncationError, check_array,
-    check_count,
+    check_count, check_indices,
 )
 
 IMAGE_MAGIC = 0x00000803
@@ -109,14 +109,8 @@ def idx_image_header(count: int, rows: int, cols: int) -> bytes:
 
 
 def serialize_idx_labels(labels: np.ndarray) -> bytes:
-    """Labels as IDX bytes; each must be an integer in [0, 255]."""
-    arr = check_array(labels, "labels", 1)
-    valid = (arr >= 0) & (arr <= 255) & (arr % 1 == 0)
-    if not valid.all():
-        bad = arr[~valid][0]
-        raise ConfigurationError(
-            f"label {bad} at index {np.flatnonzero(~valid)[0]} is not an "
-            "integer in [0, 255]")
+    """Labels as IDX bytes: a vector of an integer dtype, each in [0, 255]."""
+    arr = check_indices(labels, "label", 256, 1)
     header = struct.pack(">2I", LABEL_MAGIC, len(arr))
     return header + arr.astype(np.uint8).tobytes()
 

@@ -224,9 +224,13 @@ def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     """-log p[true_label] of a ``(c,)`` vector; ``inf`` when that is 0. A
-    label that is not one integer class raises ConfigurationError."""
+    label that is not one integer class, or an entry outside [0, 1] or
+    NaN, raises ConfigurationError."""
     probabilities = check_array(probabilities, "probabilities", 1)
     check_indices(true_label, "label", len(probabilities), 0)
+    if not ((probabilities >= 0) & (probabilities <= 1)).all():
+        raise ConfigurationError(
+            f"probabilities must lie in [0, 1], got {probabilities.tolist()}")
     p = probabilities[true_label]
     return float("inf") if p == 0 else float(-np.log(p))
 
@@ -251,12 +255,17 @@ def batch_gradients(params: LayerStack, trace: ForwardTrace, probabilities,
     n = len(trace.feature)
     width = params.feature_width
     probs = check_array(probabilities, "probabilities")
+    try:
+        labels = check_indices(labels, "label", params.num_classes, 1)
+    except ConfigurationError:
+        # a count misfit is the trace's first, even for [] (a float array)
+        if len(labels) == n:
+            raise
     if probs.shape != (n, params.num_classes) or len(labels) != n:
         raise CorruptionError(
             f"probabilities {probs.shape} and {len(labels)} labels do not "
             f"match {n} traced samples of {params.num_classes} classes"
         )
-    labels = check_indices(labels, "label", params.num_classes, 1)
     if clone_features is None:
         clone_features = np.empty((0, width))
         clone_parents = np.empty(0, np.intp)

@@ -335,6 +335,27 @@ class TestClassifyBatch:
         with pytest.raises(DimensionError, match="class 3"):
             classify(np.ones(6), pools, tau_match=0.5)
 
+    def test_batch_of_another_width_names_the_lowest_filled_class(self):
+        pools = {0: MemoryPool(class_label=0, capacity=3),
+                 2: pool_from([np.ones(4)], label=2),
+                 5: pool_from([np.ones(4)], label=5)}
+        message = "rows of width 3 do not fit the width-4 pool of class 2$"
+        for call in (lambda: classify_batch(np.ones((2, 3)), pools, 0.5),
+                     lambda: classify_batch(np.ones((0, 3)), pools, 0.5),
+                     lambda: classify(np.ones(3), pools, 0.5)):
+            with pytest.raises(DimensionError, match=message):
+                call()
+
+    def test_pools_of_different_widths_are_the_set_rule_error(self):
+        pools = {0: pool_from([np.ones(4)], label=0),
+                 1: MemoryPool(class_label=1, capacity=2),
+                 2: pool_from([np.ones(5)], label=2)}
+        message = re.escape("pools must share one width: class 0 has width "
+                            "4, class 2 width 5")
+        for width in (4, 5, 6):
+            with pytest.raises(DimensionError, match=message):
+                classify_batch(np.ones((1, width)), pools, tau_match=0.5)
+
     def test_batch_must_be_rows(self):
         pools = {0: pool_from([np.ones(3)])}
         with pytest.raises(DimensionError):
@@ -531,6 +552,36 @@ class TestInitNewClass:
             init_new_class(np.ones(2), 4, config,
                            np.random.default_rng(0), existing=existing)
 
+    def test_feature_that_misfits_the_set_rejected_before_any_draw(self):
+        # a width-7 pool used to join a width-4 set, and every classify on
+        # the set then failed
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        existing = {0: pool_from([np.ones(4)], label=0),
+                    2: MemoryPool(class_label=2, capacity=3)}
+        with pytest.raises(DimensionError,
+                           match=re.escape("class 0 has width 4, class 1 "
+                                           "width 7")):
+            init_new_class(np.ones(7), 1, CloneConfig(memory_capacity=3),
+                           rng, existing=existing)
+        assert rng.bit_generator.state == state
+
+    def test_feature_that_fits_the_set_joins_it(self):
+        config = CloneConfig(memory_capacity=3)
+        existing = {0: pool_from([unit(0)], label=0)}
+        alone = init_new_class(unit(1), 1, config, np.random.default_rng(4))
+        joined = init_new_class(unit(1), 1, config, np.random.default_rng(4),
+                                existing=existing)
+        assert joined.matrix.tobytes() == alone.matrix.tobytes()
+        assert joined.scores.tobytes() == alone.scores.tobytes()
+        existing[1] = joined
+        assert classify(unit(1), existing, 0.9).predicted_class == 1
+        # a set of empty pools has no width to fit
+        empty = {0: MemoryPool(class_label=0, capacity=2)}
+        assert len(init_new_class(np.ones(7), 1, config,
+                                  np.random.default_rng(4),
+                                  existing=empty)) == 3
+
     @pytest.mark.parametrize("shape", [(2, 3), (1, 4), ()],
                              ids=["matrix", "row", "scalar"])
     def test_feature_that_is_not_a_vector_rejected(self, shape):
@@ -560,6 +611,23 @@ class TestInitNewClass:
         expected = [seed_feature.tolist()] + [v.tolist() for v in variants]
         assert sorted(pool.matrix.tolist()) == sorted(expected)
         assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("capacity", [1, 2, 9])
+    def test_pool_is_one_merge_of_the_seed_and_its_variants(self, capacity):
+        # the seed's one-row pool takes the variants: the pool one merge of
+        # the seed and the variants gives, byte for byte
+        config = CloneConfig(sigma=0.3, memory_capacity=capacity)
+        seed_feature = np.random.default_rng(8).normal(size=5)
+        pool = init_new_class(seed_feature, 2, config,
+                              np.random.default_rng(9))
+        variants = mutate(np.broadcast_to(seed_feature, (capacity - 1, 5)),
+                          1.0, config.sigma, np.random.default_rng(9))
+        expected = clonal.update_memory(
+            MemoryPool(class_label=2, capacity=capacity),
+            np.vstack([seed_feature, variants]),
+            [1.0, *clonal.affinity_matrix(variants, seed_feature)[:, 0]])
+        assert pool.matrix.tobytes() == expected.matrix.tobytes()
+        assert pool.scores.tobytes() == expected.scores.tobytes()
 
     def test_members_sorted_by_score(self):
         config = CloneConfig(memory_capacity=6)

@@ -1001,6 +1001,78 @@ def finite_pools(draw):
     return pools
 
 
+@st.composite
+def pool_sets(draw):
+    """1-4 pools of widths 1-5, each of 0-3 members and a capacity of 0-5
+    that holds them; about half the sets share one width."""
+    shared = draw(st.integers(1, 5)) if draw(st.booleans()) else None
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pools = {}
+    for label in draw(st.lists(st.integers(0, 20), unique=True, min_size=1,
+                               max_size=4)):
+        width = shared or draw(st.integers(1, 5))
+        count = draw(st.integers(0, 3))
+        scores = sorted(draw(st.lists(finite, min_size=count,
+                                      max_size=count)), reverse=True)
+        matrix = [draw(st.lists(finite, min_size=width, max_size=width))
+                  for _ in scores]
+        pools[label] = MemoryPool(label, draw(st.integers(count, 5)),
+                                  matrix=matrix, scores=scores)
+    return pools
+
+
+class TestCheckPools:
+    def test_non_empty_pools_share_one_width(self):
+        pools = {0: pool_of(np.ones((2, 3)), label=0),
+                 2: MemoryPool(class_label=2, capacity=0),
+                 5: pool_of(np.ones((1, 3)), label=5)}
+        clonal.check_pools(pools)
+        pools[7] = pool_of(np.ones((1, 4)), label=7)
+        with pytest.raises(DimensionError,
+                           match="^pools must share one width: class 0 has "
+                                 "width 3, class 7 width 4$"):
+            clonal.check_pools(pools)
+
+    def test_mixed_set_leaves_an_existing_file_as_it_was(self, tmp_path):
+        # save_pools used to write this set, which load_pools then refused
+        # with "line 6: 4 coordinates, expected 3"
+        path = tmp_path / "pools.txt"
+        path.write_text("kept\n")
+        pools = {0: pool_of(np.ones((2, 3)), label=0),
+                 1: pool_of(np.ones((1, 4)), label=1)}
+        with pytest.raises(DimensionError, match="class 0 has width 3, "
+                                                 "class 1 width 4"):
+            save_pools(pools, path)
+        assert path.read_text() == "kept\n"
+
+    @given(pools=pool_sets())
+    @example(pools={0: MemoryPool(0, 2, matrix=np.ones((1, 3)),
+                                  scores=np.ones(1)),
+                    1: MemoryPool(1, 0),
+                    4: MemoryPool(4, 1, matrix=np.ones((1, 2)),
+                                  scores=np.ones(1))})
+    @example(pools={3: MemoryPool(3, 0), 9: MemoryPool(9, 2)})
+    def test_save_pools_writes_only_what_load_pools_reads(
+            self, tmp_path_factory, pools):
+        path = tmp_path_factory.mktemp("pools") / "pools.txt"
+        widths = {pool.matrix.shape[1] for pool in pools.values() if len(pool)}
+        if len(widths) > 1:
+            with pytest.raises(DimensionError, match="share one width"):
+                save_pools(pools, path)
+            assert not path.exists()
+            return
+        save_pools(pools, path)
+        loaded = load_pools(path)
+        assert list(loaded) == sorted(pools)
+        for label, pool in pools.items():
+            assert loaded[label].class_label == label
+            assert loaded[label].capacity == pool.capacity
+            for name in ("matrix", "scores"):
+                got, want = getattr(loaded[label], name), getattr(pool, name)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 class TestPoolSerialization:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -668,7 +668,8 @@ def test_cli_size_sweep_on_an_empty_corpus_names_the_cause(tmp_path):
     for images, labels in ((synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS),
                            (synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)):
         (tmp_path / images).write_bytes(idx_image_header(0, 28, 28))
-        (tmp_path / labels).write_bytes(serialize_idx_labels(np.zeros(0)))
+        (tmp_path / labels).write_bytes(
+            serialize_idx_labels(np.zeros(0, np.int64)))
     with pytest.raises(ConfigurationError, match="dataset has no classes"):
         cli.main(["size-sweep", "--data-dir", str(tmp_path),
                   "--out", str(tmp_path / "o"), "--sizes", "2",

@@ -280,6 +280,21 @@ class TestSerializationErrors:
         with pytest.raises(ConfigurationError):
             serialize_idx_labels(np.array([0, 9, bad]))
 
+    @pytest.mark.parametrize("labels", [np.array([1.0, 2.0]), [0.0],
+                                        np.array([True, False])],
+                             ids=["integral-floats", "float-list", "bools"])
+    def test_labels_of_a_non_integer_dtype_rejected(self, labels):
+        # integral floats used to be written as their bytes
+        with pytest.raises(ConfigurationError,
+                           match="labels must be integers, got dtype"):
+            serialize_idx_labels(labels)
+
+    def test_label_outside_a_byte_names_it(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"labels hold a label outside \[0, 256\): "
+                                 r"label 300 is the first"):
+            serialize_idx_labels(np.array([3, 300, -1], dtype=np.int64))
+
     def test_labels_not_one_dimensional(self):
         # a 2-D array would write rows * cols bytes under a count of rows
         with pytest.raises(DimensionError):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -282,6 +283,20 @@ class TestCrossEntropy:
             warnings.simplefilter("error")
             assert nn.cross_entropy(np.array([0.0, 1.0]), 0) == np.inf
 
+    @pytest.mark.parametrize("probs", [[-0.5, 1.5], [0.5, np.nan],
+                                       [1.5, 0.0], [np.inf, 0.0],
+                                       [0.5, -1e-300]],
+                             ids=["negative", "nan", "above-one", "inf",
+                                  "tiny-negative"])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_entry_outside_zero_one_rejected(self, probs, label):
+        # [-0.5, 1.5] used to give NaN with only a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match=r"probabilities must lie in \[0, 1\]"):
+                nn.cross_entropy(probs, label)
+
 
 def clones_near(features, parents, rng):
     """Clone features (k, d), each its parent's row plus a small offset,
@@ -463,6 +478,27 @@ class TestBackward:
             nn.batch_gradients(p, trace, np.ones((1, 4)) / 4, [1])
         with pytest.raises(CorruptionError):   # one label short
             nn.batch_gradients(p, trace, np.ones((1, 3)) / 3, [])
+
+    @pytest.mark.parametrize("label", [1, np.int64(1), np.array(1)],
+                             ids=["int", "numpy-int", "0-d-array"])
+    def test_scalar_label_is_the_label_rule_error(self, label):
+        # a scalar used to raise a bare TypeError from len()
+        p = nn.init_params(1, SMALL)
+        rng = np.random.default_rng(1)
+        _, trace, probs = forward_batch(p, rng.normal(size=(1, 10, 10)))
+        with pytest.raises(DimensionError,
+                           match=re.escape("labels must have 1 axes, got "
+                                           "shape ()")):
+            nn.batch_gradients(p, trace, probs, label)
+
+    def test_label_count_misfit_comes_before_the_dtype(self):
+        p = nn.init_params(1, SMALL)
+        rng = np.random.default_rng(1)
+        _, trace, probs = forward_batch(p, rng.normal(size=(2, 10, 10)))
+        with pytest.raises(CorruptionError, match="1 labels do not match 2"):
+            nn.batch_gradients(p, trace, probs, [0.5])
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            nn.batch_gradients(p, trace, probs, [0.5, 1.0])
 
     def test_gradcheck_small_instances(self):
         for seed in range(3):
