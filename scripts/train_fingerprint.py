@@ -1,35 +1,43 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of fixed training runs, to compare two source trees.
 
-Trains fixed ``cnn`` and ``cnn-ais`` cells on a small synthetic corpus and
-prints one digest per cell for the final parameters (raw float64 bytes),
-the per-epoch error rows and the ``save_pools`` file. For the
-``cnn-ais per_class=25`` cell it also digests ``classify``'s decisions on
-every test image against that cell's ten pools, and again with the
-configured third class withheld as perfbench's ``immune_classify`` does.
+Every run reads the default synthetic corpus as the command line does: the
+script writes it once with ``write_corpus`` into a temporary directory,
+digests its four IDX files, and loads it back through ``ensure_corpus``.
+Each cell trains on a stratified subset of that training set, drawn as
+the size sweep draws it, and is evaluated on ``fixed_test_subset(test,
+100)``, ten images per class.
+
+Trains fixed ``cnn`` and ``cnn-ais`` cells and prints one digest per cell
+for the final parameters (raw float64 bytes), the per-epoch error rows and
+the ``save_pools`` file. For the ``cnn-ais per_class=25`` cell it also
+digests ``classify``'s decisions on every test image against that cell's
+ten pools, and again with the configured third class withheld as
+perfbench's ``immune_classify`` does.
 One more ``cnn-ais`` cell trains at the scale of perfbench's ``train_ais``
 (50 images per class for 3 epochs, 189 batches) and gets one digest of
 its parameters, rows and pools, and one more of that cell's
 ``forward_features`` bytes for each test image alone and for the whole
 test set as one stack, with ``evaluate``'s error on it.
-It also digests the two-class application's decisions, the
-clonal-selection demo for seeds 1-3 and the four IDX files of the default
-synthetic corpus. Last, it runs tiny ``size-sweep``, ``epoch-curve``,
-``two-class`` and ``clonalg-demo`` commands through ``cli.main`` into a
-temporary directory and digests every file each writes, and its stdout
-with that directory's path taken out. A last line digests the affinity
-tables ``affinity_matrix`` and ``pool_affinities`` give, and the
-decisions of ``classify_batch``, for one query row and a batch of them
-against three fixed pools; the batch holds a zero row, and both sides
-hold rows of 1e-200 and 1e200 scale, whose squared norms leave the normal
-float range. Two trees that print the same lines
-train bit-identically on these cells and write the same artifacts. BLAS
-is limited to one thread before numpy loads, so summation order does not
-depend on the machine's core count.
+It also digests the two-class application's decisions on the corpus and
+the clonal-selection demo for seeds 1-3. Last, it runs tiny
+``size-sweep``, ``epoch-curve``, ``two-class`` and ``clonalg-demo``
+commands through ``cli.main`` into a temporary directory and digests every
+file each writes, and its stdout with that directory's path taken out. A
+last line digests the affinity tables ``affinity_matrix`` and
+``pool_affinities`` give, and the decisions of ``classify_batch``, for one
+query row and a batch of them against three fixed pools; the batch holds a
+zero row, and both sides hold rows of 1e-200 and 1e200 scale, whose
+squared norms leave the normal float range. Two trees that print the same
+lines train bit-identically on these cells and write the same artifacts.
+BLAS is limited to one thread before numpy loads, so summation order does
+not depend on the machine's core count.
 
-    PYTHONPATH=src python scripts/train_fingerprint.py > before.txt
-    # ... change the tree, then:
-    PYTHONPATH=src python scripts/train_fingerprint.py > after.txt
+To compare two trees, run one copy of this script against each tree's
+``src``, so that only the package differs between the runs:
+
+    PYTHONPATH=before/src python scripts/train_fingerprint.py > before.txt
+    PYTHONPATH=after/src python scripts/train_fingerprint.py > after.txt
     diff before.txt after.txt
 """
 
@@ -133,8 +141,14 @@ def affinity_digest() -> str:
 
 def main() -> int:
     cfg = harness.ExperimentConfig()
-    train = synthdigits.make_dataset(30, seed=2024)
-    test = synthdigits.make_dataset(10, seed=2025)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = synthdigits.write_corpus(tmp)
+        files = (synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS,
+                 synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)
+        corpus_bytes = ((corpus / name).read_bytes() for name in files)
+        print(f"default corpus files {digest(*corpus_bytes)}")
+        train, test = harness.ensure_corpus(corpus)
+    test = harness.fixed_test_subset(test, 100)
     arch = ArchConfig(num_classes=len(train.class_ids))
     for variant, per_class, seed, epochs in CELLS:
         subset = stratified_subset(
@@ -156,9 +170,11 @@ def main() -> int:
             print(f"{name} ten-pool decisions {digest(runs)}")
 
     per_class, seed, epochs = BENCH_CELL
+    subset = stratified_subset(
+        train, per_class, seed=harness.derived_seed(seed, per_class, 5))
     rows, params, expander = harness.train_variant(
-        synthdigits.make_dataset(per_class, seed=2026), test, "cnn-ais",
-        per_class, seed, cfg, arch, epochs=epochs, record_epochs=True)
+        subset, test, "cnn-ais", per_class, seed, cfg, arch, epochs=epochs,
+        record_epochs=True)
     arrays = [getattr(params, a).tobytes() for a in PARAM_ARRAYS]
     name = f"cnn-ais per_class={per_class} seed={seed} epochs={epochs}"
     print(f"{name} state "
@@ -181,13 +197,6 @@ def main() -> int:
         state = digest(demo.population.tobytes(), demo.memory_vectors.tobytes(),
                        demo.memory_scores.tobytes(), demo.history)
         print(f"clonalg-demo seed={seed} {state}")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = synthdigits.write_corpus(tmp)
-        files = (synthdigits.TRAIN_IMAGES, synthdigits.TRAIN_LABELS,
-                 synthdigits.TEST_IMAGES, synthdigits.TEST_LABELS)
-        corpus_bytes = ((corpus / name).read_bytes() for name in files)
-        print(f"default corpus files {digest(*corpus_bytes)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -142,18 +142,20 @@ def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
 
 def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
                    rng: np.random.Generator,
-                   existing: dict[int, MemoryPool] | None = None) -> MemoryPool:
-    """Start a pool for an unrecognized pattern: the feature itself plus
-    capacity - 1 lightly mutated variants (rate 1, scale sigma). A
-    feature that is not a vector or misfits the ``existing`` pools' width
-    raises DimensionError, and a ``label`` that is not an integer >= 0 or
-    a non-finite feature ConfigurationError, before any draw."""
-    if existing is not None and label in existing:
-        raise ConfigurationError(f"class {label} already has a pool")
+                   existing: dict[int, MemoryPool]) -> MemoryPool:
+    """Start a pool for an unrecognized pattern, to join the ``existing``
+    pools: the feature itself plus capacity - 1 lightly mutated variants
+    (rate 1, scale sigma). A feature that is not a vector or misfits the
+    ``existing`` pools' width raises DimensionError, and ``existing`` not a
+    set of pools, a ``label`` that already has a pool or is not an integer
+    >= 0, or a non-finite feature ConfigurationError, before any draw."""
+    clonal.check_pools(existing)
     seed = check_array(test_feature, "test feature", 1)
     first = MemoryPool(label, config.memory_capacity, matrix=seed[None, :],
                        scores=[1.0])
-    clonal.check_pools({**(existing or {}), label: first})
+    if label in existing:
+        raise ConfigurationError(f"class {label} already has a pool")
+    clonal.check_pools({**existing, label: first})
     shape = (config.memory_capacity - 1, seed.size)
     variants = mutate(np.broadcast_to(seed, shape), 1.0, config.sigma, rng)
     scores = clonal.affinity_matrix(variants, seed)[:, 0]

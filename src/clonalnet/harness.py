@@ -51,7 +51,7 @@ class ExperimentConfig:
     alpha: float = 0.1
     tau: float = 0.6
     sigma: float = 1.0
-    tau_match: float | None = 0.8   # None: fall back to tau
+    tau_match: float = 0.8
     c_min: int = 1
     raw_count: bool = False
     test_subset: int = 1500
@@ -80,8 +80,7 @@ class ExperimentConfig:
                         f"{f.name} must be non-empty and distinct: {value}")
         # zero is a legal no-op rate (useful for pure-evaluation passes)
         check_real(self.learning_rate, "learning_rate", 0, math.inf)
-        if self.tau_match is not None:
-            check_real(self.tau_match, "tau_match", 0, 1)
+        check_real(self.tau_match, "tau_match", 0, 1)
         if (len(self.two_class_labels) != 2
                 or self.third_class in self.two_class_labels):
             raise ConfigurationError(
@@ -92,7 +91,7 @@ class ExperimentConfig:
 
     @property
     def matching_tau(self) -> float:
-        return self.tau if self.tau_match is None else self.tau_match
+        return self.tau_match
 
     def clone_config(self, per_class: int, rng_seed: int) -> CloneConfig:
         return CloneConfig(
@@ -135,9 +134,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
                 kwargs[key] = tuple(int(x) for x in text.split(","))
             elif kind == "bool":
                 kwargs[key] = _BOOL_WORDS[text.lower()]
-            elif kind == "float | None":
-                kwargs[key] = (None if text.lower() in ("", "none")
-                               else float(text))
             elif kind == "int":
                 kwargs[key] = int(text)
             elif kind == "float":
@@ -240,10 +236,10 @@ def train_variant(train_ds: Dataset, test_ds: Dataset, variant: str,
                 f"{name} images are {ds.images.shape[1:]}, the network "
                 f"takes {side}"
             )
-    try:
-        check_indices(train_ds.labels, "label", arch.num_classes, 1)
-    except (ConfigurationError, DimensionError) as err:
-        raise type(err)(f"train {err}") from None
+        try:
+            check_indices(ds.labels, "label", arch.num_classes, 1)
+        except (ConfigurationError, DimensionError) as err:
+            raise type(err)(f"{name} {err}") from None
     params = init_params(derived_seed(seed, per_class, 11), arch)
     expander = None
     if variant == "cnn-ais":
@@ -460,11 +456,9 @@ def emit_csv(path, rows: list[SweepResult]) -> None:
 _PALETTE = ("#1b6ca8", "#c0392b", "#2e8b57", "#8e44ad", "#d35400", "#16a085")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def emit_svg_lineplot(path, series, title: str, x_label: str,

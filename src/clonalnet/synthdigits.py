@@ -8,8 +8,7 @@ the two are interchangeable at the interface.
 
 The writer renders each split into one reused float64 block of
 ``_BLOCK`` digits and quantizes it to uint8 pixels block by block, so no
-whole-corpus float array exists on its path. Its files hold the same bytes
-as serializing :func:`make_dataset`'s images.
+whole-corpus float array exists on its path.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import check_count
-from .mnist import Dataset, idx_image_header, quantize_pixels, serialize_idx_labels
+from .mnist import idx_image_header, quantize_pixels, serialize_idx_labels
 
 # canvas geometry: digit box rows 5..22, cols 9..18, stroke thickness 2
 _R0, _R1, _RM = 5, 21, 13
@@ -60,20 +59,17 @@ _BLOCK = 128
 
 
 def render_digit(digit: int, rng: np.random.Generator,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """One 28x28 sample of ``digit`` with randomized appearance, written
-    into ``out`` (a (28, 28) float64 array, every pixel overwritten) if
-    given, else into a new array; returns it.
+    into ``out`` (a (28, 28) float64 array, every pixel overwritten);
+    returns it.
 
     Every stroke's jitter and intensity is drawn, then the shift, and each
     stroke is painted at its shifted position. With all jitter and shifts
     the strokes stay inside rows [2, 26) and columns [6, 22), so this
     equals painting them unshifted and rolling the canvas by the shift.
     """
-    if out is None:
-        out = np.zeros((28, 28))
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     strokes = []
     for name in _DIGIT_SEGMENTS[digit]:
         horizontal, fixed, lo, hi = _SEGMENTS[name]
@@ -96,21 +92,10 @@ def _digit_labels(per_class: int) -> np.ndarray:
                      check_count(per_class, "per_class"))
 
 
-def make_dataset(per_class: int, seed: int) -> Dataset:
-    """``per_class`` samples of each digit, rendered in digit order and
-    returned in one seeded random order."""
-    labels = _digit_labels(per_class)
-    rng = np.random.default_rng(check_count(seed, "seed", 0))
-    images = np.empty((len(labels), 28, 28))
-    for canvas, digit in zip(images, labels.tolist()):
-        render_digit(digit, rng, out=canvas)
-    order = rng.permutation(len(labels))
-    return Dataset(images=images[order], labels=labels[order])
-
-
 def _corpus_split(per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`make_dataset`'s samples as quantized uint8 pixels, with their
-    labels, rendered and quantized ``_BLOCK`` digits at a time."""
+    """``per_class`` samples of each digit as quantized uint8 pixels, with
+    their labels, rendered in digit order and quantized ``_BLOCK`` digits at
+    a time, then returned in one seeded random order."""
     labels = _digit_labels(per_class)
     rng = np.random.default_rng(seed)
     pixels = np.empty((len(labels), 28, 28), dtype=np.uint8)

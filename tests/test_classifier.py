@@ -514,13 +514,14 @@ class TestInitNewClass:
     def test_capacity_one_is_exact_seed(self):
         config = CloneConfig(memory_capacity=1)
         pool = init_new_class(np.array([1.0, 2.0]), 9, config,
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), existing={})
         assert len(pool) == 1
         assert np.array_equal(pool.matrix, [[1.0, 2.0]])
 
     def test_pool_size_equals_capacity(self):
         config = CloneConfig(memory_capacity=7)
-        pool = init_new_class(np.ones(4), 2, config, np.random.default_rng(1))
+        pool = init_new_class(np.ones(4), 2, config, np.random.default_rng(1),
+                              existing={})
         assert len(pool) == 7
         assert pool.capacity == 7
 
@@ -529,20 +530,35 @@ class TestInitNewClass:
         seed_feature = np.random.default_rng(2).normal(size=64)
         for seed in range(5):
             pool = init_new_class(seed_feature, 1, config,
-                                  np.random.default_rng(seed))
+                                  np.random.default_rng(seed), existing={})
             for row in pool.matrix:
                 assert affinity_naive(row, seed_feature) >= config.tau
 
-    @pytest.mark.parametrize("label", [2.5, -1, True])
+    @pytest.mark.parametrize("label", [2.5, -1, True, [1]],
+                             ids=["2.5", "-1", "True", "[1]"])
     def test_label_that_is_not_a_class_id_rejected_before_any_draw(self,
                                                                   label):
         # a label of 2.5 used to build a pool that save_pools wrote and
-        # load_pools refused
+        # load_pools refused, and [1] to raise a bare "unhashable" TypeError
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ConfigurationError, match="class_label"):
             init_new_class(np.ones(3), label, CloneConfig(memory_capacity=3),
-                           rng)
+                           rng, existing={})
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("existing", [[0], "ab"], ids=["list", "str"])
+    def test_existing_that_is_not_a_set_of_pools_rejected_before_any_draw(
+            self, existing):
+        # a list used to raise "'list' object is not a mapping", and a
+        # string "'in <string>' requires string as left operand"
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError,
+                           match=f"pools must be a dict, got "
+                                 f"{type(existing).__name__}"):
+            init_new_class(np.ones(3), 1, CloneConfig(memory_capacity=3),
+                           rng, existing=existing)
         assert rng.bit_generator.state == state
 
     def test_label_collision_rejected(self):
@@ -569,7 +585,8 @@ class TestInitNewClass:
     def test_feature_that_fits_the_set_joins_it(self):
         config = CloneConfig(memory_capacity=3)
         existing = {0: pool_from([unit(0)], label=0)}
-        alone = init_new_class(unit(1), 1, config, np.random.default_rng(4))
+        alone = init_new_class(unit(1), 1, config, np.random.default_rng(4),
+                               existing={})
         joined = init_new_class(unit(1), 1, config, np.random.default_rng(4),
                                 existing=existing)
         assert joined.matrix.tobytes() == alone.matrix.tobytes()
@@ -589,12 +606,13 @@ class TestInitNewClass:
         with pytest.raises(DimensionError,
                            match=re.escape(f"got shape {shape}")):
             init_new_class(np.ones(shape), 0, CloneConfig(memory_capacity=3),
-                           np.random.default_rng(0))
+                           np.random.default_rng(0), existing={})
 
     def test_member_scores_match_scalar_affinity(self):
         config = CloneConfig(sigma=0.3, memory_capacity=9)
         seed_feature = np.random.default_rng(4).normal(size=16)
-        pool = init_new_class(seed_feature, 0, config, np.random.default_rng(5))
+        pool = init_new_class(seed_feature, 0, config, np.random.default_rng(5),
+                              existing={})
         for row, score in zip(pool.matrix, pool.scores):
             assert abs(score - affinity_naive(row, seed_feature)) < 1e-12
 
@@ -605,7 +623,7 @@ class TestInitNewClass:
         config = CloneConfig(sigma=0.4, memory_capacity=capacity)
         seed_feature = np.random.default_rng(6).normal(size=12)
         rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
-        pool = init_new_class(seed_feature, 0, config, rng)
+        pool = init_new_class(seed_feature, 0, config, rng, existing={})
         variants = [mutate(seed_feature, 1.0, config.sigma, loop_rng)
                     for _ in range(capacity - 1)]
         expected = [seed_feature.tolist()] + [v.tolist() for v in variants]
@@ -619,7 +637,7 @@ class TestInitNewClass:
         config = CloneConfig(sigma=0.3, memory_capacity=capacity)
         seed_feature = np.random.default_rng(8).normal(size=5)
         pool = init_new_class(seed_feature, 2, config,
-                              np.random.default_rng(9))
+                              np.random.default_rng(9), existing={})
         variants = mutate(np.broadcast_to(seed_feature, (capacity - 1, 5)),
                           1.0, config.sigma, np.random.default_rng(9))
         expected = clonal.update_memory(
@@ -631,7 +649,8 @@ class TestInitNewClass:
 
     def test_members_sorted_by_score(self):
         config = CloneConfig(memory_capacity=6)
-        pool = init_new_class(np.ones(8), 0, config, np.random.default_rng(3))
+        pool = init_new_class(np.ones(8), 0, config, np.random.default_rng(3),
+                              existing={})
         scores = pool.scores.tolist()
         assert scores == sorted(scores, reverse=True)
         assert scores[0] == 1.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clonalnet import cli, harness, synthdigits
+from clonalnet import cli, harness, nn, synthdigits
 from clonalnet.clonal import ClonalgResult
 from clonalnet.errors import ConfigurationError, DivergenceError
 from clonalnet.gradcheck import check_instance, run_gradient_audit
@@ -88,12 +88,6 @@ def test_mapping_coerces_field_types():
     assert cfg.variant == "cnn"
 
 
-def test_mapping_tau_match_none_falls_back():
-    cfg = config_from_mapping({"tau_match": "none", "tau": "0.55"})
-    assert cfg.tau_match is None
-    assert cfg.matching_tau == 0.55
-
-
 def test_mapping_rejects_unknown_key():
     # the last three were settings that nothing set to another value
     for key in ("learninq_rate", "rate_cap", "crossover_prob",
@@ -118,6 +112,9 @@ def test_mapping_bool_words(text, value):
     ("epochs", "five"),
     ("learning_rate", "fast"),
     ("tau_match", "high"),
+    # "none" and "" used to mean "fall back to tau"
+    ("tau_match", "none"),
+    ("tau_match", ""),
     ("learning_rate", "nan"),
     ("eta", "-1"),
     ("eta", "inf"),
@@ -192,7 +189,6 @@ def test_config_rejects_bad_values(bad):
 
 
 def test_matching_tau_override():
-    assert ExperimentConfig(tau=0.55, tau_match=None).matching_tau == 0.55
     assert ExperimentConfig(tau=0.55, tau_match=0.9).matching_tau == 0.9
 
 
@@ -422,6 +418,26 @@ def test_train_variant_rejects_fractional_labels_before_a_step(
         train_variant(Dataset(train.images, labels), fixed_test_subset(test, 20),
                       "cnn", 2, 1, ExperimentConfig(**TINY),
                       ArchConfig(num_classes=10), epochs=1,
+                      record_epochs=False)
+    assert not steps
+
+
+def test_train_variant_checks_test_labels_before_a_step(corpus, monkeypatch):
+    # the test labels used to be checked first by evaluate, after the last
+    # epoch, in an error that did not name the test set
+    train, test = corpus
+    keep = np.isin(train.labels, [0, 1])
+    train = stratified_subset(Dataset(train.images[keep], train.labels[keep]),
+                              2, seed=0)
+    test = Dataset(test.images[:2], np.array([0, 5]))
+    steps, sgd_step = [], nn.sgd_step
+    monkeypatch.setattr(nn, "sgd_step",
+                        lambda *args: steps.append(1) or sgd_step(*args))
+    with pytest.raises(ConfigurationError,
+                       match=r"^test labels hold a label outside \[0, 2\): "
+                             r"label 5 is the first"):
+        train_variant(train, test, "cnn", 2, 1, ExperimentConfig(**TINY),
+                      ArchConfig(num_classes=2), epochs=3,
                       record_epochs=False)
     assert not steps
 
