@@ -166,27 +166,23 @@ def init_new_class(test_feature: np.ndarray, label: int, config: CloneConfig,
 # decision records
 # ---------------------------------------------------------------------------
 
-def decision_record_header(class_ids) -> str:
-    cols = ["test_id", "predicted"]
-    for c in sorted(class_ids):
-        cols += [f"count_{c}", f"avidity_{c}", f"score_{c}"]
-    return ",".join(cols)
-
-
-def format_decision_record(test_id: int, decision: Decision,
-                           class_ids) -> str:
-    cols = [str(test_id),
-            NOMATCH if decision.no_match else str(decision.predicted_class)]
-    for c in sorted(class_ids):
-        cols.append(str(decision.counts.get(c, 0)))
-        cols.append(repr(decision.avidities[c]) if c in decision.avidities else "")
-        cols.append(repr(decision.scores[c]) if c in decision.scores else "")
-    return ",".join(cols)
-
-
 def write_decision_records(path, decisions: list[Decision], class_ids) -> None:
-    lines = [decision_record_header(class_ids)]
-    lines += [format_decision_record(i, d, class_ids)
-              for i, d in enumerate(decisions)]
+    """One CSV line per decision, numbered from 0: the predicted class or
+    NOMATCH, then each class's count, avidity and score in class order; an
+    avidity or score the class did not get is left empty."""
+    ids = sorted(class_ids)
+    lines = [",".join(["test_id", "predicted"] + [
+        f"{column}_{c}" for c in ids
+        for column in ("count", "avidity", "score")])]
+    for i, decision in enumerate(decisions):
+        cols = [str(i), NOMATCH if decision.no_match
+                else str(decision.predicted_class)]
+        for c in ids:
+            cols.append(str(decision.counts.get(c, 0)))
+            cols.append(repr(decision.avidities[c])
+                        if c in decision.avidities else "")
+            cols.append(repr(decision.scores[c])
+                        if c in decision.scores else "")
+        lines.append(",".join(cols))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

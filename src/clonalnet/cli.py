@@ -119,7 +119,7 @@ def cmd_two_class(args) -> int:
     save_pools(result.pools, out / "two_class_pools.txt")
     print(f"two-class accuracy: {result.accuracy:.4f} "
           f"over {len(result.decisions)} test samples")
-    for label in sorted(cfg.two_class_labels):
+    for label in cfg.two_class_labels:
         counts = [d.counts.get(label, 0) for d in result.decisions]
         avidities = [d.avidities[label] for d in result.decisions
                      if label in d.avidities]

@@ -418,11 +418,12 @@ def generate_clones(features: np.ndarray, scores: np.ndarray, labels,
     proposals are scored in one table, a block per parent against its
     class pool, and the clones whose best match there clears the
     acceptance threshold are returned; that affinity is the clone's
-    memory score. A label without a pool raises ConfigurationError before
-    any draw.
+    memory score. Labels that are not one integer per row, or a label
+    without a pool, raise before any draw.
     """
     features = check_array(features, "features", 2)
     scores = check_array(scores, "scores", 1)
+    labels = check_indices(labels, "label", ndim=1).tolist()
     if not len(features) == len(scores) == len(labels):
         raise DimensionError(f"{len(features)} features, {len(scores)} "
                              f"scores and {len(labels)} labels")
@@ -536,16 +537,22 @@ POOL_FORMAT_HEADER = "clonalnet-pools v1"
 
 
 def check_pools(pools) -> None:
-    """ConfigurationError unless ``pools`` maps class ids to their pools,
-    and DimensionError unless their non-empty pools share one width."""
+    """ConfigurationError unless ``pools`` maps class ids (integers >= 0,
+    not bools) to their pools, and DimensionError unless their non-empty
+    pools share one width of at least 1."""
     if not isinstance(pools, dict):
         raise ConfigurationError(
             f"pools must be a dict, got {type(pools).__name__}")
     for label, pool in pools.items():
+        check_count(label, "pools key", 0)
         if not isinstance(pool, MemoryPool) or label != pool.class_label:
             raise ConfigurationError(
                 f"pools[{label!r}] is not the MemoryPool of class {label!r}")
     filled = [pool for pool in pools.values() if len(pool)]
+    if filled and not filled[0].matrix.shape[1]:
+        raise DimensionError(
+            f"pools must share one width of at least 1: class "
+            f"{filled[0].class_label} has width 0")
     for pool in filled[1:]:
         if pool.matrix.shape[1] != filled[0].matrix.shape[1]:
             raise DimensionError(

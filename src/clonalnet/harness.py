@@ -51,24 +51,27 @@ class ExperimentConfig:
     alpha: float = 0.1
     tau: float = 0.6
     sigma: float = 1.0
-    tau_match: float = 0.8
-    c_min: int = 1
-    raw_count: bool = False
     test_subset: int = 1500
     curve_epochs: int = 20
     curve_per_class: int = 50
-    two_class_labels: tuple = (0, 1)
-    third_class: int = 3
     two_class_train: int = 20
     two_class_test: int = 200
+
+    # constants of the two-class run, read from an instance; without an
+    # annotation they are not fields, so no config line or flag sets them.
+    # The two classes are the network's own output classes 0 and 1.
+    matching_tau = 0.8
+    c_min = 1
+    raw_count = False
+    two_class_labels = (0, 1)
+    third_class = 3
 
     def __post_init__(self):
         if self.variant not in VARIANTS + ("both",):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         # int fields and the distinct entries of tuple fields follow the rule
         for f in fields(self):
-            low = 0 if f.name in ("seeds", "two_class_labels",
-                                  "third_class") else 1
+            low = 0 if f.name == "seeds" else 1
             value = getattr(self, f.name)
             if f.type == "int":
                 check_count(value, f.name, low)
@@ -80,28 +83,14 @@ class ExperimentConfig:
                         f"{f.name} must be non-empty and distinct: {value}")
         # zero is a legal no-op rate (useful for pure-evaluation passes)
         check_real(self.learning_rate, "learning_rate", 0, math.inf)
-        check_real(self.tau_match, "tau_match", 0, 1)
-        if (len(self.two_class_labels) != 2
-                or self.third_class in self.two_class_labels):
-            raise ConfigurationError(
-                f"two_class_labels must be two ids and third_class a third, "
-                f"got {self.two_class_labels} and {self.third_class}")
         # building a CloneConfig runs its range checks on the clone settings
         self.clone_config(1, 0)
-
-    @property
-    def matching_tau(self) -> float:
-        return self.tau_match
 
     def clone_config(self, per_class: int, rng_seed: int) -> CloneConfig:
         return CloneConfig(
             eta=self.eta, alpha=self.alpha, tau=self.tau, sigma=self.sigma,
             memory_capacity=MEMORY_FACTOR * per_class, rng_seed=rng_seed,
         )
-
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -132,15 +121,13 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         try:
             if kind == "tuple":
                 kwargs[key] = tuple(int(x) for x in text.split(","))
-            elif kind == "bool":
-                kwargs[key] = _BOOL_WORDS[text.lower()]
             elif kind == "int":
                 kwargs[key] = int(text)
             elif kind == "float":
                 kwargs[key] = float(text)
             else:
                 kwargs[key] = str(value)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigurationError(
                 f"bad value {value!r} for configuration key {key!r}"
             ) from None
@@ -322,26 +309,21 @@ class TwoClassResult:
     pools: dict[int, MemoryPool]
 
 
-def _subset_of_labels(ds: Dataset, wanted: tuple, per_class: int,
-                      seed: int) -> Dataset:
-    keep = np.isin(ds.labels, np.asarray(wanted))
-    remapped = Dataset(
-        images=ds.images[keep],
-        labels=np.array([wanted.index(int(l)) for l in ds.labels[keep]],
-                        dtype=np.int64),
-    )
-    return stratified_subset(remapped, per_class, seed=seed)
+def _two_class_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
+    keep = np.isin(ds.labels, ExperimentConfig.two_class_labels)
+    return stratified_subset(Dataset(ds.images[keep], ds.labels[keep]),
+                             per_class, seed=seed)
 
 
 def run_two_class_application(cfg: ExperimentConfig,
                               data: tuple[Dataset, Dataset] | None = None
                               ) -> TwoClassResult:
-    """Train the clonal variant on two classes, classify a held-out test set
-    through the antibody pools, and drive the no-match path with samples
-    from a class the pools have never seen."""
+    """Train the clonal variant on classes 0 and 1, the network's two
+    output classes, classify a held-out test set through the antibody
+    pools, and drive the no-match path with samples from a class the pools
+    have never seen."""
     train, test = data if data is not None else ensure_corpus(cfg.data_dir)
-    labels = tuple(int(l) for l in cfg.two_class_labels)
-    for label in labels:
+    for label in cfg.two_class_labels:
         for name, ds in (("training", train), ("test", test)):
             if not np.any(ds.labels == label):
                 raise ConfigurationError(
@@ -352,27 +334,20 @@ def run_two_class_application(cfg: ExperimentConfig,
     seed = cfg.seeds[0]
     arch = ArchConfig(num_classes=2)
 
-    train_sub = _subset_of_labels(train, labels, cfg.two_class_train,
+    train_sub = _two_class_subset(train, cfg.two_class_train,
                                   seed=derived_seed(seed, 2, 5))
-    test_sub = _subset_of_labels(test, labels, max(1, cfg.two_class_test // 2),
+    test_sub = _two_class_subset(test, max(1, cfg.two_class_test // 2),
                                  seed=derived_seed(seed, 2, 7))
 
     _, params, expander = train_variant(
         train_sub, test_sub, "cnn-ais", cfg.two_class_train, seed, cfg, arch,
         epochs=cfg.epochs, record_epochs=False,
     )
-
-    # pools were trained on remapped ids 0/1; re-key them by the real labels
-    pools: dict[int, MemoryPool] = {}
-    for net_label, pool in expander.pools.items():
-        real = labels[net_label]
-        pools[real] = MemoryPool(real, pool.capacity, matrix=pool.matrix,
-                                 scores=pool.scores)
+    pools = dict(expander.pools)
 
     features, _ = forward_features(params, test_sub.images)
-    decisions = classify_batch(features, pools, cfg.matching_tau,
-                               c_min=cfg.c_min, raw_count=cfg.raw_count)
-    true_labels = [labels[int(l)] for l in test_sub.labels]
+    decisions = classify_batch(features, pools, cfg.matching_tau)
+    true_labels = test_sub.labels.tolist()
     correct = sum(not d.no_match and d.predicted_class == real
                   for d, real in zip(decisions, true_labels))
     accuracy = correct / len(decisions) if decisions else 0.0
@@ -384,8 +359,7 @@ def run_two_class_application(cfg: ExperimentConfig,
     third_images = test.images[third_mask][:50]
     rng = np.random.default_rng(derived_seed(seed, cfg.third_class, 13))
     third_features, _ = forward_features(params, third_images)
-    third = classify_batch(third_features, pools, cfg.matching_tau,
-                           c_min=cfg.c_min, raw_count=cfg.raw_count)
+    third = classify_batch(third_features, pools, cfg.matching_tau)
     first = next((i for i, d in enumerate(third) if d.no_match), len(third))
     recognized_after = 0
     if first < len(third):
@@ -395,8 +369,7 @@ def run_two_class_application(cfg: ExperimentConfig,
             rng, existing=pools,
         )
         after = classify_batch(third_features[first + 1:], pools,
-                               cfg.matching_tau, c_min=cfg.c_min,
-                               raw_count=cfg.raw_count)
+                               cfg.matching_tau)
         third[first + 1:] = after
         recognized_after = sum(not d.no_match
                                and d.predicted_class == cfg.third_class

@@ -7,6 +7,8 @@ surface, as ``perfbench/workloads.py`` reads it, without importing the
 benchmark.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,18 @@ def test_the_benchmark_values_meet_the_integer_rule(corpus, tmp_path):
     pool = clonal.MemoryPool(7, 5, [clonal.Antibody(rng.normal(size=6), 7,
                                                     0.0)])
     assert len(pool) == 1 and pool.capacity == 5
+
+
+def test_the_benchmark_reads_its_classify_settings_from_a_config():
+    # the benchmark passes ExperimentConfig().matching_tau, c_min and
+    # raw_count to classify, deletes the pool of its third_class and builds
+    # clone settings with clone_config; c_min and raw_count keep the
+    # classifier's defaults, so the benchmark decides as the program does
+    cfg = harness.ExperimentConfig()
+    for name in ("matching_tau", "c_min", "raw_count", "third_class",
+                 "clone_config"):
+        assert hasattr(cfg, name)
+    for classify in (classifier.classify, classifier.classify_batch):
+        defaults = inspect.signature(classify).parameters
+        assert cfg.c_min == defaults["c_min"].default
+        assert cfg.raw_count == defaults["raw_count"].default

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from clonalnet import classifier, clonal, nn
 from clonalnet.classifier import (
-    NOMATCH, Decision, classify, classify_batch, decision_record_header,
-    format_decision_record, init_new_class, write_decision_records,
+    NOMATCH, Decision, classify, classify_batch, init_new_class,
+    write_decision_records,
 )
 from clonalnet.clonal import (CloneConfig, MemoryPool, affinity_naive,
                               mutate, pool_affinities)
@@ -656,31 +656,41 @@ class TestInitNewClass:
         assert scores[0] == 1.0
 
 
-class TestDecisionRecords:
-    def test_header_lists_classes_in_order(self):
-        header = decision_record_header([2, 0, 1])
-        assert header.startswith("test_id,predicted")
-        assert header.index("count_0") < header.index("count_1") \
-            < header.index("count_2")
+def written_records(tmp_path, decisions, class_ids):
+    """The lines ``write_decision_records`` writes, split at commas."""
+    path = tmp_path / "decisions.csv"
+    write_decision_records(path, decisions, class_ids)
+    text = path.read_text()
+    assert text.endswith("\n")
+    return [line.split(",") for line in text.splitlines()]
 
-    def test_record_for_match(self):
+
+class TestDecisionRecords:
+    def test_header_lists_classes_in_order(self, tmp_path):
+        header, = written_records(tmp_path, [], [2, 0, 1])
+        assert header == ["test_id", "predicted",
+                          "count_0", "avidity_0", "score_0",
+                          "count_1", "avidity_1", "score_1",
+                          "count_2", "avidity_2", "score_2"]
+
+    def test_record_for_match(self, tmp_path):
         decision = Decision(predicted_class=1, no_match=False,
                             counts={0: 0, 1: 2},
                             avidities={1: 0.75}, scores={1: 1.75})
-        record = format_decision_record(5, decision, [0, 1])
-        fields = record.split(",")
-        assert fields[0] == "5"
+        _, fields = written_records(tmp_path, [decision], [1, 0])
+        assert fields[0] == "0"
         assert fields[1] == "1"
         assert fields[2] == "0"          # class 0 count
         assert fields[3] == "" and fields[4] == ""
         assert fields[5] == "2"
         assert float(fields[6]) == 0.75
+        assert fields[7] == "1.75"
 
-    def test_record_for_no_match(self):
+    def test_record_for_no_match(self, tmp_path):
         decision = Decision(predicted_class=None, no_match=True,
                             counts={0: 0})
-        record = format_decision_record(0, decision, [0])
-        assert record.split(",")[1] == NOMATCH
+        _, fields = written_records(tmp_path, [decision], [0])
+        assert fields == ["0", NOMATCH, "0", "", ""]
 
     def test_file_round_trip(self, tmp_path):
         decisions = [
@@ -688,12 +698,12 @@ class TestDecisionRecords:
                      avidities={0: 1.0}, scores={0: 2.0}),
             Decision(predicted_class=None, no_match=True, counts={0: 0}),
         ]
-        path = tmp_path / "decisions.csv"
-        write_decision_records(path, decisions, [0])
-        lines = path.read_text().splitlines()
+        lines = written_records(tmp_path, decisions, [0])
         assert len(lines) == 3
-        assert lines[0] == decision_record_header([0])
-        assert lines[2].split(",")[1] == NOMATCH
+        assert lines[0] == ["test_id", "predicted", "count_0", "avidity_0",
+                            "score_0"]
+        assert lines[1] == ["0", "0", "1", "1.0", "2.0"]
+        assert lines[2][:2] == ["1", NOMATCH]
 
 
 def test_one_image_decision_enters_no_numpy_python_helpers(

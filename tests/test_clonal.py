@@ -1033,6 +1033,26 @@ class TestCheckPools:
                                  "width 3, class 7 width 4$"):
             clonal.check_pools(pools)
 
+    @pytest.mark.parametrize("pools, error, message", [
+        ({0: pool_of(np.ones((1, 3)), label=0),
+          True: pool_of(np.ones((1, 3)), label=1)}, ConfigurationError,
+         "^pools key must be an integer >= 0, got True$"),
+        ({0.0: pool_of(np.ones((1, 3)), label=0)}, ConfigurationError,
+         "^pools key must be an integer >= 0, got 0.0$"),
+        ({0: pool_of(np.empty((2, 0)), label=0)}, DimensionError,
+         "^pools must share one width of at least 1: class 0 has width 0$"),
+    ], ids=["bool-key", "float-key", "width-0"])
+    def test_keys_are_class_ids_and_the_width_at_least_1(self, pools, error,
+                                                         message):
+        # each of these passed: a bool or float key equal to its pool's
+        # class, and members with no coordinates
+        with pytest.raises(error, match=message):
+            clonal.check_pools(pools)
+
+    def test_numpy_integer_keys_and_width_1_pass(self):
+        clonal.check_pools({np.int64(2): pool_of(np.ones((1, 1)), label=2),
+                            0: MemoryPool(class_label=0, capacity=0)})
+
     def test_mixed_set_leaves_an_existing_file_as_it_was(self, tmp_path):
         # save_pools used to write this set, which load_pools then refused
         # with "line 6: 4 coordinates, expected 3"

@@ -31,9 +31,7 @@ from clonalnet.errors import (ConfigurationError, CorruptionError,
                               check_real)
 
 # the integer fields whose minimum is 0, not 1
-FROM_ZERO = {"rng_seed", "third_class"}
-# two-class labels that a third class of True (== 1) or 0 does not repeat
-OTHER_FIELDS = {harness.ExperimentConfig: {"two_class_labels": (4, 5)}}
+FROM_ZERO = {"rng_seed"}
 
 
 @pytest.mark.parametrize("value, low", [
@@ -73,7 +71,7 @@ def integer_fields():
 def test_integer_field_rejects_non_integers_and_values_below_its_minimum(
         config, name, value):
     with pytest.raises(ConfigurationError, match=name):
-        config(**OTHER_FIELDS.get(config, {}), **{name: value})
+        config(**{name: value})
 
 
 def test_every_config_has_integer_fields():
@@ -246,7 +244,7 @@ def test_infinity_fails_an_unbounded_range():
 
 
 # a value outside each real field's range; the rest go below 0
-OUTSIDE = {"alpha": 0.0, "tau": 1.5, "tau_match": 1.5}
+OUTSIDE = {"alpha": 0.0, "tau": 1.5}
 
 
 def real_fields():
@@ -273,8 +271,7 @@ def test_every_real_field_is_covered():
     assert names == {(config, name) for config in ("CloneConfig",
                                                    "ExperimentConfig")
                      for name in ("eta", "alpha", "tau", "sigma")} | {
-        ("ExperimentConfig", "learning_rate"),
-        ("ExperimentConfig", "tau_match")}
+        ("ExperimentConfig", "learning_rate")}
 
 
 @pytest.mark.parametrize("tau_match", ["0.8", True, None, np.bool_(True)])
@@ -282,6 +279,17 @@ def test_classify_rejects_a_tau_match_that_is_not_a_real(tau_match):
     # "0.8" and None used to raise a bare TypeError, and True to match at 1
     with pytest.raises(ConfigurationError, match="tau_match"):
         classifier.classify(np.ones(3), POOLS, tau_match=tau_match)
+
+
+@pytest.mark.parametrize("tau_match", [1.5, -0.1, math.inf, math.nan])
+def test_classify_batch_rejects_a_tau_match_outside_0_1(tau_match):
+    # the range rule that ExperimentConfig.tau_match carried before the
+    # setting became a constant; the parameter is where it lives now
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("tau_match must be a finite real "
+                                       f"number in [0, 1], got {tau_match!r}")
+                             + "$"):
+        classifier.classify_batch(np.ones((1, 3)), POOLS, tau_match)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +553,10 @@ COLUMN_CALLS = [
      "clone parents must have 1 axes, got shape (3, 1)"),
     ("ClonalExpander", lambda v: clonal.ClonalExpander(DEMO)(FEATURES, v),
      "labels must have 1 axes, got shape (3, 1)"),
+    ("generate_clones",
+     lambda v: clonal.generate_clones(FEATURES, np.ones(3), v, POOLS, DEMO,
+                                      RNG(0)),
+     "labels must have 1 axes, got shape (3, 1)"),
     ("train_variant",
      lambda v: harness.train_variant(
          mnist.Dataset(np.zeros((len(v), 28, 28)), v), DIGITS, "cnn", 1, 0,
@@ -571,6 +583,26 @@ def test_ragged_labels_are_a_dimension_error(function, call):
         call([[0, 1], [2], [0]])
 
 
+@pytest.mark.parametrize("labels, error, message", [
+    ([True, True], ConfigurationError,
+     "labels must be integers, got dtype bool"),
+    ([1.0, 1.0], ConfigurationError,
+     "labels must be integers, got dtype float64"),
+    (np.array([1.0, 1.0]), ConfigurationError,
+     "labels must be integers, got dtype float64"),
+    ([[1], [1]], DimensionError, "labels must have 1 axes, got shape (2, 1)"),
+    ([1, -1], ConfigurationError, "label -1 has no pool"),
+], ids=["bools", "float-list", "float-array", "column", "no-pool"])
+def test_generate_clones_applies_the_label_rule(labels, error, message):
+    # bools and integral floats were trained as class 1, and a column of
+    # labels raised TypeError (unhashable type: 'list')
+    pools = {1: clonal.MemoryPool(1, 2, matrix=np.ones((1, 3)),
+                                  scores=np.ones(1))}
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        clonal.generate_clones(np.ones((2, 3)), np.ones(2), labels, pools,
+                               DEMO, RNG(0))
+
+
 def test_cross_entropy_takes_one_probability_vector_and_one_label():
     with pytest.raises(DimensionError,
                        match=re.escape("probabilities must have 1 axes")):
@@ -586,33 +618,56 @@ def pool_of(label):
                              scores=np.ones(1))
 
 
-@pytest.mark.parametrize("pools, message", [
-    ({5: pool_of(0)}, r"pools\[5\] is not the MemoryPool of class 5"),
-    ({0: pool_of(0), 1: pool_of(0)}, r"pools\[1\] is not"),
-    ({0: "pool"}, r"pools\[0\] is not"),
-    ({0: np.ones((1, 3))}, r"pools\[0\] is not"),
-    ([pool_of(0)], "pools must be a dict, got list"),
-], ids=["other-key", "one-pool-twice", "string", "array", "list"])
+def no_width_pool():
+    """A class-0 pool of two members with no coordinates."""
+    return clonal.MemoryPool(0, 3, matrix=np.empty((2, 0)), scores=[1.0, 0.5])
+
+
+@pytest.mark.parametrize("pools, error, message", [
+    ({5: pool_of(0)}, ConfigurationError,
+     r"pools\[5\] is not the MemoryPool of class 5"),
+    ({0: pool_of(0), 1: pool_of(0)}, ConfigurationError, r"pools\[1\] is not"),
+    ({0: "pool"}, ConfigurationError, r"pools\[0\] is not"),
+    ({0: np.ones((1, 3))}, ConfigurationError, r"pools\[0\] is not"),
+    ([pool_of(0)], ConfigurationError, "pools must be a dict, got list"),
+    ({0: pool_of(0), True: pool_of(1)}, ConfigurationError,
+     "pools key must be an integer >= 0, got True"),
+    ({0.0: pool_of(0), 1.0: pool_of(1)}, ConfigurationError,
+     "pools key must be an integer >= 0, got 0.0"),
+    ({0: no_width_pool()}, DimensionError,
+     "pools must share one width of at least 1: class 0 has width 0"),
+], ids=["other-key", "one-pool-twice", "string", "array", "list", "bool-key",
+        "float-keys", "width-0"])
 def test_save_pools_refuses_a_bad_mapping_before_writing(tmp_path, pools,
-                                                         message):
-    # {5: pool of class 0} read back as {0: ...}, and one pool under two
-    # keys wrote a file that load_pools refuses
+                                                         error, message):
+    # {5: pool of class 0} read back as {0: ...}; one pool under two keys,
+    # and a pool of no width, wrote a file that load_pools refuses
     path = tmp_path / "pools.txt"
-    with pytest.raises(ConfigurationError, match=message):
+    with pytest.raises(error, match=message):
         clonal.save_pools(pools, path)
     assert not path.exists()
 
 
-@pytest.mark.parametrize("pools", [
-    [pool_of(0)], {0: [pool_of(0)]}, {0: np.ones((1, 3))}, {0: "pool"},
-    {0: pool_of(0), "a": pool_of(0)}, {3: pool_of(0)}],
+@pytest.mark.parametrize("pools, error", [
+    ([pool_of(0)], ConfigurationError),
+    ({0: [pool_of(0)]}, ConfigurationError),
+    ({0: np.ones((1, 3))}, ConfigurationError),
+    ({0: "pool"}, ConfigurationError),
+    ({0: pool_of(0), "a": pool_of(0)}, ConfigurationError),
+    ({3: pool_of(0)}, ConfigurationError),
+    ({0: pool_of(0), True: pool_of(1)}, ConfigurationError),
+    ({0.0: pool_of(0), 1.0: pool_of(1)}, ConfigurationError),
+    ({0: no_width_pool()}, DimensionError)],
     ids=["list", "list-value", "array-value", "string-value", "mixed-keys",
-         "other-key"])
+         "other-key", "bool-key", "float-keys", "width-0"])
 @pytest.mark.parametrize("batch", [False, True])
-def test_classify_refuses_pools_that_are_not_a_dict_of_pools(pools, batch):
+def test_classify_refuses_pools_that_are_not_a_dict_of_pools(pools, error,
+                                                             batch):
     # these raised TypeError (unhashable type, unorderable keys) or
-    # AttributeError, or classified under the wrong key
-    with pytest.raises(ConfigurationError, match="pools"):
+    # AttributeError, or classified under the wrong key (a bool key was
+    # predicted as class True, and so were float keys once its stack was
+    # kept), or found two zero vectors
+    with pytest.raises(error, match="pools"):
         if batch:
             classifier.classify_batch(np.ones((1, 3)), pools, 0.5)
         else:

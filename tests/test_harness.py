@@ -76,45 +76,52 @@ def test_parse_config_file_rejects_undecodable_byte(tmp_path):
 def test_mapping_coerces_field_types():
     cfg = config_from_mapping({
         "sizes": "5,10", "seeds": "1,2", "epochs": "3",
-        "learning_rate": "0.2", "raw_count": "true", "tau_match": "0.7",
-        "variant": "cnn",
+        "learning_rate": "0.2", "tau": "0.7", "variant": "cnn",
     })
     assert cfg.sizes == (5, 10)
     assert cfg.seeds == (1, 2)
     assert cfg.epochs == 3
     assert cfg.learning_rate == 0.2
-    assert cfg.raw_count is True
-    assert cfg.tau_match == 0.7
+    assert cfg.tau == 0.7
     assert cfg.variant == "cnn"
 
 
+# settings that nothing set to another value: the first three left with
+# no trace, the last five are constants of ExperimentConfig
+RETIRED_KEYS = ("rate_cap", "crossover_prob", "memory_factor", "tau_match",
+                "c_min", "raw_count", "two_class_labels", "third_class")
+
+
 def test_mapping_rejects_unknown_key():
-    # the last three were settings that nothing set to another value
-    for key in ("learninq_rate", "rate_cap", "crossover_prob",
-                "memory_factor"):
-        with pytest.raises(ConfigurationError, match=f"unknown .* '{key}'"):
+    for key in ("learninq_rate",) + RETIRED_KEYS:
+        with pytest.raises(ConfigurationError,
+                           match=f"^unknown configuration key '{key}'$"):
             config_from_mapping({key: "1"})
 
 
-@pytest.mark.parametrize("text, value", [
-    ("true", True), ("YES", True), ("1", True),
-    ("False", False), ("no", False), ("0", False),
-])
-def test_mapping_bool_words(text, value):
-    assert config_from_mapping({"raw_count": text}).raw_count is value
+def test_retired_settings_read_as_constants():
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert len(names) == 17 and not names & set(RETIRED_KEYS)
+    cfg = ExperimentConfig()
+    assert (cfg.matching_tau, cfg.c_min, cfg.raw_count, cfg.two_class_labels,
+            cfg.third_class) == (0.8, 1, False, (0, 1), 3)
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS[3:])
+def test_retired_setting_is_no_keyword_and_no_instance_attribute(key):
+    # a constant is set by no caller: not as a keyword, and not on an
+    # instance, whose fields are frozen
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+        ExperimentConfig(**{key: 1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ExperimentConfig(), key, 1)
 
 
 @pytest.mark.parametrize("key, text", [
-    ("raw_count", "ture"),
-    ("raw_count", ""),
     ("sizes", ""),
     ("seeds", "1,,2"),
     ("epochs", "five"),
     ("learning_rate", "fast"),
-    ("tau_match", "high"),
-    # "none" and "" used to mean "fall back to tau"
-    ("tau_match", "none"),
-    ("tau_match", ""),
     ("learning_rate", "nan"),
     ("eta", "-1"),
     ("eta", "inf"),
@@ -144,14 +151,8 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"epochs": 0},
     {"curve_epochs": 0},
     {"curve_epochs": -1},
-    {"two_class_labels": (3, 3)},
-    {"third_class": 1},
     {"learning_rate": -0.1},
     {"learning_rate": float("nan")},
-    {"c_min": 0},
-    {"tau_match": 1.5},
-    {"tau_match": -0.1},
-    {"tau_match": float("nan")},
     {"eta": -1.0},
     {"alpha": 0.0},
     {"tau": 1.5},
@@ -176,9 +177,6 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
     {"sizes": (True,)},
     {"seeds": (1.5,)},
     {"seeds": (np.bool_(True),)},
-    {"two_class_labels": (0, 2.5)},
-    {"two_class_labels": (-1, 1)},
-    {"two_class_labels": (0,)},
     {"epochs": np.float64(3.0)},
     {"batch_size": "8"},
     {"test_subset": None},
@@ -186,10 +184,6 @@ def test_overrides_beat_file_and_none_is_ignored(tmp_path):
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**bad)
-
-
-def test_matching_tau_override():
-    assert ExperimentConfig(tau=0.55, tau_match=0.9).matching_tau == 0.9
 
 
 def test_clone_config_scales_memory_with_class_size():
@@ -477,38 +471,39 @@ def test_two_class_application_shapes(corpus):
     assert set(cfg.two_class_labels) <= set(result.pools)
 
 
+def without(ds, label):
+    keep = ds.labels != label
+    return Dataset(ds.images[keep], ds.labels[keep])
+
+
 def test_third_class_without_test_images_rejected_before_training(
         corpus, monkeypatch):
-    # such a run used to train, then report 0 probes and 0 no-matches; a
-    # class the corpus lacks, and one whose test images are dropped
+    # such a run used to train, then report 0 probes and 0 no-matches
     train, test = corpus
-    keep = test.labels != 3
-    without_3 = Dataset(test.images[keep], test.labels[keep])
     monkeypatch.setattr(harness, "train_variant", None)
-    for third_class, test_set in ((11, test), (3, without_3)):
-        cfg = ExperimentConfig(**TINY, third_class=third_class,
-                               two_class_train=3, two_class_test=10)
-        with pytest.raises(ConfigurationError,
-                           match=f"third class {third_class} has no test"):
-            run_two_class_application(cfg, data=(train, test_set))
+    cfg = ExperimentConfig(**TINY, two_class_train=3, two_class_test=10)
+    with pytest.raises(ConfigurationError,
+                       match="^third class 3 has no test image$"):
+        run_two_class_application(cfg, data=(train, without(test, 3)))
 
 
-@pytest.mark.parametrize("labels, drop_from", [((0, 12), None),
-                                               ((0, 1), "train"),
-                                               ((0, 1), "test")])
-def test_two_class_label_without_images_rejected(corpus, labels, drop_from):
-    # (0, 12) used to train on class 0 alone and report accuracy 0.0
+@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize("drop_from", ["training", "test"])
+def test_two_class_label_without_images_rejected(corpus, monkeypatch, label,
+                                                 drop_from):
+    # a missing class used to train on the other class alone and report
+    # accuracy 0.0
     train, test = corpus
-    data = {"train": train, "test": test}
-    if drop_from is not None:
-        ds = data[drop_from]
-        data[drop_from] = Dataset(ds.images[ds.labels != 1],
-                                  ds.labels[ds.labels != 1])
-    cfg = ExperimentConfig(**TINY, two_class_labels=labels,
-                           two_class_train=3, two_class_test=10)
-    missing = labels[1]
-    with pytest.raises(ConfigurationError, match=f"label {missing} has no"):
-        run_two_class_application(cfg, data=(data["train"], data["test"]))
+    if drop_from == "training":
+        train = without(train, label)
+    else:
+        test = without(test, label)
+    monkeypatch.setattr(harness, "train_variant", None)
+    cfg = ExperimentConfig(**TINY, two_class_train=3, two_class_test=10)
+    with pytest.raises(ConfigurationError,
+                       match=f"^two-class label {label} has no {drop_from} "
+                             f"image$"):
+        run_two_class_application(cfg, data=(train, test))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +699,18 @@ def test_cli_epoch_curve_writes_versioned_pools(tmp_path, corpus_dir):
     pool_file = tmp_path / "o" / "pools_seed2.txt"
     assert pool_file.read_text().splitlines()[0] == "clonalnet-pools v1"
     assert len(csv_rows(tmp_path / "o" / "epoch_curve.csv")) == 2
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS[3:])
+def test_cli_config_line_of_a_retired_key_is_unknown(tmp_path, monkeypatch,
+                                                     key):
+    monkeypatch.setattr(harness, "run_two_class_application", _capture)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = 1\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"^unknown configuration key '{key}'$"):
+        cli.main(["two-class", "--config", str(cfg_file),
+                  "--out", str(tmp_path / "o")])
 
 
 def test_cli_two_class_smoke(tmp_path, corpus_dir, capsys):
