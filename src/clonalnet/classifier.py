@@ -72,7 +72,8 @@ def classify_batch(features: np.ndarray, pools: dict[int, MemoryPool],
     check_real(tau_match, "tau_match", 0, 1)
     x = check_array(features, "test features", 2)
     try:
-        stack = _stacked(tuple(sorted(pools.items())))
+        stack = _stacked(tuple(sorted(pools.items())),
+                         tuple(map(type, pools)))
     except (AttributeError, TypeError):
         # not a dict, or keys or pools that cannot be sorted or hashed
         clonal.check_pools(pools)
@@ -119,11 +120,15 @@ class _Stack(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1)
-def _stacked(pools: tuple[tuple[int, MemoryPool], ...]) -> _Stack:
+def _stacked(pools: tuple[tuple[int, MemoryPool], ...],
+             key_types: tuple[type, ...]) -> _Stack:
     """The (label, pool) pairs in label order as ``classify_batch`` reads
     them, kept for the next call with the same pools; pools hash by
     identity and their reference rows are read-only, so a kept stack
-    cannot go stale.
+    cannot go stale. ``key_types``, the types of the pools' keys, is read
+    only as part of the cache key: ``0.0`` and ``True`` equal ``0`` and
+    ``1``, so without it a call with such keys would reuse the stack of
+    integer-keyed pools instead of being refused.
 
     The pools are checked here, once per set of pools, so their
     non-empty pools share one width, and their members are stacked into

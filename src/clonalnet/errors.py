@@ -47,13 +47,15 @@ class UndefinedAffinityError(ValueError):
     """Affinity of two all-zero vectors or a non-finite vector requested."""
 
 
-def check_count(value, name: str, low: int = 1):
+def check_count(value, name: str, low: int = 1, high: int | None = None):
     """``value`` if it is an integer, not a bool, of at least ``low`` (1 for a
-    count; 0 for a seed, capacity or class id), else ConfigurationError."""
+    count; 0 for a seed, capacity or class id) and, when given, at most
+    ``high``, else ConfigurationError."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
+            or value < low or high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigurationError(
-            f"{name} must be an integer >= {low}, got {value!r}")
+            f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
 

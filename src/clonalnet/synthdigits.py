@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_count
+from .errors import ConfigurationError, DimensionError, check_count
 from .mnist import idx_image_header, quantize_pixels, serialize_idx_labels
 
 # canvas geometry: digit box rows 5..22, cols 9..18, stroke thickness 2
@@ -49,6 +49,17 @@ _DIGIT_SEGMENTS = {
     9: "ABCDFG",
 }
 
+# each digit's stroke boxes, as _SEGMENTS gives them, in stroke order
+_DIGIT_STROKES = tuple(tuple(_SEGMENTS[name] for name in _DIGIT_SEGMENTS[digit])
+                       for digit in range(10))
+
+_CANVAS = (28, 28)
+
+# stroke intensities lie in [_LOW, 1.0); numpy's uniform(low, high) is
+# low + (high - low) * random(), with high - low rounded as here
+_LOW = 0.55
+_SPAN = 1.0 - _LOW
+
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
 TEST_IMAGES = "t10k-images-idx3-ubyte"
@@ -61,30 +72,56 @@ _BLOCK = 128
 def render_digit(digit: int, rng: np.random.Generator,
                  out: np.ndarray) -> np.ndarray:
     """One 28x28 sample of ``digit`` with randomized appearance, written
-    into ``out`` (a (28, 28) float64 array, every pixel overwritten);
-    returns it.
+    into ``out`` (a writable (28, 28) float64 array, every pixel
+    overwritten); returns it.
 
-    Every stroke's jitter and intensity is drawn, then the shift, and each
-    stroke is painted at its shifted position. With all jitter and shifts
-    the strokes stay inside rows [2, 26) and columns [6, 22), so this
+    Every stroke's three endpoint jitters and its intensity are drawn, in
+    stroke order, then the row and column shift, then the pixel noise, and
+    each stroke is painted at its shifted position. With all jitter and
+    shifts the strokes stay inside rows [2, 26) and columns [6, 22), so this
     equals painting them unshifted and rolling the canvas by the shift.
+    A ``digit`` not an integer in [0, 9], an ``rng`` not a Generator, or an
+    ``out`` of another shape (DimensionError), dtype or type, or read-only,
+    raises before any draw.
     """
+    strokes = _DIGIT_STROKES[check_count(digit, "digit", 0, 9)]
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigurationError(
+            f"rng must be a numpy Generator, got {type(rng).__name__}")
+    _check_canvas(out)
+    # bound once: a digit makes about 20 scalar draws
+    integers, random = rng.integers, rng.random
+    boxes = []
+    for horizontal, fixed, lo, hi in strokes:
+        fixed += integers(-1, 2)
+        lo += integers(-1, 2)
+        hi += integers(-1, 2)
+        # uniform(_LOW, 1.0) as numpy computes it, without its dispatch
+        boxes.append((horizontal, fixed, lo, hi, _LOW + _SPAN * random()))
+    # two scalar draws take the same 32-bit halves as one size=2 draw
+    dy = integers(-2, 3)   # up to 2 pixels each way
+    dx = integers(-2, 3)
     out.fill(0.0)
-    strokes = []
-    for name in _DIGIT_SEGMENTS[digit]:
-        horizontal, fixed, lo, hi = _SEGMENTS[name]
-        fixed = fixed + int(rng.integers(-1, 2))
-        lo = lo + int(rng.integers(-1, 2))
-        hi = hi + int(rng.integers(-1, 2))
-        strokes.append((horizontal, fixed, lo, hi, rng.uniform(0.55, 1.0)))
-    dy, dx = rng.integers(-2, 3, size=2).tolist()  # up to 2 pixels each way
-    for horizontal, fixed, lo, hi, intensity in strokes:
+    for horizontal, fixed, lo, hi, intensity in boxes:
         if horizontal:
             out[fixed + dy:fixed + dy + _T, lo + dx:hi + dx] = intensity
         else:
             out[lo + dy:hi + dy, fixed + dx:fixed + dx + _T] = intensity
-    out += rng.normal(scale=0.18, size=out.shape)
-    return np.clip(out, 0.0, 1.0, out=out)
+    out += rng.normal(scale=0.18, size=_CANVAS)
+    return out.clip(0.0, 1.0, out=out)
+
+
+def _check_canvas(out) -> None:
+    """Refuse an ``out`` that is not a writable (28, 28) float64 ndarray."""
+    if not isinstance(out, np.ndarray):
+        raise ConfigurationError(
+            f"out must be a numpy array, got {type(out).__name__}")
+    if out.shape != _CANVAS:
+        raise DimensionError(f"out must have shape {_CANVAS}, got {out.shape}")
+    if out.dtype != np.float64:
+        raise ConfigurationError(f"out must be float64, got dtype {out.dtype}")
+    if not out.flags.writeable:
+        raise ConfigurationError("out must be writable")
 
 
 def _digit_labels(per_class: int) -> np.ndarray:

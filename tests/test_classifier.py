@@ -425,6 +425,19 @@ class TestStackedPoolCache:
         uncached = classify_batch(features, pools, 0.5)
         assert cached[0] == cached[1] == uncached
 
+    @pytest.mark.parametrize("keys", [(0.0, 1.0), (0, True)])
+    def test_kept_stack_refuses_keys_equal_to_its_labels(self, keys):
+        # 0.0 == 0 and True == 1 with equal hashes; the refusal must not
+        # depend on whether integer-keyed pools were classified before
+        p0, p1 = self.pools()[0], self.pools()[1]
+        feature = np.random.default_rng(13).normal(size=5)
+        for warm in (False, True):
+            classifier._stacked.cache_clear()
+            if warm:
+                classify(feature, {0: p0, 1: p1}, tau_match=0.5)
+            with pytest.raises(ConfigurationError):
+                classify(feature, dict(zip(keys, (p0, p1))), tau_match=0.5)
+
 
 # row scales whose squared norms are normal, below 2^-510, above 2^510, zero
 ROW_SCALES = {"normal": 1.0, "tiny": 1e-200, "huge": 1e200, "zero": 0.0}

@@ -49,6 +49,18 @@ def test_other_values_are_rejected_with_name_bound_and_value(value):
         check_count(value, "size")
 
 
+@pytest.mark.parametrize("value, passes", [
+    (0, True), (9, True), (np.uint8(9), True), (10, False), (-1, False),
+    (np.int64(10), False), (True, False)])
+def test_an_upper_bound_is_inclusive_and_named(value, passes):
+    if passes:
+        assert check_count(value, "digit", 0, 9) is value
+    else:
+        with pytest.raises(ConfigurationError,
+                           match=r"^digit must be an integer in \[0, 9\], got "):
+            check_count(value, "digit", 0, 9)
+
+
 def bad_values(low):
     """What every integer parameter with minimum ``low`` must refuse."""
     return [2.5, float("nan"), True, low - 1]

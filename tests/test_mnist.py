@@ -384,6 +384,44 @@ class TestSyntheticCorpus:
         assert out.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
+    def test_intensity_formula_is_numpys_uniform(self):
+        # render_digit draws uniform(0.55, 1.0) as _LOW + _SPAN * random();
+        # a numpy or platform that rounds uniform otherwise fails here
+        expected_rng, rng = np.random.default_rng(21), np.random.default_rng(21)
+        expected = expected_rng.uniform(0.55, 1.0, size=10**5)
+        drawn = np.array([synthdigits._LOW + synthdigits._SPAN * rng.random()
+                          for _ in range(10**5)])
+        assert drawn.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("digit", [10, -1, True, 3.0, np.int64(10), "3"])
+    def test_bad_digit_refused_before_any_draw(self, digit):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="digit"):
+            synthdigits.render_digit(digit, rng, np.zeros((28, 28)))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("out, error", [
+        (np.zeros((20, 20)), DimensionError),
+        (np.zeros((2, 28, 28)), DimensionError),
+        (np.zeros(784), DimensionError),
+        (np.zeros((28, 28), dtype=np.int64), ConfigurationError),
+        (np.zeros((28, 28), dtype=np.float32), ConfigurationError),
+        (np.zeros((28, 28)).tolist(), ConfigurationError),
+        (np.broadcast_to(0.0, (28, 28)), ConfigurationError)])
+    def test_bad_out_refused_before_any_draw(self, out, error):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match="out"):
+            synthdigits.render_digit(3, rng, out)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rng", [None, 4, np.random.RandomState(4)])
+    def test_rng_not_a_generator_refused(self, rng):
+        with pytest.raises(ConfigurationError, match="rng"):
+            synthdigits.render_digit(3, rng, np.zeros((28, 28)))
+
     def test_shifted_strokes_stay_on_canvas(self):
         # every stroke box, with every endpoint jitter and shift, lies in
         # rows [2, 26) and columns [6, 22), so painting at the shifted
