@@ -18,7 +18,11 @@ One more ``cnn-ais`` cell trains at the scale of perfbench's ``train_ais``
 (50 images per class for 3 epochs, 189 batches) and gets one digest of
 its parameters, rows and pools, and one more of that cell's
 ``forward_features`` bytes for each test image alone and for the whole
-test set as one stack, with ``evaluate``'s error on it.
+test set as one stack, with ``evaluate``'s error on it. A last digest of
+that cell holds ``predict``'s int64 classes for the test set, from one call
+on the whole stack and from one call per ``EVAL_CHUNK`` images, as
+``evaluate`` makes them, so that two trees whose forwards differ in
+rounding show whether any prediction moved.
 It also digests the two-class application's decisions on the corpus and
 the clonal-selection demo for seeds 1-3. Last, it runs tiny
 ``size-sweep``, ``epoch-curve``, ``two-class`` and ``clonalg-demo``
@@ -60,7 +64,8 @@ from clonalnet.classifier import (classify, classify_batch,  # noqa: E402
 from clonalnet.clonal import (MemoryPool, affinity_matrix,  # noqa: E402
                               pool_affinities, save_pools)
 from clonalnet.mnist import stratified_subset  # noqa: E402
-from clonalnet.nn import ArchConfig, evaluate, forward_features  # noqa: E402
+from clonalnet.nn import (EVAL_CHUNK, ArchConfig, evaluate,  # noqa: E402
+                          forward_features, predict)
 
 # (variant, per-class size, seed, epochs)
 CELLS = [(variant, per_class, seed, epochs)
@@ -184,6 +189,11 @@ def main() -> int:
     stacked, _ = forward_features(params, test.images)
     error = evaluate(params, test.images, test.labels)
     print(f"{name} features {digest(*alone, stacked.tobytes(), error)}")
+    chunks = [predict(params, test.images[start:start + EVAL_CHUNK])
+              for start in range(0, len(test.images), EVAL_CHUNK)]
+    classes = (predict(params, test.images), np.concatenate(chunks))
+    print(f"{name} classes "
+          f"{digest(*(c.astype(np.int64).tobytes() for c in classes))}")
 
     two = harness.run_two_class_application(
         harness.ExperimentConfig(two_class_test=20), data=(train, test))

@@ -15,6 +15,14 @@ it. Each dense layer is one matrix product over a batch's rows (see
 forward bit for bit up to the pooled features, and from fc1 on up to
 rounding.
 
+``predict``, and so ``evaluate``, does not call ``forward_features``: it
+keeps no trace, and its convolution and pool are one
+:func:`~clonalnet.tensor.conv_maxpool2` call, one product per image with
+the bias added after the max, so its features equal ``forward_features``'
+up to rounding. Training, the gradient audit, and the two-class run and
+its third-class probe, whose pool scores are written out in full, take
+``forward_features``.
+
 The clonal layer itself lives in :mod:`clonalnet.clonal`; ``train_epoch``
 accepts it as an optional hook that expands each batch's feature vectors
 into a :class:`~clonalnet.clonal.Clones`. ``batch_gradients`` is the one
@@ -48,8 +56,8 @@ import numpy as np
 from .errors import (ConfigurationError, CorruptionError, DimensionError,
                      DivergenceError, check_array, check_count, check_indices,
                      check_real)
-from .tensor import (Windows, conv2d_valid, dense, dense_backward, maxpool2,
-                     maxpool2_backward)
+from .tensor import (Windows, conv2d_valid, conv_maxpool2, dense,
+                     dense_backward, maxpool2, maxpool2_backward)
 
 TANH_SCALE = 1.7159
 TANH_SLOPE = 2.0 / 3.0
@@ -186,14 +194,7 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
     pool_pre, argmax = maxpool2(conv_pre)
     # scaled_tanh in two steps, keeping the tanh for the backward's tanh'
     pool_tanh = np.tanh(TANH_SLOPE * pool_pre)
-    pooled = TANH_SCALE * pool_tanh
-    # the width spelled out, so that an empty batch reshapes too
-    pooled_flat = pooled.reshape(*img.shape[:-2], math.prod(pooled.shape[-3:]))
-    if pooled_flat.shape[-1] != params.fc1_weights.shape[1]:
-        raise DimensionError(
-            f"flattened pool size {pooled_flat.shape[-1]} does not match "
-            f"fc1 input width {params.fc1_weights.shape[1]}"
-        )
+    pooled_flat = _flatten_pooled(params, TANH_SCALE * pool_tanh)
     fc1_tanh = np.tanh(TANH_SLOPE * dense(params.fc1_weights, params.fc1_bias,
                                           pooled_flat))
     feature = TANH_SCALE * fc1_tanh
@@ -206,6 +207,33 @@ def forward_features(params: LayerStack, image: np.ndarray) -> tuple[np.ndarray,
         feature=feature,
     )
     return feature, trace
+
+
+def _flatten_pooled(params: LayerStack, pooled: np.ndarray) -> np.ndarray:
+    """The ``(..., f, ph, pw)`` pooled maps as ``(..., p)`` rows, whose width
+    must be fc1's input width."""
+    # the width spelled out, so that an empty batch reshapes too
+    flat = pooled.reshape(*pooled.shape[:-3], math.prod(pooled.shape[-3:]))
+    if flat.shape[-1] != params.fc1_weights.shape[1]:
+        raise DimensionError(
+            f"flattened pool size {flat.shape[-1]} does not match "
+            f"fc1 input width {params.fc1_weights.shape[1]}"
+        )
+    return flat
+
+
+def _inference_features(params: LayerStack, image: np.ndarray) -> np.ndarray:
+    """The features of :func:`forward_features`, with no trace: the
+    convolution and pool are one :func:`~clonalnet.tensor.conv_maxpool2`
+    call, whose single product per image sums in another order than the
+    per-kernel ``conv2d_valid``, so a feature equals ``forward_features``'
+    up to rounding."""
+    img = check_array(image, "image", (2, 3))
+    pool_pre = conv_maxpool2(img, params.conv_kernels, params.conv_bias)
+    pooled_flat = _flatten_pooled(
+        params, TANH_SCALE * np.tanh(TANH_SLOPE * pool_pre))
+    return TANH_SCALE * np.tanh(TANH_SLOPE * dense(
+        params.fc1_weights, params.fc1_bias, pooled_flat))
 
 
 def forward_output(params: LayerStack, feature: np.ndarray) -> np.ndarray:
@@ -326,24 +354,25 @@ def predict(params: LayerStack, image: np.ndarray) -> int | np.ndarray:
     """The most probable class of an ``(H, W)`` image as an ``int``, or of
     each image of an ``(N, H, W)`` stack as an ``(N,)`` integer array. The
     stack's class scores come from one matrix product per dense layer, so
-    each image's scores equal its own call's up to rounding."""
-    feature, _ = forward_features(params, image)
-    classes = forward_output(params, feature).argmax(axis=-1)
+    each image's scores equal its own call's up to rounding. The features
+    come from the trace-free inference forward, each equal to
+    :func:`forward_features`' up to rounding."""
+    classes = forward_output(params, _inference_features(params, image)
+                             ).argmax(axis=-1)
     return int(classes) if classes.ndim == 0 else classes
 
 
 # images per ``predict`` call in ``evaluate``. On a 2-core x86 VM (4 MiB
-# L2 per core) with one BLAS thread, evaluating the 1500-image test subset
-# after a 3-epoch, 50-per-class training cell took (median of 7, two runs)
-# 101-112 ms at chunk 8, 114-126 ms at 16, 129-145 ms at 50, 135-143 ms at
-# 100, 207-212 ms at 200 and 214 ms one image at a time; a chunk's forward
-# pass copies one chunk x k² x oh·ow im2col, 5.8 MB at 50 for the default
-# stack. Smaller chunks read faster here, but not in the benchmark's
-# ``train_cnn`` passes: 4 paired runs at 16 against 50 gave ``run_s`` 0.488
-# against 0.493 s, within the spread of the runs at 50 (IQR 0.021 s).
-# The constant is not speed alone: a chunk's rows share one product per
-# dense layer, so another chunk size may move the scores' last bits and flip
-# a near-tied class, and with it error rows, CSV and fingerprints.
+# L2 per core, cores shared with other load) with one BLAS thread,
+# evaluating the 1500-image test subset after a 3-epoch, 50-per-class
+# training cell took (median of 7 per run, eight runs) 71-104 ms at chunk
+# 8, 66-87 ms at 50 and 78-125 ms at 250; 50 was the fastest of the three
+# in 7 of the 8 runs. A chunk's forward copies one chunk x k² x oh·ow
+# im2col, 5.8 MB at 50 for the default stack, and makes one product per
+# image from it. The constant is not speed alone: a chunk's rows share one
+# product per dense layer, so another chunk size may move the scores' last
+# bits and flip a near-tied class, and with it error rows, CSV and
+# fingerprints.
 EVAL_CHUNK = 50
 
 

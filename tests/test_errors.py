@@ -376,6 +376,23 @@ ARRAY_CALLS = [
      DimensionError, lambda v: tensor.conv2d_valid_naive(v, np.ones((3, 3)))),
     ("conv2d_valid_naive", "kernel", np.ones((3, 3)), np.ones(3),
      DimensionError, lambda v: tensor.conv2d_valid_naive(np.ones((4, 4)), v)),
+    ("conv_maxpool2", "input", np.ones((4, 4)), np.ones(4), DimensionError,
+     lambda v: tensor.conv_maxpool2(v, np.ones((2, 3, 3)), np.ones(2))),
+    ("conv_maxpool2", "kernels", np.ones((2, 3, 3)), np.ones((3, 3)),
+     DimensionError,
+     lambda v: tensor.conv_maxpool2(np.ones((4, 4)), v, np.ones(2))),
+    ("conv_maxpool2", "bias", np.ones(2), np.ones((2, 1)), DimensionError,
+     lambda v: tensor.conv_maxpool2(np.ones((4, 4)), np.ones((2, 3, 3)), v)),
+    ("conv_maxpool2_naive", "input", np.ones((4, 4)), np.ones((1, 4, 4)),
+     DimensionError,
+     lambda v: tensor.conv_maxpool2_naive(v, np.ones((2, 3, 3)), np.ones(2))),
+    ("conv_maxpool2_naive", "kernels", np.ones((2, 3, 3)), np.ones((3, 3)),
+     DimensionError,
+     lambda v: tensor.conv_maxpool2_naive(np.ones((4, 4)), v, np.ones(2))),
+    ("conv_maxpool2_naive", "bias", np.ones(2), np.ones((2, 1)),
+     DimensionError,
+     lambda v: tensor.conv_maxpool2_naive(np.ones((4, 4)), np.ones((2, 3, 3)),
+                                          v)),
     ("maxpool2", "input", np.ones((4, 4)), np.ones(4), DimensionError,
      tensor.maxpool2),
     ("maxpool2_naive", "input", np.ones((4, 4)), np.ones((1, 4, 4)),
@@ -521,7 +538,8 @@ def test_every_function_with_an_array_argument_is_in_the_table():
         "cross_entropy", "batch_gradients", "evaluate", "train_epoch",
         "MemoryPool", "affinity_matrix", "update_memory", "generate_clones",
         "ClonalExpander", "crossover", "mutate", "clonalg_run", "classify",
-        "classify_batch", "init_new_class", "quantize_pixels"}
+        "classify_batch", "init_new_class", "quantize_pixels",
+        "conv_maxpool2"}
 
 
 LEAVES = st.one_of(st.floats(-4, 4), st.integers(-3, 3), st.none(),

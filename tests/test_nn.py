@@ -8,11 +8,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonalnet import nn
+from clonalnet import harness, nn
 from clonalnet.clonal import CloneConfig, ClonalExpander, Clones
 from clonalnet.errors import (ConfigurationError, CorruptionError,
                               DimensionError, DivergenceError)
 from clonalnet.gradcheck import check_instance
+from clonalnet.mnist import stratified_subset
 from clonalnet.tensor import (conv2d_valid, conv2d_valid_naive, dense,
                               dense_backward, dense_naive, maxpool2,
                               maxpool2_backward, maxpool2_naive)
@@ -839,6 +840,61 @@ class TestTrainEpoch:
             if first is None:
                 first = err
         assert err <= first
+
+
+# perfbench's bound on a feature's distance from its naive rebuild
+FEATURE_TOLERANCE = 1e-9
+
+
+class TestPredict:
+    # predict runs its own trace-free forward; these are the errors and
+    # results it shares with forward_features
+
+    DEFAULT = nn.init_params(0, nn.ArchConfig())
+
+    @pytest.mark.parametrize("shape", [(27, 27), (2, 27, 28), (3, 28, 27)])
+    def test_odd_convolution_extent_rejected(self, shape):
+        # 27 - 5 + 1 = 23 rows: the pool must not drop the last one
+        with pytest.raises(DimensionError):
+            nn.predict(self.DEFAULT, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 28), (28, 3)])
+    def test_kernel_larger_than_image_rejected(self, shape):
+        with pytest.raises(DimensionError, match="kernel"):
+            nn.predict(self.DEFAULT, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(30, 30), (2, 26, 26)])
+    def test_pool_not_of_fc1_width_rejected(self, shape):
+        pooled = 8 * ((shape[-1] - 4) // 2) ** 2
+        with pytest.raises(DimensionError,
+                           match=f"pool size {pooled} does not match fc1 "
+                                 "input width 1152"):
+            nn.predict(self.DEFAULT, np.zeros(shape))
+
+    def test_empty_stack_gives_no_classes(self):
+        classes = nn.predict(self.DEFAULT, np.zeros((0, 28, 28)))
+        assert classes.shape == (0,) and classes.dtype.kind == "i"
+
+    def test_features_and_classes_match_forward_features_on_a_trained_cell(
+            self, corpus):
+        # the coverage perfbench's forward check gives forward_features, for
+        # the forward that evaluate times: a cell trained as the size sweep
+        # trains one, its test images in evaluate's chunks
+        train, test = corpus
+        arch = nn.ArchConfig(num_classes=len(train.class_ids))
+        subset = stratified_subset(train, 10, seed=1)
+        test = harness.fixed_test_subset(test, 300)
+        _, params, _ = harness.train_variant(
+            subset, test, "cnn", 10, 1, harness.ExperimentConfig(), arch,
+            epochs=2, record_epochs=False)
+        for start in range(0, len(test), nn.EVAL_CHUNK):
+            chunk = test.images[start:start + nn.EVAL_CHUNK]
+            traced, _ = nn.forward_features(params, chunk)
+            features = nn._inference_features(params, chunk)
+            assert np.max(np.abs(features - traced)) <= FEATURE_TOLERANCE
+            assert np.array_equal(
+                nn.predict(params, chunk),
+                nn.forward_output(params, traced).argmax(axis=1))
 
 
 class TestEvaluate:

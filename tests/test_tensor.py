@@ -10,6 +10,8 @@ from clonalnet.tensor import (
     Windows,
     conv2d_valid,
     conv2d_valid_naive,
+    conv_maxpool2,
+    conv_maxpool2_naive,
     dense,
     dense_backward,
     dense_naive,
@@ -592,6 +594,95 @@ class TestDense:
         gw, gb, gx = dense_backward(w, x, g)
         assert gw.shape == (0, 3) and gb.shape == (0,)
         assert gx.shape == x.shape and not gx.any()
+
+
+def random_bank(rng, lead, maps):
+    """Maps of a stack whose (kh, kw) convolution has even extents, an
+    (f, kh, kw) kernel bank and its (f,) bias."""
+    kh, kw = (int(k) for k in rng.integers(1, 5, size=2))
+    h, w = 2 * rng.integers(1, 6, size=2) + (kh - 1, kw - 1)
+    return (rng.normal(size=(*lead, h, w)), rng.normal(size=(maps, kh, kw)),
+            rng.normal(size=maps))
+
+
+class TestConvMaxpool2:
+    # the trace-free convolution and pool of inference: close to the
+    # per-kernel naive oracle, each row bit for bit its own call, and the
+    # pool maxpool2's rule bit for bit
+
+    @given(st.integers(0, 2**31 - 1), LEADS, st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_own_calls_and_the_naive_oracle(self, seed, lead,
+                                                       maps):
+        rng = np.random.default_rng(seed)
+        stack, bank, bias = random_bank(rng, lead, maps)
+        out = conv_maxpool2(stack, bank, bias)
+        h, w = stack.shape[-2:]
+        oh, ow = h - bank.shape[1] + 1, w - bank.shape[2] + 1
+        assert out.shape == (*lead, maps, oh // 2, ow // 2)
+        for row, image in zip(rows(out, 3), rows(stack, 2)):
+            assert row.tobytes() == conv_maxpool2(image, bank, bias).tobytes()
+            # a pooled entry is within rounding of the largest magnitude
+            # among its block's sums
+            assert_rounding_close(row, conv_maxpool2_naive(image, bank, bias),
+                                  conv_maxpool2_naive(abs(image), abs(bank),
+                                                      abs(bias)))
+        layout = VIEWS["fortran_order"](stack)
+        assert conv_maxpool2(layout, bank, bias).tobytes() == out.tobytes()
+
+    @given(st.integers(0, 2**31 - 1), LEADS, st.sampled_from([1, 2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_one_hot_kernel_pools_as_maxpool2(self, seed, lead, k):
+        # a one-hot [0, 0] kernel and zero bias crop the maps, so only the
+        # pool rule is compared: ties, zeros, infinities and NaNs of either
+        # sign. The product writes a zero as +0.0, and a larger kernel's
+        # other taps would turn an infinity into NaN, so those maps are
+        # finite
+        rng = np.random.default_rng(seed)
+        crop = random_stack(rng, lead)
+        nan = rng.random(crop.shape) < 0.1
+        crop[nan] = rng.choice([np.nan, -np.nan], size=nan.sum())
+        if k > 1:
+            crop[~np.isfinite(crop)] = 1.0
+        stack = np.pad(crop, [(0, 0)] * len(lead) + [(0, k - 1)] * 2)
+        bank = np.zeros((2, k, k))
+        bank[:, 0, 0] = 1.0
+        out = conv_maxpool2(stack, bank, np.zeros(2))
+        expected = maxpool2(crop + 0.0)[0].tobytes()
+        for m in range(2):
+            assert out[..., m, :, :].tobytes() == expected
+
+    @given(st.integers(0, 2**31 - 1), LEADS)
+    @settings(max_examples=30, deadline=None)
+    def test_pool_tree_keeps_maxpool2s_winner_bits(self, seed, lead):
+        # the comparison tree over the four block corners, on maps with
+        # -0.0, where no product stands in between
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, lead)
+        nan = rng.random(stack.shape) < 0.1
+        stack[nan] = rng.choice([np.nan, -np.nan], size=nan.sum())
+        pick = tensor._later_if_it_wins
+        corners = [stack[..., dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+        pooled = pick(pick(*corners[:2]), pick(*corners[2:]))
+        assert pooled.tobytes() == maxpool2(stack)[0].tobytes()
+
+    @pytest.mark.parametrize("kernel", [conv_maxpool2, conv_maxpool2_naive])
+    def test_bad_shapes_rejected(self, kernel):
+        bank, bias = np.ones((2, 3, 3)), np.zeros(2)
+        # an odd convolution extent is refused, not cut to the even part
+        for shape in [(7, 8), (8, 7)]:
+            with pytest.raises(DimensionError):
+                kernel(np.ones(shape), bank, bias)
+        with pytest.raises(DimensionError, match=r"\(3, 3\).*\(2, 8\)"):
+            kernel(np.ones((2, 8)), bank, bias)
+        with pytest.raises(DimensionError, match="bias"):
+            kernel(np.ones((8, 8)), bank, np.zeros(3))
+
+    @pytest.mark.parametrize("lead", [(0,), (2, 0)])
+    def test_empty_stacks_pool_to_empty_arrays(self, lead):
+        out = conv_maxpool2(np.ones((*lead, 8, 6)), np.ones((3, 3, 3)),
+                            np.zeros(3))
+        assert out.shape == (*lead, 3, 3, 2) and out.dtype == np.float64
 
 
 def test_all_ops_finite_on_finite_inputs():
